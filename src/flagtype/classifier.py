@@ -19,6 +19,9 @@ The verdict logic:
 Everything returns a Verdict carrying a full trace.
 """
 
+from functools import lru_cache
+from itertools import permutations
+
 from .flags import Composition
 
 
@@ -50,8 +53,9 @@ def _dims(comp):
     return frozenset(comp.dims)
 
 
-def _covers(x, master_dims, n):
-    """x is an image of a flag with the master's dimension set.
+def _allowed(master_dims, n):
+    """The dims a component may have to be an image of a flag with the
+    master's dimension set.
 
     Allowed reductions: forget steps (dims subset) and add a maximal step
     on top of an (n-1)-dimensional one (two extensions, stabilizer-shared).
@@ -59,7 +63,7 @@ def _covers(x, master_dims, n):
     allowed = set(master_dims)
     if n - 1 in allowed:
         allowed.add(n)
-    return _dims(x) <= allowed
+    return frozenset(allowed)
 
 
 def _single_like(x, n):
@@ -71,9 +75,12 @@ def _single_like(x, n):
     return set()
 
 
+@lru_cache(maxsize=None)
 def _sq_free_masters(n):
-    """Concrete master triples (as composition-dimension data) with
-    square-class-free finiteness proofs, each with its citation."""
+    """Concrete master triples with square-class-free finiteness proofs,
+    each as the allowed dims of its three components with its citation.
+
+    Computed once per n and kept as an immutable tuple."""
     masters = []
     full = tuple(range(1, n + 1))
     for alpha in range(1, n + 1):
@@ -118,13 +125,8 @@ def _sq_free_masters(n):
     for g1 in range(1, n):
         masters.append((((g1, n - g1), (1, 1), (n,)),
                         "(g, n-g) against a two-step unit flag"))
-    return masters
-
-
-_SQ_NEEDED_MASTERS = (
-    ((lambda n: (1, 1, 1, 1)), "single", "(1,1,1,1) + subspace + maximal "
-                                         "[needs finite square classes]"),
-)
+    return tuple((tuple(_allowed(_accum(m), n) for m in master), why)
+                 for master, why in masters)
 
 
 def sq_free_cover(n, comps):
@@ -132,11 +134,10 @@ def sq_free_cover(n, comps):
     finiteness result; None otherwise."""
     if len(comps) != 3:
         return None
-    from itertools import permutations
-    for master, why in _sq_free_masters(n):
-        mdims = [tuple(_accum(m)) for m in master]
+    dims = [_dims(c) for c in comps]
+    for allowed, why in _sq_free_masters(n):
         for perm in permutations(range(3)):
-            if all(_covers(comps[perm[i]], mdims[i], n) for i in range(3)):
+            if all(dims[perm[i]] <= allowed[i] for i in range(3)):
                 return why
     return None
 
@@ -191,7 +192,6 @@ def theorem17_match(n, a, b, c):
 
 def matched_conditions(n, comps):
     """All (condition id, permutation) pairs over the six orientations."""
-    from itertools import permutations
     out = []
     for perm in permutations(range(3)):
         cid = theorem17_match(n, comps[perm[0]], comps[perm[1]],
@@ -203,7 +203,6 @@ def matched_conditions(n, comps):
 
 def gates_fired(n, comps):
     """Which of the three square-class gate patterns fire (any orientation)."""
-    from itertools import permutations
     fired = []
     if max(c.parts[0] for c in comps) < n:
         fired.append("gate-max-first-part")
@@ -222,7 +221,6 @@ def gates_fired(n, comps):
 
 def normalize_triple(comps):
     """All six orientations annotated with normalization facts and shapes."""
-    from itertools import permutations
     if len(comps) != 3:
         raise ValueError("normalize_triple needs exactly three compositions")
     out = []

@@ -10,7 +10,7 @@ import json
 import os
 import sys
 
-from .linalg import canonicalize
+from .linalg import canonicalize, check_field
 from .geometry import group_generators, so_generators, parabolic_generators
 from .flags import Composition
 from .invariants import b_invariants, theta, BInvariants
@@ -54,6 +54,16 @@ def parse_subspace(text, q, ambient):
     except json.JSONDecodeError as exc:
         raise UsageError("bad basis JSON: %s" % exc)
     return canonicalize(q, ambient, rows)
+
+
+def _check_budget():
+    text = os.environ.get("FLAGTYPE_BUDGET")
+    if text is not None:
+        try:
+            int(text)
+        except ValueError:
+            raise UsageError("FLAGTYPE_BUDGET must be an integer, got %r"
+                             % text)
 
 
 def _write_store(args, payload):
@@ -221,8 +231,20 @@ def cmd_witness(args):
 
 
 def cmd_census(args):
-    comps = parse_triple(args.space)
     n, q = args.n, args.q
+    if n < 1:
+        raise UsageError("--n must be at least 1, got %d" % n)
+    try:
+        # q=0 selects the rationals, where a census has no finite space
+        check_field(q or 1)
+    except ValueError:
+        raise UsageError("--q must be an odd prime, got %d" % q)
+    comps = parse_triple(args.space)
+    for c in comps:
+        try:
+            c.check(n)
+        except ValueError as exc:
+            raise UsageError(str(exc))
     kind = {"G": group_generators, "SO": so_generators,
             "P": parabolic_generators}[args.group]
     gens = kind(q, n)
@@ -407,6 +429,7 @@ def main(argv=None):
         print("--jobs must be >= 1", file=sys.stderr)
         return EXIT_USAGE
     try:
+        _check_budget()
         return args.fn(args)
     except UsageError as exc:
         print("usage error: %s" % exc, file=sys.stderr)

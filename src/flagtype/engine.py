@@ -4,19 +4,28 @@ same-orbit decisions with connecting elements, and orbit censuses.
 Everything here is exact; large jobs either finish or report Infeasible.
 The workhorse is a stabilizer descent: components of a flag tuple are fixed
 one at a time, and the stabilizer of the fixed prefix is tracked exactly.
-Descents start from the whole group (order known by formula), standard
-coordinate subspaces get their structural stabilizer generators (torus,
-root elements, block swap), and every other step uses Schreier generators
-of the point stabilizer, materialized when the exact order - known by the
-orbit-stabilizer telescope - fits in memory.
+
+Censuses run on integers: each component chain space is indexed once and
+every generator becomes a permutation of the points.  The census descent
+takes each stabilizer from a Schreier-Sims chain (``perm.StabChain``) whose
+base begins at the representative, so no group order is assumed.
+
+Same-orbit descents work on matrices: they start from the whole group
+(order known by formula), standard coordinate subspaces get their
+structural stabilizer generators (torus, root elements, block swap), and
+every other step uses Schreier generators of the point stabilizer,
+materialized when the exact order - known by the orbit-stabilizer
+telescope - fits in memory.
 """
 
 import os
+from operator import add
 
 from .linalg import Mat, identity, inverse, mat_mul, act_on_subspace, meet
 from .geometry import (group_order, perp, pair_stabilizer_generators,
                        coordinate_subspace)
 from . import flags as _flags
+from .perm import StabChain, orbits
 
 
 DEFAULT_ORBIT_BUDGET = 5 * 10 ** 7
@@ -417,36 +426,85 @@ class OrbitCensus:
         }
 
 
-def census_direct(tuples, gens, n, q, descriptor=""):
-    """Union-find census of an explicit FlagTuple list under the generators."""
-    index = {tuple_key(t): i for i, t in enumerate(tuples)}
-    if len(index) != len(tuples):
-        raise ValueError("census space contains duplicates")
-    parent = list(range(len(tuples)))
+def index_spaces(spaces, gens):
+    """Index chain spaces as the blocks of one integer point set.
 
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
+    Each distinct space is one block of consecutive points, its chains
+    sorted by chain_key so that point order is key order; equal spaces
+    share a block, and the generator images are computed once per block.
+    Returns (blocks, slot, images): blocks[b] = (offset, chains, index) with
+    index mapping a chain to its point, slot[j] the block of spaces[j], and
+    images[gi] the permutation of all points by generator gi.
+    """
     cache = ActionCache(gens)
-    for i, t in enumerate(tuples):
-        for gi in range(len(gens)):
-            img = cache.tuple(gi, t)
-            j = index.get(tuple_key(img))
-            if j is None:
-                raise AssertionError("census space not closed under the action")
-            ra, rb = find(i), find(j)
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-    groups = {}
-    for i in range(len(tuples)):
-        groups.setdefault(find(i), []).append(i)
+    blocks, slot, seen = [], [], {}
+    offset = 0
+    for cs in spaces:
+        chains = tuple(sorted(cs, key=chain_key))
+        b = seen.get(chains)
+        if b is None:
+            b = seen[chains] = len(blocks)
+            index = {ch: offset + i for i, ch in enumerate(chains)}
+            if len(index) != len(chains):
+                raise ValueError("census space contains duplicates")
+            blocks.append((offset, chains, index))
+            offset += len(chains)
+        slot.append(b)
+    images = [[] for _ in gens]
+    for _, chains, index in blocks:
+        for gi, img in enumerate(images):
+            for ch in chains:
+                j = index.get(cache.chain(gi, ch))
+                if j is None:
+                    raise AssertionError("census space not closed under the "
+                                         "action")
+                img.append(j)
+    return blocks, slot, [tuple(img) for img in images]
+
+
+def _mixed_codes(columns, weights):
+    """sum_j weights[j][columns[j][i]] for every i."""
+    acc = list(map(weights[0].__getitem__, columns[0]))
+    for col, w in zip(columns[1:], weights[1:]):
+        acc = list(map(add, acc, map(w.__getitem__, col)))
+    return acc
+
+
+def census_direct(tuples, gens, n, q, descriptor=""):
+    """Orbit census of an explicit FlagTuple list under the generators.
+
+    A tuple is coded by the mixed-radix integer of its components' points,
+    so code order is tuple_key order; the orbits are found on positions in
+    the list, each generator acting through the code of the image tuple.
+    """
+    if not tuples:
+        return OrbitCensus(descriptor, q, 0, [], [], [], 0)
+    k = len(tuples[0])
+    blocks, slot, images = index_spaces(
+        [{t[j] for t in tuples} for j in range(k)], gens)
+    columns, strides, stride = [], [], 1
+    for j in reversed(range(k)):
+        offset, chains, index = blocks[slot[j]]
+        columns.append([index[t[j]] - offset for t in tuples])
+        strides.append((offset, len(chains), stride))
+        stride *= len(chains)
+    codes = _mixed_codes(columns, [range(0, size * st, st)
+                                   for _, size, st in strides])
+    position = dict(zip(codes, range(len(tuples))))
+    if len(position) != len(tuples):
+        raise ValueError("census space contains duplicates")
+    moves = []
+    for img in images:
+        weights = [[(img[offset + x] - offset) * st for x in range(size)]
+                   for offset, size, st in strides]
+        try:
+            moves.append(list(map(position.__getitem__,
+                                  _mixed_codes(columns, weights))))
+        except KeyError:
+            raise AssertionError("census space not closed under the action")
     reps, sizes, sigs = [], [], []
-    for root in sorted(groups):
-        members = groups[root]
-        rep = min((tuples[i] for i in members), key=tuple_key)
+    for members in orbits(moves, range(len(tuples))):
+        rep = tuples[min(members, key=codes.__getitem__)]
         reps.append(rep)
         sizes.append(len(members))
         sigs.append(signature(rep, n))
@@ -457,8 +515,9 @@ def census_product(component_spaces, gens, n, q, descriptor="",
                    direct_limit=200_000, budget=None):
     """Census of a product of component chain-spaces under <gens>.
 
-    Small products use the direct union-find; larger ones use the exact
-    stabilizer descent.  Orbit sizes multiply along the descent, which is
+    Small products use the direct census; larger ones descend through the
+    components, one Schreier-Sims stabilizer chain per representative with
+    a nontrivial orbit.  Orbit sizes multiply along the descent, which is
     exact by orbit-stabilizer.
     """
     total = 1
@@ -469,14 +528,22 @@ def census_product(component_spaces, gens, n, q, descriptor="",
         for cs in component_spaces:
             tuples = [t + (c,) for t in tuples for c in cs]
         return census_direct(tuples, gens, n, q, descriptor)
+    if budget is None:
+        budget = orbit_budget()
     # fix big components first
     perm = sorted(range(len(component_spaces)),
                   key=lambda i: -max(s.dim for ch in component_spaces[i][:1]
                                      for s in ch))
     spaces = [component_spaces[i] for i in perm]
-    level = StabLevel(list(gens), order=group_order(q, n))
+    blocks, slot, images = index_spaces(spaces, gens)
+    levels = [blocks[b] for b in slot]
+    _, chains0, index0 = levels[0]
+    std = index0.get(tuple(coordinate_subspace(q, 2 * n,
+                                               range(1, s.dim + 1))
+                           for s in chains0[0]))
     leaves = []
-    _descend_census(level, spaces, 0, (), 1, leaves, n, q, budget, depth0=True)
+    _descend_census(levels, images, None, blocks[-1][0] + len(blocks[-1][1]),
+                    0, (), 1, leaves, budget, std)
     inv = [perm.index(i) for i in range(len(perm))]
     reps, sizes, sigs = [], [], []
     for rep, size in sorted(leaves, key=lambda t: tuple_key(t[0])):
@@ -487,46 +554,44 @@ def census_product(component_spaces, gens, n, q, descriptor="",
     return OrbitCensus(descriptor, q, len(reps), sizes, reps, sigs, total)
 
 
-def _descend_census(level, spaces, depth, prefix, size_acc, leaves, n, q,
-                    budget, depth0=False):
-    if depth == len(spaces):
-        leaves.append((prefix, size_acc))
-        return
-    chains = spaces[depth]
-    cache = ActionCache(level.gens)
-    remaining = {chain_key(ch): ch for ch in chains}
-    last = depth == len(spaces) - 1
-    while remaining:
-        start = remaining[min(remaining)]
-        members, tree = orbit_with_tree(start, level.gens, cache.chain, budget)
-        for m in members:
-            remaining.pop(chain_key(m), None)
+def _descend_census(levels, gens, order, degree, depth, prefix, size_acc,
+                    leaves, budget, std):
+    """Orbits of <gens> (of the given order, None if unknown) on the points
+    of levels[depth], recursing into the stabilizer of each representative.
+
+    Representatives are the smallest point of their orbit, except at depth
+    0 where the standard chain `std` represents its own orbit.
+    """
+    offset, chains, _ = levels[depth]
+    last = depth == len(levels) - 1
+    for members in orbits(gens, range(offset, offset + len(chains))):
+        if len(members) > budget:
+            raise Infeasible("orbit budget exceeded")
+        rep = std if depth == 0 and std in members else min(members)
+        here = prefix + (chains[rep - offset],)
+        size = size_acc * len(members)
         if last:
-            rep = min(members, key=chain_key)
-            leaves.append((prefix + (rep,), size_acc * len(members)))
+            leaves.append((here, size))
             continue
-        rep = None
-        if depth0 and level.order == group_order(q, n):
-            for m in members:
-                if is_standard_chain(m):
-                    rep = m
-                    break
-        if rep is not None:
-            sub = StabLevel(standard_chain_stabilizer(rep, n, q),
-                            order=level.order // len(members))
-        else:
-            rep = min(members, key=chain_key)
-            sub = level
-            for s in rep:
-                sub, _, _ = schreier_descend(sub, s, q, 2 * n, budget)
-        _descend_census(sub, spaces, depth + 1, prefix + (rep,),
-                        size_acc * len(members), leaves, n, q, budget)
+        sub_gens, sub_order = gens, order
+        if len(members) > 1:
+            chain = StabChain(gens, degree, base=(rep,), order=order)
+            if len(chain.orbit[0]) != len(members):
+                raise AssertionError("basic orbit differs from the orbit")
+            order = chain.order()
+            sub_gens, sub_order = chain.stabilizer(), order // len(members)
+        _descend_census(levels, sub_gens, sub_order, degree, depth + 1, here,
+                        size, leaves, budget, std)
 
 
 def census_space(n, q, comps, gens, isotropic=True, descriptor="",
                  direct_limit=200_000, budget=None):
     """Census of M_{c1} x ... x M_{ck} over GF(q) under <gens>."""
-    spaces = [_flags.enumerate_chains(q, n, c, isotropic=isotropic)
-              for c in comps]
+    enumerated = {}
+    for c in comps:
+        if c not in enumerated:
+            enumerated[c] = _flags.enumerate_chains(q, n, c,
+                                                    isotropic=isotropic)
+    spaces = [enumerated[c] for c in comps]
     desc = descriptor or "n=%d %s" % (n, "|".join(str(c.parts) for c in comps))
     return census_product(spaces, gens, n, q, desc, direct_limit, budget)

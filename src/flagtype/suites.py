@@ -20,7 +20,8 @@ from .canonical import (enumerate_thetas, enumerate_valid_b, standard_pair,
                         sp_prime_generators, in_sp_prime, eliminate,
                         PLUS_BLOCKS, EXCLUDED_PAIRS, COMPENSATED_PAIRS,
                         block_precedes, normalize_pair)
-from .engine import census_direct, census_space, close_group
+from .engine import census_direct, census_space, close_group, index_spaces
+from .perm import orbits
 from .witnesses import (FAMILIES, build, family_classes, equivariance_check,
                         separation_check)
 from .classifier import classify, FINITE
@@ -426,24 +427,8 @@ def suite_cor87():
 
 def _census_linear(tuples, gens):
     """Orbit count for a GL-type action (no bilinear form involved)."""
-    from .engine import ActionCache, tuple_key
-    index = {tuple_key(t): i for i, t in enumerate(tuples)}
-    parent = list(range(len(tuples)))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    cache = ActionCache(gens)
-    for i, t in enumerate(tuples):
-        for gi in range(len(gens)):
-            j = index[tuple_key(cache.tuple(gi, t))]
-            ra, rb = find(i), find(j)
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-    return len({find(i) for i in range(len(tuples))})
+    _, _, images = index_spaces([[ch for (ch,) in tuples]], gens)
+    return len(orbits(images, range(len(tuples))))
 
 
 def suite_normalize(trials=120, seed=9):

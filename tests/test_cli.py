@@ -1,6 +1,8 @@
 import json
 import os
 
+import pytest
+
 from flagtype.cli import main
 
 
@@ -102,3 +104,21 @@ def test_jobs_flag(capsys):
     code, _, err = run(capsys, "--jobs", "0", "classify", "--n", "4",
                        "--triple", "(4)|(4)|(4)")
     assert code == 2
+
+
+CENSUS_USAGE_ERRORS = [
+    ({}, ["--n", "2", "--q", "4", "--space", "(1)|(2)"]),
+    ({}, ["--n", "2", "--q", "0", "--space", "(1)|(2)"]),
+    ({}, ["--n", "0", "--q", "3", "--space", "(1)|(2)"]),
+    ({}, ["--n", "2", "--q", "3", "--space", "(3)|(2)"]),
+    ({"FLAGTYPE_BUDGET": "abc"}, ["--n", "2", "--q", "3", "--space", "(2)"]),
+]
+
+
+@pytest.mark.parametrize("env,argv", CENSUS_USAGE_ERRORS)
+def test_census_usage_errors(capsys, monkeypatch, env, argv):
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    code, out, err = run(capsys, "census", *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("usage error: ") and err.count("\n") == 1

@@ -8,10 +8,11 @@ from flagtype.geometry import (standard_isotropic, group_generators,
                                group_order, random_group_element)
 from flagtype.flags import Composition, enumerate_chains, act
 from flagtype.engine import (orbit, same_orbit, census_direct, census_space,
-                             signature, path_element, close_group,
-                             schreier_descend, StabLevel, Infeasible,
-                             tuple_key)
+                             census_product, signature, path_element,
+                             close_group, schreier_descend, StabLevel,
+                             Infeasible, tuple_key)
 from flagtype.invariants import b_invariants
+from flagtype.suites import CENSUS_PLAN
 
 
 def max_flags(q, n):
@@ -169,3 +170,47 @@ def test_budget_infeasible():
     start = ((standard_isotropic(q, n, 0),),)
     with pytest.raises(Infeasible):
         orbit(start, gens, q, budget=5)
+
+
+def sizes_by_signature(cen):
+    out = {}
+    for sig, size in zip(cen.signatures, cen.orbit_sizes):
+        out[sig] = out.get(sig, 0) + size
+    return out
+
+
+@pytest.mark.parametrize("kind", [parabolic_generators, so_generators,
+                                  group_generators])
+def test_descent_matches_direct_census(kind):
+    """The stabilizer-chain descent against the direct census, under P, SO
+    and G; representatives may differ, so orbits are compared by size and
+    signature."""
+    n, q = 2, 3
+    gens = kind(q, n)
+    for _, comps, _ in [e for e in CENSUS_PLAN if e[0] == n]:
+        spaces = [enumerate_chains(q, n, Composition(c)) for c in comps]
+        direct = census_product(spaces, gens, n, q)
+        descent = census_product(spaces, gens, n, q, direct_limit=0)
+        assert descent.orbit_count == direct.orbit_count
+        assert sorted(descent.orbit_sizes) == sorted(direct.orbit_sizes)
+        assert sorted(zip(descent.signatures, descent.orbit_sizes)) == \
+            sorted(zip(direct.signatures, direct.orbit_sizes))
+        assert descent.total == direct.total == sum(descent.orbit_sizes)
+
+
+def test_so_and_p_censuses_of_three_lines():
+    """SO splits one G-orbit of (1)|(1)|(1) at n=3 in two; every P- and
+    SO-orbit lies inside the G-orbits of its signature."""
+    n, q = 3, 3
+    comps = [Composition([1])] * 3
+    g = census_space(n, q, comps, group_generators(q, n))
+    so = census_space(n, q, comps, so_generators(q, n))
+    p = census_space(n, q, comps, parabolic_generators(q, n))
+    assert g.orbit_count == 17 and so.orbit_count == 18
+    want = sorted(g.orbit_sizes)
+    want.remove(112320)
+    assert sorted(so.orbit_sizes) == sorted(want + [56160, 56160])
+    assert p.orbit_count == 112
+    for cen in (so, p):
+        assert sizes_by_signature(cen) == sizes_by_signature(g)
+        assert sum(cen.orbit_sizes) == cen.total == 130 ** 3

@@ -1,0 +1,110 @@
+"""The Schreier-Sims chain and the orbit helper, against sympy's
+PermutationGroup and against brute force."""
+
+import random
+
+import pytest
+from sympy.combinatorics import Permutation, PermutationGroup
+
+from flagtype.engine import index_spaces, orbit
+from flagtype.geometry import (coordinate_subspace, group_generators,
+                               group_order, parabolic_generators,
+                               so_generators)
+from flagtype.perm import StabChain, inv, mul, orbits
+
+
+def sympy_group(images):
+    return PermutationGroup([Permutation(list(p)) for p in images])
+
+
+def random_gens(rng, degree):
+    gens = []
+    for _ in range(rng.randrange(1, 4)):
+        p = list(range(degree))
+        if rng.random() < 0.5:
+            i, j = rng.sample(range(degree), 2)
+            p[i], p[j] = p[j], p[i]
+        else:
+            rng.shuffle(p)
+        gens.append(tuple(p))
+    return gens
+
+
+def closure(gens, degree):
+    ident = tuple(range(degree))
+    group = {ident}
+    frontier = [ident]
+    while frontier:
+        frontier = [mul(x, g) for x in frontier for g in gens]
+        frontier = [y for y in set(frontier) if y not in group]
+        group.update(frontier)
+    return group
+
+
+def test_mul_and_inv():
+    p, r = (1, 2, 0, 3), (0, 3, 1, 2)
+    assert mul(p, r) == (3, 1, 0, 2)
+    assert mul(p, inv(p)) == (0, 1, 2, 3)
+    assert mul((0,), (0,)) == (0,)
+
+
+def test_orbits_against_brute_force():
+    rng = random.Random(3)
+    for _ in range(20):
+        degree = rng.randrange(2, 12)
+        gens = random_gens(rng, degree)
+        group = closure(gens, degree)
+        got = orbits(gens, range(degree))
+        assert [o[0] for o in got] == sorted(o[0] for o in got)
+        for orb in got:
+            assert orb[0] == min(orb)
+            assert set(orb) == {g[orb[0]] for g in group}
+        assert sorted(x for o in got for x in o) == list(range(degree))
+
+
+def test_chain_on_random_groups():
+    rng = random.Random(7)
+    for _ in range(40):
+        degree = rng.randrange(2, 9)
+        gens = random_gens(rng, degree)
+        group = closure(gens, degree)
+        chain = StabChain(gens, degree)
+        assert chain.order() == len(group) == sympy_group(gens).order()
+        for g in rng.sample(sorted(group), min(10, len(group))):
+            assert chain.sift(g)[0] == chain.ident
+        b = rng.randrange(degree)
+        based = StabChain(gens, degree, base=(b,), order=len(group))
+        assert based.base[0] == b
+        stab = {g for g in group if g[b] == b}
+        sub = StabChain(based.stabilizer(), degree, order=len(stab))
+        assert len(stab) * len(based.orbit[0]) == len(group)
+        assert all(g[b] == b for g in based.stabilizer())
+        assert sub.order() == len(stab)
+
+
+def test_chain_rejects_a_wrong_order():
+    gens = [(1, 2, 0, 3), (1, 0, 2, 3)]
+    assert StabChain(gens, 4).order() == 6
+    with pytest.raises(AssertionError):
+        StabChain(gens, 4, order=12)
+
+
+GROUPS = {"P": parabolic_generators, "SO": so_generators,
+          "G": group_generators}
+
+
+@pytest.mark.parametrize("n,q", [(2, 3), (2, 5), (3, 3), (3, 5)])
+def test_chain_order_matches_sympy(n, q):
+    """Orders of P, SO and G acting on M_(1) and M_(n)."""
+    gens = group_generators(q, n)
+    for d in (1, n):
+        start = ((coordinate_subspace(q, 2 * n, range(1, d + 1)),),)
+        members, _ = orbit(start, gens, q)
+        chains = [m[0] for m in members]
+        for name, kind in GROUPS.items():
+            _, _, images = index_spaces([chains], kind(q, n))
+            order = StabChain(images, len(chains)).order()
+            assert order == sympy_group(images).order(), (name, d)
+            if name == "G" and d == 1:
+                # the kernel of the action on lines is {+-I}
+                assert group_order(q, n) == 2 * order
