@@ -19,7 +19,7 @@ import itertools
 from .linalg import (Mat, canonicalize, identity, inverse, mat_mul, mat_vec,
                      transpose, kernel, solve, meet, sc, sc_inv,
                      complement_basis)
-from .geometry import (bar, form, perp, transvection, classify_element,
+from .geometry import (bar, form, perp, classify_element,
                        NOT_ORTHOGONAL, standard_pair_spaces, is_isotropic)
 from .invariants import ThetaInvariants, BInvariants, theta, \
     verify_relations, theta_of_b
@@ -129,9 +129,6 @@ class IndexLayout:
         used += [*self.I[15], *(bar(i, self.n) for i in self.I[15])]
         if sorted(used) != list(range(1, 2 * self.n + 1)):
             raise AssertionError("tilde index sets do not partition 1..2n")
-
-    def i_plus_indices(self):
-        return sorted(self.block_of)
 
     def audit(self):
         """Human-readable dump of the index tables (for the CLI)."""

@@ -66,15 +66,6 @@ def _allowed(master_dims, n):
     return frozenset(allowed)
 
 
-def _single_like(x, n):
-    """All beta with x an image of a flag of shape (beta)."""
-    if len(x.parts) == 1:
-        return {x.parts[0]}
-    if x.parts == (n - 1, 1):
-        return {n - 1}
-    return set()
-
-
 @lru_cache(maxsize=None)
 def _sq_free_masters(n):
     """Concrete master triples with square-class-free finiteness proofs,

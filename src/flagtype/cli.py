@@ -2,7 +2,8 @@
 witness, census, verify, report.
 
 Exit codes: 0 pass, 1 verification failure, 2 usage error, 3 infeasible.
-FLAGTYPE_BUDGET overrides the tuple budgets.
+FLAGTYPE_BUDGET caps the orbit members of enumerations and orbit searches;
+a run that exceeds it is infeasible.
 """
 
 import argparse
@@ -11,8 +12,9 @@ import os
 import sys
 
 from .linalg import canonicalize, check_field
-from .geometry import group_generators, so_generators, parabolic_generators
-from .flags import Composition
+from .geometry import (group_generators, so_generators, parabolic_generators,
+                       is_isotropic)
+from .flags import Composition, BudgetExceeded
 from .invariants import b_invariants, theta, BInvariants
 from .canonical import IndexLayout, representative, normalize_pair
 from .engine import census_space, Infeasible
@@ -48,12 +50,26 @@ def parse_triple(text):
     return [parse_composition(p) for p in parts]
 
 
-def parse_subspace(text, q, ambient):
+def parse_subspace(text, q, ambient, n, name, dim=None):
+    """The isotropic subspace spanned by a JSON row list (of dimension dim)."""
     try:
-        rows = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise UsageError("bad basis JSON: %s" % exc)
-    return canonicalize(q, ambient, rows)
+        s = canonicalize(q, ambient, json.loads(text))
+    except (ValueError, TypeError) as exc:
+        raise UsageError("bad basis for %s: %s" % (name, exc))
+    if not is_isotropic(s, n):
+        raise UsageError("%s is not isotropic" % name)
+    if dim is not None and s.dim != dim:
+        raise UsageError("%s must have dimension %d, got %d" % (name, dim,
+                                                                  s.dim))
+    return s
+
+
+def check_finite_field(q):
+    try:
+        # q=0 selects the rationals, which have no finite spaces
+        check_field(q or 1)
+    except ValueError:
+        raise UsageError("--q must be an odd prime, got %d" % q)
 
 
 def _check_budget():
@@ -114,10 +130,10 @@ def cmd_classify(args):
 
 def cmd_invariants(args):
     n, q = args.n, args.q
-    up = parse_subspace(args.u_plus, q, 2 * n)
-    um = parse_subspace(args.u_minus, q, 2 * n)
+    up = parse_subspace(args.u_plus, q, 2 * n, n, "--u-plus")
+    um = parse_subspace(args.u_minus, q, 2 * n, n, "--u-minus")
     if args.v:
-        v = parse_subspace(args.v, q, 2 * n)
+        v = parse_subspace(args.v, q, 2 * n, n, "--v", dim=n)
         b, t = b_invariants(up, um, v, n)
         payload = {"theta": t.tuple5(), "b": b.to_json()}
     else:
@@ -130,8 +146,11 @@ def cmd_invariants(args):
 
 def cmd_canonical(args):
     n, q = args.n, args.q
-    b = BInvariants([int(x) for x in args.b.split(",")])
-    lay = IndexLayout(n, b)
+    try:
+        b = BInvariants([int(x) for x in args.b.split(",")])
+        lay = IndexLayout(n, b)
+    except ValueError as exc:
+        raise UsageError("bad --b: %s" % exc)
     payload = {"layout": lay.audit()}
     if not args.layout_only:
         v = representative(b, n, q)
@@ -143,14 +162,29 @@ def cmd_canonical(args):
 
 def cmd_normalize(args):
     n, q = args.n, args.q
-    up = parse_subspace(args.u_plus, q, 2 * n)
-    um = parse_subspace(args.u_minus, q, 2 * n)
+    up = parse_subspace(args.u_plus, q, 2 * n, n, "--u-plus")
+    um = parse_subspace(args.u_minus, q, 2 * n, n, "--u-minus")
     g = normalize_pair(up, um, n)
     payload = {"g": [list(r) for r in g.rows],
                "theta": theta(up, um, n).tuple5()}
     print(json.dumps(payload))
     _write_store(args, payload)
     return EXIT_OK
+
+
+def _parse_lambdas(text, name, domain, count=None):
+    try:
+        vals = [int(x) for x in text.split(",")]
+    except ValueError as exc:
+        raise UsageError("bad %s: %s" % (name, exc))
+    if count is not None and len(vals) != count:
+        raise UsageError("%s needs %d comma-separated values, got %r"
+                         % (name, count, text))
+    bad = [v for v in vals if v not in domain]
+    if bad:
+        raise UsageError("%s values %r outside the parameter domain %r"
+                         % (name, bad, domain))
+    return vals
 
 
 def cmd_witness(args):
@@ -166,16 +200,17 @@ def cmd_witness(args):
     if fam is None:
         raise UsageError("unknown family %r" % args.family)
     q = args.q
+    check_finite_field(q)
     n = args.n or fam.n_min
+    if n < fam.n_min:
+        raise UsageError("family %s needs n >= %d" % (args.family, fam.n_min))
+    domain = fam.lambda_domain(q, n)
     lambdas = None
     if args.lambdas and args.lambdas != "all":
-        try:
-            lambdas = [int(x) for x in args.lambdas.split(",")]
-        except ValueError as exc:
-            raise UsageError("bad --lambdas: %s" % exc)
+        lambdas = _parse_lambdas(args.lambdas, "--lambdas", domain)
     rows = []
     if fam.relation == "square-class":
-        lambdas = fam.lambda_domain(q, n)
+        lambdas = domain
         for lam in lambdas:
             for c in range(2, q):
                 cert = equivariance_check(args.family, lam, c, q, n)
@@ -193,10 +228,10 @@ def cmd_witness(args):
         if not fam.separable or n > fam.n_min:
             payload = {"family": args.family, "q": q, "n": n,
                        "separation": "Infeasible (construction-only family)"}
-            ft = build(args.family, n, fam.lambda_domain(q, n)[0], q)
+            build(args.family, n, domain[0], q)
             payload["validates"] = True
         elif args.pair:
-            lam, mu = (int(x) for x in args.pair.split(","))
+            lam, mu = _parse_lambdas(args.pair, "--pair", domain, count=2)
             verdict, g = separation_check(args.family, lam, mu, q, n)
             payload = {"family": args.family, "q": q, "n": n,
                        "lam": lam, "mu": mu, "verdict": verdict,
@@ -234,11 +269,7 @@ def cmd_census(args):
     n, q = args.n, args.q
     if n < 1:
         raise UsageError("--n must be at least 1, got %d" % n)
-    try:
-        # q=0 selects the rationals, where a census has no finite space
-        check_field(q or 1)
-    except ValueError:
-        raise UsageError("--q must be an odd prime, got %d" % q)
+    check_finite_field(q)
     comps = parse_triple(args.space)
     for c in comps:
         try:
@@ -434,7 +465,7 @@ def main(argv=None):
     except UsageError as exc:
         print("usage error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
-    except Infeasible as exc:
+    except (Infeasible, BudgetExceeded) as exc:
         print("infeasible: %s" % exc, file=sys.stderr)
         return EXIT_INFEASIBLE
 

@@ -21,7 +21,7 @@ telescope - fits in memory.
 import os
 from operator import add
 
-from .linalg import Mat, identity, inverse, mat_mul, act_on_subspace, meet
+from .linalg import identity, inverse, mat_mul, act_on_subspace, meet
 from .geometry import (group_order, perp, pair_stabilizer_generators,
                        coordinate_subspace)
 from . import flags as _flags
@@ -426,7 +426,7 @@ class OrbitCensus:
         }
 
 
-def index_spaces(spaces, gens):
+def index_spaces(spaces, gens, memo=None):
     """Index chain spaces as the blocks of one integer point set.
 
     Each distinct space is one block of consecutive points, its chains
@@ -434,9 +434,11 @@ def index_spaces(spaces, gens):
     share a block, and the generator images are computed once per block.
     Returns (blocks, slot, images): blocks[b] = (offset, chains, index) with
     index mapping a chain to its point, slot[j] the block of spaces[j], and
-    images[gi] the permutation of all points by generator gi.
+    images[gi] the permutation of all points by generator gi.  ``memo`` is
+    an action memo keyed by (matrix, subspace), as the enumeration fills it.
     """
-    cache = ActionCache(gens)
+    if memo is None:
+        memo = {}
     blocks, slot, seen = [], [], {}
     offset = 0
     for cs in spaces:
@@ -452,9 +454,9 @@ def index_spaces(spaces, gens):
         slot.append(b)
     images = [[] for _ in gens]
     for _, chains, index in blocks:
-        for gi, img in enumerate(images):
+        for g, img in zip(gens, images):
             for ch in chains:
-                j = index.get(cache.chain(gi, ch))
+                j = index.get(tuple(_flags.memo_act(memo, g, s) for s in ch))
                 if j is None:
                     raise AssertionError("census space not closed under the "
                                          "action")
@@ -470,7 +472,7 @@ def _mixed_codes(columns, weights):
     return acc
 
 
-def census_direct(tuples, gens, n, q, descriptor=""):
+def census_direct(tuples, gens, n, q, descriptor="", memo=None):
     """Orbit census of an explicit FlagTuple list under the generators.
 
     A tuple is coded by the mixed-radix integer of its components' points,
@@ -481,7 +483,7 @@ def census_direct(tuples, gens, n, q, descriptor=""):
         return OrbitCensus(descriptor, q, 0, [], [], [], 0)
     k = len(tuples[0])
     blocks, slot, images = index_spaces(
-        [{t[j] for t in tuples} for j in range(k)], gens)
+        [{t[j] for t in tuples} for j in range(k)], gens, memo)
     columns, strides, stride = [], [], 1
     for j in reversed(range(k)):
         offset, chains, index = blocks[slot[j]]
@@ -512,7 +514,7 @@ def census_direct(tuples, gens, n, q, descriptor=""):
 
 
 def census_product(component_spaces, gens, n, q, descriptor="",
-                   direct_limit=200_000, budget=None):
+                   direct_limit=200_000, budget=None, memo=None):
     """Census of a product of component chain-spaces under <gens>.
 
     Small products use the direct census; larger ones descend through the
@@ -527,7 +529,7 @@ def census_product(component_spaces, gens, n, q, descriptor="",
         tuples = [()]
         for cs in component_spaces:
             tuples = [t + (c,) for t in tuples for c in cs]
-        return census_direct(tuples, gens, n, q, descriptor)
+        return census_direct(tuples, gens, n, q, descriptor, memo)
     if budget is None:
         budget = orbit_budget()
     # fix big components first
@@ -535,7 +537,7 @@ def census_product(component_spaces, gens, n, q, descriptor="",
                   key=lambda i: -max(s.dim for ch in component_spaces[i][:1]
                                      for s in ch))
     spaces = [component_spaces[i] for i in perm]
-    blocks, slot, images = index_spaces(spaces, gens)
+    blocks, slot, images = index_spaces(spaces, gens, memo)
     levels = [blocks[b] for b in slot]
     _, chains0, index0 = levels[0]
     std = index0.get(tuple(coordinate_subspace(q, 2 * n,
@@ -586,12 +588,19 @@ def _descend_census(levels, gens, order, degree, depth, prefix, size_acc,
 
 def census_space(n, q, comps, gens, isotropic=True, descriptor="",
                  direct_limit=200_000, budget=None):
-    """Census of M_{c1} x ... x M_{ck} over GF(q) under <gens>."""
+    """Census of M_{c1} x ... x M_{ck} over GF(q) under <gens>.
+
+    The enumeration and the census share one action memo, so images under
+    generators that the enumeration used are computed once.
+    """
+    memo = {}
     enumerated = {}
     for c in comps:
         if c not in enumerated:
             enumerated[c] = _flags.enumerate_chains(q, n, c,
-                                                    isotropic=isotropic)
+                                                    isotropic=isotropic,
+                                                    memo=memo)
     spaces = [enumerated[c] for c in comps]
     desc = descriptor or "n=%d %s" % (n, "|".join(str(c.parts) for c in comps))
-    return census_product(spaces, gens, n, q, desc, direct_limit, budget)
+    return census_product(spaces, gens, n, q, desc, direct_limit, budget,
+                          memo)

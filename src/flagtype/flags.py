@@ -4,15 +4,19 @@ A FlagChain is a tuple of nested Subspaces; a FlagTuple is a tuple of
 chains over one ambient space.  Everything is hashable, which is what the
 orbit engine keys on.
 
-Enumeration works over GF(q) by extending isotropic flags one vector at a
-time inside perp(V)\\V (or inside the whole space with ``isotropic=False``,
-which is what the GL-flag spot checks of the appendix formula use).
+Enumeration works over GF(q) as an orbit: by Witt's theorem O_2n is
+transitive on the isotropic flags of one type, and GL_m on the flags of one
+type in F_q^m (``isotropic=False``, which is what the GL-flag spot checks of
+the appendix formula use), so M_comp is the orbit of the standard flag of
+initial coordinate spaces.  The enumeration budget (FLAGTYPE_BUDGET) counts
+orbit members: flags, and the spaces of each dimension on the way.
 """
 
 import os
 
-from .linalg import canonicalize, act_on_subspace, zero_space
-from .geometry import perp, form, is_isotropic
+from .linalg import act_on_subspace, check_field
+from .geometry import (is_isotropic, coordinate_subspace, group_generators,
+                       gl_generators)
 
 
 DEFAULT_ENUM_BUDGET = 10 ** 8
@@ -65,10 +69,6 @@ class Composition:
         return "Composition%r" % (self.parts,)
 
 
-def chain(*spaces):
-    return tuple(spaces)
-
-
 def validate(ch, comp, n):
     """None if the chain is a valid member of M_comp, else the first violation."""
     dims = comp.dims
@@ -102,102 +102,88 @@ def act(g, ft):
     return tuple(tuple(act_on_subspace(g, s) for s in ch) for ch in ft)
 
 
-def act_chain(g, ch):
-    return tuple(act_on_subspace(g, s) for s in ch)
+def memo_act(memo, g, s):
+    """g·s through memo, a dict keyed by (matrix, subspace)."""
+    t = memo.get((g, s))
+    if t is None:
+        t = memo[(g, s)] = act_on_subspace(g, s)
+    return t
 
 
-def _space_vectors(s):
-    """All vectors of a subspace over GF(q), including 0."""
-    q = s.q
-    vecs = [tuple([0] * s.ambient)]
-    for row in s.rows:
-        new = []
-        for v in vecs:
-            for c in range(1, q):
-                new.append(tuple((x + c * y) % q for x, y in zip(v, row)))
-        vecs.extend(new)
-    return vecs
+def _subspace_orbit(start, gens, memo, budget):
+    """Orbit of a subspace, sorted by rows, with each generator as a
+    permutation of it."""
+    seen = {start}
+    orbit = [start]
+    for s in orbit:
+        for g in gens:
+            t = memo_act(memo, g, s)
+            if t not in seen:
+                seen.add(t)
+                orbit.append(t)
+        if len(orbit) > budget:
+            raise BudgetExceeded(len(orbit), budget)
+    orbit.sort(key=lambda s: s.rows)
+    pos = {s: i for i, s in enumerate(orbit)}
+    return orbit, [tuple(pos[memo[(g, s)]] for s in orbit) for g in gens]
 
 
-def _projective_vectors(s):
-    """One vector per line of the subspace (leading coefficient normalized)."""
-    q = s.q
-    out = []
-    k = s.dim
-    for lead in range(k):
-        # coefficient vectors (0,..,0,1,c_{lead+1},..,c_{k-1})
-        tails = [()]
-        for _ in range(k - lead - 1):
-            tails = [t + (c,) for t in tails for c in range(q)]
-        for t in tails:
-            coeffs = (0,) * lead + (1,) + t
-            v = [0] * s.ambient
-            for cf, row in zip(coeffs, s.rows):
-                if cf:
-                    for i, x in enumerate(row):
-                        v[i] = (v[i] + cf * x) % q
-            out.append(tuple(v))
-    return out
-
-
-def _extensions(cur, step, n, isotropic, budget_state, room_full=None):
-    """All spaces W with cur ⊂ W, dim W = dim cur + step (canonical, deduped)."""
-    q = cur.q
-    level = {cur}
-    for _ in range(step):
-        nxt = set()
-        for v_space in level:
-            room = perp(v_space, n) if isotropic else room_full
-            for vec in _projective_vectors(room):
-                if v_space.contains(vec):
-                    continue
-                if isotropic and form(q, n, vec, vec) != 0:
-                    continue
-                w = canonicalize(q, cur.ambient, list(v_space.rows) + [vec])
-                nxt.add(w)
-                budget_state[0] += 1
-                if budget_state[0] > budget_state[1]:
-                    raise BudgetExceeded(budget_state[0], budget_state[1])
-        level = nxt
-    return level
-
-
-def enumerate_chains(q, n, comp, isotropic=True, budget=None):
-    """All flags of M_comp over GF(q), each exactly once, deterministic order.
+def enumerate_chains(q, n, comp, isotropic=True, budget=None, memo=None):
+    """All flags of M_comp over GF(q), each exactly once, sorted by rows.
 
     With isotropic=False this enumerates plain GL-flags of F_q^{2n}; the
     appendix spot checks call it with the ambient reinterpreted as F_q^m via
     ``ambient`` below.
     """
-    return enumerate_chains_ambient(q, 2 * n, comp, n if isotropic else None, budget)
+    return enumerate_chains_ambient(q, 2 * n, comp, n if isotropic else None,
+                                    budget, memo)
 
 
-def enumerate_chains_ambient(q, ambient, comp, iso_n=None, budget=None):
-    """Flag enumeration in F_q^ambient; isotropy enforced iff iso_n is set."""
+def enumerate_chains_ambient(q, ambient, comp, iso_n=None, budget=None,
+                             memo=None):
+    """Flag enumeration in F_q^ambient; isotropy enforced iff iso_n is set.
+
+    The flags are the orbit of the standard flag U_[d1] < ... < U_[dk] under
+    O_2n (Witt) or GL_ambient.  Each space U_[d] is first replaced by its
+    orbit, indexed in rows order, so the flag orbit runs on integer tuples
+    whose order is the rows order of the chains.  ``memo`` maps
+    (generator, subspace) to the image; a caller that acts on the flags with
+    the same generators can pass its own dict and reuse the images.
+    """
+    check_field(q)
+    if not q:
+        raise ValueError("flag enumeration needs a finite field")
     if budget is None:
         budget = enum_budget()
-    budget_state = [0, budget]
-    isotropic = iso_n is not None
-    if isotropic:
+    if memo is None:
+        memo = {}
+    if iso_n is not None:
         comp.check(iso_n)
+        gens = group_generators(q, iso_n)
     else:
         if comp.total() > ambient:
             raise ValueError("composition exceeds ambient dimension")
-    room_full = None
-    if not isotropic:
-        room_full = canonicalize(q, ambient,
-                                 [[1 if i == j else 0 for j in range(ambient)]
-                                  for i in range(ambient)])
-    chains = [(zero_space(q, ambient),)]
-    for part in comp.parts:
+        gens = gl_generators(q, ambient)
+    standard = [coordinate_subspace(q, ambient, range(1, d + 1))
+                for d in comp.dims]
+    levels = [_subspace_orbit(s, gens, memo, budget) for s in standard]
+    spaces = [orbit for orbit, _ in levels]
+    moves = list(zip(*[perms for _, perms in levels]))
+    start = tuple(orbit.index(s) for orbit, s in zip(spaces, standard))
+    seen = {start}
+    frontier = [start]
+    while frontier:
         nxt = []
-        for ch in chains:
-            for w in sorted(_extensions(ch[-1], part, iso_n if isotropic else 0,
-                                        isotropic, budget_state, room_full),
-                            key=lambda s: s.rows):
-                nxt.append(ch + (w,))
-        chains = nxt
-    return [ch[1:] for ch in chains]
+        for ch in frontier:
+            for perms in moves:
+                img = tuple(p[x] for p, x in zip(perms, ch))
+                if img not in seen:
+                    seen.add(img)
+                    nxt.append(img)
+        if len(seen) > budget:
+            raise BudgetExceeded(len(seen), budget)
+        frontier = nxt
+    return [tuple(sp[x] for sp, x in zip(spaces, ch)) for ch in sorted(seen)]
 
 
 def enumerate_subspaces(q, ambient, dim, iso_n=None, budget=None):

@@ -10,8 +10,6 @@ O/SO membership verdict.  Generator sets are explicit and machine-validated
 by the tests (orbit of U_0, Bruhat cell counts) rather than trusted.
 """
 
-import random
-
 from .linalg import (Mat, canonicalize, identity, mat_mul, inverse,
                      transpose, det, meet, kernel, sc, sc_inv,
                      primitive_root, act_on_subspace, zero_space, check_field)
@@ -60,10 +58,6 @@ def classify_element(m, n):
     return IN_SO if d == sc(m.q, 1) else IN_O_MINUS_SO
 
 
-def in_group(m, n):
-    return classify_element(m, n) != NOT_ORTHOGONAL
-
-
 def w_element(q, n, d):
     """w_d: swaps e_i <-> e_{2n+1-i} for n-d+1 <= i <= n+d."""
     if not 0 <= d <= n:
@@ -109,13 +103,6 @@ def coordinate_subspace(q, ambient, indices):
     return canonicalize(q, ambient, rows)
 
 
-def u_bracket(q, n, ell_count):
-    """U_[l] = <e_1 .. e_l>: the padding space used by the witness pencils."""
-    if ell_count < 0 or ell_count > 2 * n:
-        raise ValueError("padding length out of range")
-    return coordinate_subspace(q, 2 * n, list(range(1, ell_count + 1)))
-
-
 def perp(s, n):
     """S^perp for the split form; dim = 2n - dim S."""
     if s.ambient != 2 * n:
@@ -146,7 +133,7 @@ def transvection(q, n, r, c, mu):
     return Mat(q, rows)
 
 
-def _gl_generators(q, m):
+def gl_generators(q, m):
     """Generators of GL_m(F_q): elementary E_ij(1) and one primitive torus."""
     gens = []
     for i in range(m):
@@ -187,7 +174,7 @@ def unipotent_radical_basis(q, n):
 def parabolic_generators(q, n):
     """Generators of P = Stab_G(U_0) = L N (all are checked to fix U_0)."""
     check_field(q)
-    gens = [ell(a, n) for a in _gl_generators(q, n)]
+    gens = [ell(a, n) for a in gl_generators(q, n)]
     gens.extend(unipotent_radical_basis(q, n))
     u0 = standard_isotropic(q, n, 0)
     for g in gens:
@@ -296,15 +283,6 @@ def pair_stabilizer_generators(q, n, a0, ap, am, a1):
     return gens
 
 
-def standard_elements(q, n):
-    """The named elements of section-2 flavour, as a dict of constructors."""
-    return {
-        "w": lambda d: w_element(q, n, d),
-        "ell": lambda a: ell(a, n),
-        "U": lambda d: standard_isotropic(q, n, d),
-    }
-
-
 # ---------------------------------------------------------------------------
 # random sampling helpers (tests and verification suites)
 
@@ -348,11 +326,3 @@ def random_group_element(q, n, rng, word_len=12, gens=None):
     for _ in range(word_len):
         g = mat_mul(g, gens[rng.randrange(len(gens))])
     return g
-
-
-def random_subspace(q, ambient, dim, rng):
-    while True:
-        rows = [[rng.randrange(q) for _ in range(ambient)] for _ in range(dim)]
-        s = canonicalize(q, ambient, rows)
-        if s.dim == dim:
-            return s

@@ -45,14 +45,6 @@ def sc_inv(q, x):
     return 1 / Fraction(x)
 
 
-def is_square(q, x):
-    """Is x a nonzero square in GF(q)?"""
-    x %= q
-    if x == 0:
-        return False
-    return pow(x, (q - 1) // 2, q) == 1
-
-
 def primitive_root(q):
     """Smallest generator of GF(q)^x (q prime)."""
     for g in range(2, q):
@@ -113,11 +105,6 @@ class Mat:
 def identity(q, m):
     one, zero = sc(q, 1), sc(q, 0)
     return Mat(q, tuple(tuple(one if i == j else zero for j in range(m)) for i in range(m)))
-
-
-def zeros(q, m, k):
-    z = sc(q, 0)
-    return Mat(q, tuple(tuple(z for _ in range(k)) for _ in range(m)))
 
 
 def mat_mul(a, b):

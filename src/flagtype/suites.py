@@ -201,6 +201,13 @@ def suite_bruhat(ns=(2, 3), qs=(3, 5)):
                            cs.orbit_count == 2, str(cs.orbit_count)))
             checks.append(("G transitive n=%d q=%d" % (n, q),
                            cg.orbit_count == 1, str(cg.orbit_count)))
+            # M_(n) is enumerated as one G-orbit, so count it independently
+            want = 1
+            for i in range(n):
+                want *= q ** i + 1
+            checks.append(("|M_(n)| = prod(q^i + 1) n=%d q=%d" % (n, q),
+                           len(maxiso) == want,
+                           "%d spaces, formula %d" % (len(maxiso), want)))
             d_of = {}
             for ch in maxiso:
                 d_of.setdefault(n - _dim_meet_u0(ch[0], n), 0)
@@ -360,7 +367,7 @@ def suite_censuses(plan=None):
     growth, _ = family_classes("O6_L32p", 3)
     growth5, _ = family_classes("O6_L32p", 5)
     checks.append(("infinite shapes realize growth (O6 (2)|(2)|(2))",
-                   len(growth5) > len(growth) or len(growth5) >= 3,
+                   len(growth5) > len(growth),
                    "classes: q=3 %d, q=5 %d" % (len(growth), len(growth5))))
     out = _suite("censuses", checks)
     out["counts"] = {str(k): v for k, v in results.items()}

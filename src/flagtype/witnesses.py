@@ -26,14 +26,6 @@ from .engine import (StabLevel, ActionCache, subspace_orbit_with_transversal,
                      Infeasible, INFEASIBLE, SAME, same_orbit, tuple_key)
 
 
-def _v(h2, *terms):
-    """Vector in F^{2h} from (index, coeff) pairs; 1-based f-indices."""
-    out = [0] * h2
-    for idx, cf in terms:
-        out[idx - 1] = cf
-    return out
-
-
 def _sp(*idxs):
     return [(i, 1) for i in idxs]
 

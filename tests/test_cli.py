@@ -115,10 +115,50 @@ CENSUS_USAGE_ERRORS = [
 ]
 
 
+E1 = "[[1,0,0,0,0,0]]"
+E3 = "[[1,0,0,0,0,0],[0,1,0,0,0,0],[0,0,1,0,0,0]]"
+
+USAGE_ERRORS = [
+    ["canonical", "--n", "2", "--q", "3", "--b", "1,2"],
+    ["canonical", "--n", "2", "--q", "3", "--b", "x"],
+    ["witness", "--family", "O4_L31_0", "--q", "0"],
+    ["witness", "--family", "O4_L31_0", "--q", "5", "--pair", "1"],
+    ["witness", "--family", "O4_L31_0", "--q", "5", "--pair", "1,9"],
+    ["witness", "--family", "O6_L32p", "--q", "3", "--n", "2"],
+    ["invariants", "--n", "3", "--q", "3", "--u-plus", E1, "--u-minus", E1,
+     "--v", "[[1,0,0,0,0,0],[0,0,0,0,0,1],[0,1,0,0,0,0]]"],
+    ["invariants", "--n", "3", "--q", "3", "--u-plus", E1, "--u-minus", E1,
+     "--v", "[[1,0,0,0,0,0],[0,1,0,0,0,0]]"],
+    ["invariants", "--n", "3", "--q", "3", "--u-plus", "[[1,0,0]]",
+     "--u-minus", E1, "--v", E3],
+    ["invariants", "--n", "3", "--q", "3", "--u-plus", E1,
+     "--u-minus", "[[1,0,0,0,0,0],[0,0,0,0,0,1]]"],
+    ["normalize", "--n", "3", "--q", "3", "--u-plus", "[1,0]",
+     "--u-minus", E1],
+]
+
+
+def _assert_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("env,argv", CENSUS_USAGE_ERRORS)
 def test_census_usage_errors(capsys, monkeypatch, env, argv):
     for key, value in env.items():
         monkeypatch.setenv(key, value)
-    code, out, err = run(capsys, "census", *argv)
-    assert code == 2 and out == ""
-    assert err.startswith("usage error: ") and err.count("\n") == 1
+    _assert_usage_error(capsys, ["census"] + argv)
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS)
+def test_usage_errors(capsys, argv):
+    _assert_usage_error(capsys, argv)
+
+
+def test_budget_overrun_is_infeasible(capsys, monkeypatch):
+    monkeypatch.setenv("FLAGTYPE_BUDGET", "100")
+    code, out, err = run(capsys, "census", "--n", "3", "--q", "5",
+                         "--space", "(3)|(1)")
+    assert code == 3 and out == ""
+    assert err.startswith("infeasible: ") and err.count("\n") == 1

@@ -56,6 +56,63 @@ def test_enumeration_counts_against_oracle():
     assert len(enumerate_chains(3, 3, Composition([3]))) == 80
 
 
+def _gaussian(m, k, q):
+    out = 1
+    for i in range(k):
+        out = out * (q ** (m - i) - 1) // (q ** (i + 1) - 1)
+    return out
+
+
+def _isotropic_count(q, n, k):
+    """Isotropic k-spaces of the split form on F_q^{2n}."""
+    out = 1
+    for i in range(k):
+        out *= (q ** (n - i) - 1) * (q ** (n - i - 1) + 1)
+    for i in range(1, k + 1):
+        out //= q ** i - 1
+    return out
+
+
+def _flag_count(m, dims, q):
+    """Flags of subspaces of dims d1 < ... < dk inside F_q^m."""
+    out = 1
+    for lo, hi in zip((0,) + dims, dims):
+        out *= _gaussian(m - lo, hi - lo, q)
+    return out
+
+
+def test_enumeration_against_oracle_n3():
+    q, n = 3, 3
+    for dim in (1, 2, 3):
+        mine = enumerate_subspaces(q, 2 * n, dim, iso_n=n)
+        oracle = isotropic_subspaces(q, n, dim)
+        assert [s.rows for s in mine] == sorted(s.rows for s in oracle)
+
+
+def test_enumeration_closed_form_counts():
+    q, n = 5, 3
+    # (1,2): a line inside a maximal isotropic, 31 lines in each of 312
+    for parts, want in (((3,), 312), ((1,), 806), ((1, 2), 312 * 31)):
+        comp = Composition(parts)
+        top = comp.dims[-1]
+        assert _isotropic_count(q, n, top) * \
+            _flag_count(top, comp.dims[:-1], q) == want
+        assert len(enumerate_chains(q, n, comp)) == want
+    for q, want in ((3, 2080), (5, 29016)):
+        assert _flag_count(4, (1, 2, 3, 4), q) == want
+        full = enumerate_chains_ambient(q, 4, Composition([1, 1, 1, 1]))
+        assert len(full) == want
+
+
+def test_enumeration_sorted_and_unique():
+    cases = [enumerate_chains(3, 3, Composition(c))
+             for c in ((1,), (2,), (1, 2), (1, 1, 1))]
+    cases.append(enumerate_chains_ambient(3, 4, Composition([1, 2, 1])))
+    for chains in cases:
+        keys = [tuple(s.rows for s in ch) for ch in chains]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+
+
 def test_enumeration_deterministic():
     a = enumerate_chains(3, 2, Composition([1, 1]))
     b = enumerate_chains(3, 2, Composition([1, 1]))

@@ -182,8 +182,9 @@ def test_two_maximal_extensions_of_corank_one():
     rng = random.Random(7)
     for n, q in [(2, 3), (3, 3)]:
         exts = {}
+        corank_one = isotropic_subspaces(q, n, n - 1)
         for v in isotropic_subspaces(q, n, n):
-            for w in isotropic_subspaces(q, n, n - 1):
+            for w in corank_one:
                 if v.contains_space(w):
                     exts.setdefault(w, 0)
                     exts[w] += 1
