@@ -33,6 +33,14 @@ class UsageError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are usage errors: exit 2 with one
+    stderr line."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def parse_composition(text):
     text = text.strip().strip("()")
     if not text:
@@ -364,12 +372,10 @@ def cmd_report(args):
 
 
 def make_parser():
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="flagtype",
         description="exact orbit computations for isotropic multiple flag "
                     "varieties of split even orthogonal groups")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker count (results are independent of it)")
     sub = p.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("classify", help="finite-type verdict for a triple")
@@ -451,17 +457,13 @@ def make_parser():
 
 
 def main(argv=None):
-    parser = make_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else 0
-    if args.jobs < 1:
-        print("--jobs must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
-    try:
+        args = make_parser().parse_args(argv)
         _check_budget()
         return args.fn(args)
+    except SystemExit:
+        # only --help exits the parser; its text is printed
+        return EXIT_OK
     except UsageError as exc:
         print("usage error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE

@@ -2,39 +2,31 @@
 same-orbit decisions with connecting elements, and orbit censuses.
 
 Everything here is exact; large jobs either finish or report Infeasible.
-The workhorse is a stabilizer descent: components of a flag tuple are fixed
-one at a time, and the stabilizer of the fixed prefix is tracked exactly.
+Orbit and stabilizer work runs on integers: the spaces involved are indexed
+once, every generator becomes a permutation of the points, and stabilizers
+come from a Schreier-Sims chain (``perm.StabChain``) whose base begins at
+the points to be fixed.
 
-Censuses run on integers: each component chain space is indexed once and
-every generator becomes a permutation of the points.  The census descent
-takes each stabilizer from a Schreier-Sims chain (``perm.StabChain``) whose
-base begins at the representative, so no group order is assumed.
-
-Same-orbit descents work on matrices: they start from the whole group
-(order known by formula), standard coordinate subspaces get their
-structural stabilizer generators (torus, root elements, block swap), and
-every other step uses Schreier generators of the point stabilizer,
-materialized when the exact order - known by the orbit-stabilizer
-telescope - fits in memory.
+Censuses index the component chain spaces (``index_spaces``); the census
+descent takes each stabilizer from a chain based at the representative, so
+no group order is assumed.  Same-orbit decisions and the witness classes
+index vectors and subspaces (``action_points``): the vectors make the
+action faithful, so the chain's order is bounded by |O_2n(q)| and a
+permutation converts back to the connecting matrix.
 """
 
-import os
 from operator import add
 
-from .linalg import identity, inverse, mat_mul, act_on_subspace, meet
-from .geometry import (group_order, perp, pair_stabilizer_generators,
-                       coordinate_subspace)
+from .linalg import (Mat, identity, inverse, mat_mul, mat_vec,
+                     act_on_subspace, meet)
+from .geometry import (group_order, perp, coordinate_subspace,
+                       classify_element, NOT_ORTHOGONAL)
 from . import flags as _flags
-from .perm import StabChain, orbits
+from .perm import StabChain, inv, mul, orbits
 
 
-DEFAULT_ORBIT_BUDGET = 5 * 10 ** 7
 MATERIALIZE_CAP = 500_000
 GENLIST_CAP = 20_000
-
-
-def orbit_budget():
-    return int(os.environ.get("FLAGTYPE_BUDGET", DEFAULT_ORBIT_BUDGET))
 
 
 INFEASIBLE = "Infeasible"
@@ -79,7 +71,7 @@ def chain_key(ch):
 def orbit_with_tree(start, gens, act_fn, budget=None, stop_at=None):
     """BFS orbit with a spanning tree {member: (parent, gen_index) | None}."""
     if budget is None:
-        budget = orbit_budget()
+        budget = _flags.orbit_budget()
     tree = {start: None}
     order = [start]
     frontier = [start]
@@ -117,7 +109,7 @@ def path_element(member, tree, gens, q, dim):
 def subspace_orbit_with_transversal(start, gens, q, dim, budget=None):
     """Orbit of one Subspace plus a transversal matrix per member."""
     if budget is None:
-        budget = orbit_budget()
+        budget = _flags.orbit_budget()
     cache = ActionCache(gens)
     trans = {start: identity(q, dim)}
     order = [start]
@@ -258,32 +250,6 @@ def schreier_descend(level, point, q, dim, budget=None,
     return new, order_list, trans
 
 
-def is_standard_chain(ch):
-    """True when every space of the chain is an initial coordinate segment."""
-    for s in ch:
-        std = coordinate_subspace(s.q, s.ambient, list(range(1, s.dim + 1)))
-        if s != std:
-            return False
-    return True
-
-
-def standard_chain_stabilizer(ch, n, q):
-    """Structural generators of Stab_G(U_[d1] ⊂ ... ⊂ U_[dk]).
-
-    Torus plus every root element fixing each space, plus the non-SO block
-    swap at the first position after the top space (present iff top dim < n).
-    The set is exact: the connected part is generated by the torus and the
-    shared root subgroups, and the swap covers the non-SO coset.
-    """
-    top = ch[-1].dim
-    gens = pair_stabilizer_generators(q, n, top, 0, 0, 0)
-    keep = []
-    for g in gens:
-        if all(act_on_subspace(g, s) == s for s in ch):
-            keep.append(g)
-    return keep
-
-
 def signature(ft, n):
     """G-invariant vector: dims of components, their perps, pairwise meets."""
     subs = [s for ch in ft for s in ch]
@@ -301,98 +267,100 @@ def orbit(start, gens, q, budget=None):
     return orbit_with_tree(start, gens, cache.tuple, budget)
 
 
-def same_orbit(x, y, gens, n, q, budget=None, tuple_bfs_limit=120_000):
-    """Exact same-orbit decision; returns (verdict, connecting element|None)."""
+def action_points(gens, spaces, budget=None):
+    """Integer points for the action of the matrix group <gens>.
+
+    Points come in blocks.  The first holds the vectors reached from the
+    standard basis e_1..e_m, with e_i at point i-1; the action on it is
+    faithful, so a permutation of the points determines its matrix (see
+    ``point_matrix``).  Then comes the orbit of each of `spaces` not already
+    in a block, sorted by rows.  Returns (vectors, index, images): vectors
+    is the first block, index maps each space of the later blocks to its
+    point, and images[gi] is generator gi as a permutation of all points.
+    """
+    if budget is None:
+        budget = _flags.orbit_budget()
+    m = gens[0].nrows
+    vectors = [tuple(int(i == j) for j in range(m)) for i in range(m)]
+    at = {v: i for i, v in enumerate(vectors)}
+    images = [[] for _ in gens]
+    for v in vectors:
+        for g, img in zip(gens, images):
+            w = mat_vec(g, v)
+            p = at.get(w)
+            if p is None:
+                p = at[w] = len(vectors)
+                vectors.append(w)
+            img.append(p)
+        if len(vectors) > budget:
+            raise Infeasible("orbit budget exceeded")
+    index, memo = {}, {}
+    for s in spaces:
+        if s in index:
+            continue
+        try:
+            members, perms = _flags.subspace_orbit(s, gens, memo, budget)
+        except _flags.BudgetExceeded as exc:
+            raise Infeasible(str(exc))
+        offset = len(vectors) + len(index)
+        index.update((t, offset + i) for i, t in enumerate(members))
+        for img, p in zip(images, perms):
+            img.extend(offset + x for x in p)
+    return vectors, index, [tuple(img) for img in images]
+
+
+def point_matrix(perm, vectors, q):
+    """The matrix acting on the points of ``action_points`` as `perm` does:
+    its column i is the image of e_(i+1)."""
+    m = len(vectors[0])
+    return Mat.raw(q, tuple(tuple(vectors[perm[c]][r] for c in range(m))
+                            for r in range(m)))
+
+
+def order_bound(gens, n):
+    """|O_2n(q)|, an upper bound on the order of <gens> once each generator
+    is checked to be orthogonal (ValueError otherwise)."""
+    for g in gens:
+        if classify_element(g, n) == NOT_ORTHOGONAL:
+            raise ValueError("generator is not orthogonal")
+    return group_order(gens[0].q, n)
+
+
+def same_orbit(x, y, gens, n, q, budget=None):
+    """Exact same-orbit decision; returns (verdict, connecting element|None).
+
+    One stabilizer chain of <gens> has a base beginning with the points of
+    x's subspaces, largest first.  y's points are sifted through those
+    levels: each must lie in its basic orbit, and the product of the
+    inverse transversal elements met carries y to x.
+    """
     if tuple(len(ch) for ch in x) != tuple(len(ch) for ch in y):
         return DIFFERENT, None
     if tuple_key(x) == tuple_key(y):
         return SAME, identity(q, 2 * n)
     if signature(x, n) != signature(y, n):
         return DIFFERENT, None
-    if group_order(q, n) <= tuple_bfs_limit:
-        return _same_orbit_bfs(x, y, gens, n, q, budget)
-    return _same_orbit_descent(x, y, gens, n, q, budget)
-
-
-def _same_orbit_bfs(x, y, gens, n, q, budget):
-    cache = ActionCache(gens)
-    try:
-        order_list, tree = orbit_with_tree(x, gens, cache.tuple, budget,
-                                           stop_at=y)
-    except Infeasible:
-        return INFEASIBLE, None
-    if y not in tree:
-        return DIFFERENT, None
-    g = path_element(y, tree, gens, q, 2 * n)
-    if _flags.act(g, x) != y:
-        raise AssertionError("same_orbit produced a wrong connecting element")
-    return SAME, g
-
-
-def _standard_anchor(members, q, ambient):
-    for m in members:
-        std = coordinate_subspace(q, ambient, list(range(1, m.dim + 1)))
-        if m == std:
-            return m
-    return None
-
-
-def _same_orbit_descent(x, y, gens, n, q, budget):
     fx = [s for ch in x for s in ch]
     fy = [s for ch in y for s in ch]
-    # fix large components first: stabilizer orders then drop fastest
-    order_idx = sorted(range(len(fx)), key=lambda i: (-fx[i].dim, i))
-    level = StabLevel(list(gens), order=group_order(q, n))
-    gx = identity(q, 2 * n)
-    gy = identity(q, 2 * n)
-    cx = list(fx)
-    cy = list(fy)
     try:
-        for pos, idx in enumerate(order_idx):
-            if level.elements is not None:
-                # stabilizer materialized: transport and filter directly
-                if cx[idx] == cy[idx]:
-                    found = identity(q, 2 * n)
-                else:
-                    found = None
-                    for m in sorted(level.elements, key=lambda x: x.rows):
-                        if act_on_subspace(m, cx[idx]) == cy[idx]:
-                            found = m
-                            break
-                    if found is None:
-                        return DIFFERENT, None
-                gx = mat_mul(found, gx)
-                cx = [act_on_subspace(found, s) for s in cx]
-                target = cy[idx]
-                stab = [m for m in level.elements
-                        if act_on_subspace(m, target) == target]
-                level = StabLevel(stab, order=len(stab), elements=set(stab))
-                continue
-            members, trans = subspace_orbit_with_transversal(
-                cx[idx], level.gens, q, 2 * n, budget)
-            if cy[idx] not in trans:
-                return DIFFERENT, None
-            anchor = None
-            if pos == 0 and level.order == group_order(q, n):
-                anchor = _standard_anchor(members, q, 2 * n)
-            if anchor is None:
-                anchor = cy[idx]
-            hx = trans[anchor]
-            hy = mat_mul(trans[anchor], inverse(trans[cy[idx]]))
-            gx = mat_mul(hx, gx)
-            gy = mat_mul(hy, gy)
-            cx = [act_on_subspace(hx, s) for s in cx]
-            cy = [act_on_subspace(hy, s) for s in cy]
-            if pos == 0 and is_standard_chain((anchor,)):
-                level = StabLevel(standard_chain_stabilizer((anchor,), n, q),
-                                  order=level.order // len(members))
-            else:
-                level, _, _ = schreier_descend(level, anchor, q, 2 * n, budget)
+        vectors, index, images = action_points(gens, fx, budget)
     except Infeasible:
         return INFEASIBLE, None
-    if cx != cy:
-        raise AssertionError("descent lost track of the tuple")
-    g = mat_mul(inverse(gy), gx)
+    # base point (a space of x) -> the point of the matching space of y
+    target = {}
+    for i in sorted(range(len(fx)), key=lambda i: (-fx[i].dim, i)):
+        py = index.get(fy[i])
+        if py is None or target.setdefault(index[fx[i]], py) != py:
+            return DIFFERENT, None
+    chain = StabChain(images, len(images[0]), base=list(target),
+                      order=order_bound(gens, n))
+    back = chain.ident
+    for itrans, py in zip(chain.itrans, target.values()):
+        t = itrans.get(back[py])
+        if t is None:
+            return DIFFERENT, None
+        back = mul(back, t)
+    g = point_matrix(inv(back), vectors, q)
     if _flags.act(g, x) != y:
         raise AssertionError("same_orbit produced a wrong connecting element")
     return SAME, g
@@ -531,7 +499,7 @@ def census_product(component_spaces, gens, n, q, descriptor="",
             tuples = [t + (c,) for t in tuples for c in cs]
         return census_direct(tuples, gens, n, q, descriptor, memo)
     if budget is None:
-        budget = orbit_budget()
+        budget = _flags.orbit_budget()
     # fix big components first
     perm = sorted(range(len(component_spaces)),
                   key=lambda i: -max(s.dim for ch in component_spaces[i][:1]
@@ -580,6 +548,9 @@ def _descend_census(levels, gens, order, degree, depth, prefix, size_acc,
             chain = StabChain(gens, degree, base=(rep,), order=order)
             if len(chain.orbit[0]) != len(members):
                 raise AssertionError("basic orbit differs from the orbit")
+            if order is not None and chain.order() != order:
+                raise AssertionError("stabilizer chain does not reach the "
+                                     "telescoped order")
             order = chain.order()
             sub_gens, sub_order = chain.stabilizer(), order // len(members)
         _descend_census(levels, sub_gens, sub_order, degree, depth + 1, here,

@@ -8,8 +8,9 @@ Enumeration works over GF(q) as an orbit: by Witt's theorem O_2n is
 transitive on the isotropic flags of one type, and GL_m on the flags of one
 type in F_q^m (``isotropic=False``, which is what the GL-flag spot checks of
 the appendix formula use), so M_comp is the orbit of the standard flag of
-initial coordinate spaces.  The enumeration budget (FLAGTYPE_BUDGET) counts
-orbit members: flags, and the spaces of each dimension on the way.
+initial coordinate spaces.  The one budget of the package
+(FLAGTYPE_BUDGET, ``orbit_budget``) counts orbit members: here flags, and
+the spaces of each dimension on the way.
 """
 
 import os
@@ -19,18 +20,20 @@ from .geometry import (is_isotropic, coordinate_subspace, group_generators,
                        gl_generators)
 
 
-DEFAULT_ENUM_BUDGET = 10 ** 8
+DEFAULT_ORBIT_BUDGET = 10 ** 8
 
 
 class BudgetExceeded(Exception):
     def __init__(self, projected, budget):
         self.projected = projected
         self.budget = budget
-        super().__init__("enumeration budget exceeded: %r > %r" % (projected, budget))
+        super().__init__("orbit budget exceeded: %r > %r" % (projected, budget))
 
 
-def enum_budget():
-    return int(os.environ.get("FLAGTYPE_BUDGET", DEFAULT_ENUM_BUDGET))
+def orbit_budget():
+    """The most members one orbit may have: FLAGTYPE_BUDGET, for flag
+    enumerations and orbit searches alike."""
+    return int(os.environ.get("FLAGTYPE_BUDGET", DEFAULT_ORBIT_BUDGET))
 
 
 class Composition:
@@ -110,7 +113,7 @@ def memo_act(memo, g, s):
     return t
 
 
-def _subspace_orbit(start, gens, memo, budget):
+def subspace_orbit(start, gens, memo, budget):
     """Orbit of a subspace, sorted by rows, with each generator as a
     permutation of it."""
     seen = {start}
@@ -154,7 +157,7 @@ def enumerate_chains_ambient(q, ambient, comp, iso_n=None, budget=None,
     if not q:
         raise ValueError("flag enumeration needs a finite field")
     if budget is None:
-        budget = enum_budget()
+        budget = orbit_budget()
     if memo is None:
         memo = {}
     if iso_n is not None:
@@ -166,7 +169,7 @@ def enumerate_chains_ambient(q, ambient, comp, iso_n=None, budget=None,
         gens = gl_generators(q, ambient)
     standard = [coordinate_subspace(q, ambient, range(1, d + 1))
                 for d in comp.dims]
-    levels = [_subspace_orbit(s, gens, memo, budget) for s in standard]
+    levels = [subspace_orbit(s, gens, memo, budget) for s in standard]
     spaces = [orbit for orbit, _ in levels]
     moves = list(zip(*[perms for _, perms in levels]))
     start = tuple(orbit.index(s) for orbit, s in zip(spaces, standard))

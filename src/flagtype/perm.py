@@ -1,19 +1,32 @@
 """Permutation groups on the integer points 0..N-1: orbits and a
-deterministic Schreier-Sims stabilizer chain.
+Schreier-Sims stabilizer chain.
 
 A permutation is a tuple p with p[x] the image of x.  Products read left to
 right: ``mul(p, r)`` applies p first, then r.
 
-The chain is the base and strong generating set of Sims (1970), built by
-the deterministic incremental algorithm of Holt-Eick-O'Brien, *Handbook of
-Computational Group Theory*, section 4.4.  Each level keeps its basic orbit
-with a transversal and the inverse transversal beside it.  The order of the
-chain is the product of its basic orbit lengths.  When the group order is
-known in advance the construction stops as soon as that product reaches it,
-which certifies the chain complete.
+The chain is the base and strong generating set of Sims (1970).  Each level
+keeps its basic orbit with the inverse transversal, which maps each orbit
+point back to the base point; the order of the chain is the product of its
+basic orbit lengths.  Given an upper bound on the group order, a seeded
+random-sift pass runs first (Seress, *Permutation Group Algorithms*, ch. 4;
+random elements by product replacement, Celler et al. 1995) and stops as
+soon as the chain reaches the bound, which certifies it complete.
+Otherwise the deterministic incremental algorithm of Holt-Eick-O'Brien,
+*Handbook of Computational Group Theory*, section 4.4, completes it.
 """
 
+import random
 from operator import itemgetter
+
+
+# random-sift pass: the seed, the size of the product-replacement pool, the
+# mixing steps before the first element is used, and how many random
+# elements in a row must sift to the identity before the deterministic pass
+# takes over
+RANDOM_SEED = 1970
+POOL_SIZE = 10
+WARM_UP = 50
+RANDOM_MISSES = 10
 
 
 def mul(p, r):
@@ -61,9 +74,11 @@ class StabChain:
 
     The base begins with `base`.  ``gens[i]`` holds the strong generators
     that fix the first i base points, so ``gens[1]`` generates the
-    stabilizer of ``base[0]``.  With `order` given, the construction stops
-    once the chain reaches that order, and raises AssertionError if it
-    cannot.
+    stabilizer of ``base[0]``, and ``itrans[i]`` maps each point x of the
+    basic orbit ``orbit[i]`` to an element carrying x to ``base[i]``.
+    `order`, when given, must be an upper bound on the order of <gens>: the
+    construction stops once the chain reaches it, and raises AssertionError
+    if the chain exceeds it.
     """
 
     def __init__(self, gens, degree, base=(), order=None):
@@ -73,26 +88,20 @@ class StabChain:
         self.gens = []
         self.ginvs = []
         self.orbit = []
-        self.trans = []
         self.itrans = []
         self._done = []
         for b in base:
             self._add_level(b)
-        strong = []
+        gens = [tuple(g) for g in gens]
         for g in gens:
-            g = tuple(g)
-            if g != self.ident and g not in strong:
-                strong.append(g)
-        for g in strong:
-            if all(g[b] == b for b in self.base):
-                self._add_level(next(x for x in range(degree) if g[x] != x))
-        for g in strong:
-            j = next(i for i, b in enumerate(self.base) if g[b] != b)
-            self._add_gen(g, 0, j)
+            # a generator's residue joins level 0 too: the chain's group
+            # holds g only with it
+            self._add_residue(g, 0, 0)
+        if order is not None:
+            self._random_pass(gens, order)
         self._complete(order)
-        if order is not None and self.order() != order:
-            raise AssertionError("stabilizer chain does not reach the "
-                                 "expected order")
+        if order is not None and self.order() > order:
+            raise AssertionError("stabilizer chain exceeds the order bound")
 
     def order(self):
         out = 1
@@ -108,10 +117,13 @@ class StabChain:
         """Strip g through the levels from `level` on: (residue, stop level)."""
         base = self.base
         for j in range(level, len(base)):
-            t = self.itrans[j].get(g[base[j]])
-            if t is None:
-                return g, j
-            g = mul(g, t)
+            b = base[j]
+            x = g[b]
+            if x != b:
+                t = self.itrans[j].get(x)
+                if t is None:
+                    return g, j
+                g = mul(g, t)
         return g, len(base)
 
     def _add_level(self, b):
@@ -119,9 +131,21 @@ class StabChain:
         self.gens.append([])
         self.ginvs.append([])
         self.orbit.append([b])
-        self.trans.append({b: self.ident})
         self.itrans.append({b: self.ident})
         self._done.append([0])
+
+    def _add_residue(self, g, level, lo):
+        """Sift g from `level` on; add a nontrivial residue to the levels
+        from `lo` to the one where the sift stopped, opening a level at its
+        first moved point if it fixes the whole base.  Returns that level,
+        or None when g sifts to the identity."""
+        r, j = self.sift(g, level)
+        if r == self.ident:
+            return None
+        if j == len(self.base):
+            self._add_level(next(x for x in range(self.degree) if r[x] != x))
+        self._add_gen(r, min(lo, j), j)
+        return j
 
     def _add_gen(self, g, lo, hi):
         """Add g, which fixes the base points before `hi`, to levels lo..hi."""
@@ -134,12 +158,11 @@ class StabChain:
     def _grow(self, i, g, gi):
         """Close basic orbit i under its generators after g (inverse gi)
         joined them."""
-        orb, trans, itrans = self.orbit[i], self.trans[i], self.itrans[i]
+        orb, itrans = self.orbit[i], self.itrans[i]
         old = len(orb)
         for x in orb[:old]:
             y = g[x]
-            if y not in trans:
-                trans[y] = mul(trans[x], g)
+            if y not in itrans:
                 itrans[y] = mul(gi, itrans[x])
                 orb.append(y)
         pairs = list(zip(self.gens[i], self.ginvs[i]))
@@ -149,17 +172,43 @@ class StabChain:
             k += 1
             for s, si in pairs:
                 y = s[x]
-                if y not in trans:
-                    trans[y] = mul(trans[x], s)
+                if y not in itrans:
                     itrans[y] = mul(si, itrans[x])
                     orb.append(y)
         self._done[i].extend([0] * (len(orb) - len(self._done[i])))
+
+    def _random_pass(self, gens, order):
+        """Sift random elements of <gens> (product replacement with an
+        accumulator, from a fixed seed), adding their residues from level 1
+        on, until the chain reaches `order` or RANDOM_MISSES elements in a
+        row sift to the identity."""
+        pool = [g for g in gens if g != self.ident]
+        if not pool:
+            return
+        pool = (pool * POOL_SIZE)[:max(POOL_SIZE, len(pool))]
+        rng = random.Random(RANDOM_SEED)
+
+        def mix():
+            i, j = rng.sample(range(len(pool)), 2)
+            pool[i] = mul(pool[i], pool[j])
+            return pool[i]
+
+        acc = self.ident
+        for _ in range(WARM_UP):
+            acc = mul(acc, mix())
+        misses = 0
+        while self.order() < order and misses < RANDOM_MISSES:
+            acc = mul(acc, mix())
+            if self._add_residue(acc, 0, 1) is None:
+                misses += 1
+            else:
+                misses = 0
 
     def _complete(self, order):
         """Sift Schreier generators until every level is closed."""
         i = len(self.base) - 1
         while i >= 0:
-            if order is not None and self.order() == order:
+            if order is not None and self.order() >= order:
                 return
             jump = self._check_level(i)
             i = i - 1 if jump is None else jump
@@ -174,23 +223,19 @@ class StabChain:
         lists only ever gain entries.  Returns the deepest level that gained
         a generator, or None when level i is closed.
         """
-        orb, trans, itrans = self.orbit[i], self.trans[i], self.itrans[i]
+        orb, itrans = self.orbit[i], self.itrans[i]
         gens, done = self.gens[i], self._done[i]
         for p, x in enumerate(orb):
-            u = trans[x]
+            if done[p] == len(gens):
+                continue
+            u = inv(itrans[x])
             while done[p] < len(gens):
                 s = gens[done[p]]
                 done[p] += 1
-                us = mul(u, s)
-                y = s[x]
-                if us == trans[y]:
+                h = mul(mul(u, s), itrans[s[x]])
+                if h == self.ident:
                     continue
-                r, j = self.sift(mul(us, itrans[y]), i + 1)
-                if r == self.ident:
-                    continue
-                if j == len(self.base):
-                    self._add_level(next(z for z in range(self.degree)
-                                         if r[z] != z))
-                self._add_gen(r, i + 1, j)
-                return j
+                j = self._add_residue(h, i + 1, i + 1)
+                if j is not None:
+                    return j
         return None

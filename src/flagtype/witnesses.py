@@ -7,23 +7,20 @@ coefficient) and padded by initial coordinate spaces U_[l] so every chain
 member reaches the dimension its composition demands.
 
 Finite-field checks: `family_classes` partitions {m_lambda} into exact
-orbit classes by fixing the lambda-independent components once and letting
-the exact stabilizer act on the moving component; `equivariance_check`
-produces verified certificates g m_lambda = m_{lambda/c^2} for the
-square-class families.
+orbit classes with one stabilizer chain of O_2n based at the
+lambda-independent components: the orbits of their stabilizer class the
+moving component.  `equivariance_check` produces verified certificates
+g m_lambda = m_{lambda/c^2} for the square-class families.
 """
 
 from fractions import Fraction
 
-from .linalg import Mat, canonicalize, identity, mat_mul, sc, sc_inv, \
-    act_on_subspace
-from .geometry import (group_order, group_generators, ell,
-                       classify_element, NOT_ORTHOGONAL)
+from .linalg import Mat, canonicalize, sc, sc_inv
+from .geometry import group_generators, ell, classify_element, NOT_ORTHOGONAL
 from .flags import Composition, validate_tuple, act
-from .engine import (StabLevel, ActionCache, subspace_orbit_with_transversal,
-                     schreier_descend, standard_chain_stabilizer,
-                     _standard_anchor, is_standard_chain, orbit_with_tree,
-                     Infeasible, INFEASIBLE, SAME, same_orbit, tuple_key)
+from .engine import (action_points, order_bound, Infeasible, INFEASIBLE,
+                     SAME, same_orbit)
+from .perm import StabChain, orbits
 
 
 def _sp(*idxs):
@@ -319,10 +316,11 @@ def separation_check(family_id, lam, mu, q, n=None, budget=None):
 def family_classes(family_id, q, n=None, lambdas=None, budget=None):
     """Exact orbit classes among {m_lambda}.
 
-    The lambda-independent components are fixed once by an exact stabilizer
-    descent; the moving components are then partitioned under that
-    stabilizer.  Returns (classes, certificates) where classes is a list of
-    lists of lambda values.
+    The lambda-independent components are the base of one stabilizer chain
+    of O_2n; the one moving component of each m_lambda is then classed by
+    the orbits of the next level, the stabilizer of those components.
+    Returns (classes, certificates) where classes is a list of lists of
+    lambda values.
     """
     fam = FAMILIES[family_id]
     if n is None:
@@ -331,88 +329,29 @@ def family_classes(family_id, q, n=None, lambdas=None, budget=None):
         raise Infeasible("separation disabled for %s at n=%d" % (family_id, n))
     if lambdas is None:
         lambdas = fam.lambda_domain(q, n)
-    built = {lam: build(family_id, n, lam, q) for lam in lambdas}
-    flat = {lam: [s for ch in ft for s in ch] for lam, ft in built.items()}
-    width = len(flat[lambdas[0]])
-    shared = [i for i in range(width)
+    flat = {lam: [s for ch in build(family_id, n, lam, q) for s in ch]
+            for lam in lambdas}
+    ref = flat[lambdas[0]]
+    shared = [i for i in range(len(ref))
               if len({flat[lam][i] for lam in lambdas}) == 1]
-    moving = [i for i in range(width) if i not in shared]
-    gens = group_generators(q, n)
-    if group_order(q, n) <= 120_000:
-        return _classes_by_orbits(built, lambdas, gens, n, q, budget)
-    level = StabLevel(list(gens), order=group_order(q, n))
-    ref = list(flat[lambdas[0]])
-    g_acc = identity(q, 2 * n)
-    order_idx = sorted(shared, key=lambda i: (-ref[i].dim, i))
-    for pos, idx in enumerate(order_idx):
-        if level.elements is not None:
-            target = ref[idx]
-            stab = [m for m in level.elements
-                    if act_on_subspace(m, target) == target]
-            level = StabLevel(stab, order=len(stab), elements=set(stab))
-            continue
-        members, trans = subspace_orbit_with_transversal(ref[idx], level.gens,
-                                                         q, 2 * n, budget)
-        anchor = None
-        if pos == 0 and level.order == group_order(q, n):
-            anchor = _standard_anchor(members, q, 2 * n)
-        if anchor is None:
-            anchor = ref[idx]
-        h = trans[anchor]
-        g_acc = mat_mul(h, g_acc)
-        ref = [act_on_subspace(h, s) for s in ref]
-        for lam in lambdas:
-            flat[lam] = [act_on_subspace(h, s) for s in flat[lam]]
-        if pos == 0 and is_standard_chain((anchor,)):
-            level = StabLevel(standard_chain_stabilizer((anchor,), n, q),
-                              order=level.order // len(members))
-        else:
-            level, _, _ = schreier_descend(level, anchor, q, 2 * n, budget)
+    moving = [i for i in range(len(ref)) if i not in shared]
+    if not moving:
+        return [list(lambdas)], None
     if len(moving) != 1:
         raise Infeasible("family %s has %d moving components; expected 1"
                          % (family_id, len(moving)))
-    mi = moving[0]
-    points = {lam: flat[lam][mi] for lam in lambdas}
-    classes = []
-    assigned = {}
-    if level.elements is not None:
-        for lam in lambdas:
-            if lam in assigned:
-                continue
-            orb = {act_on_subspace(m, points[lam]) for m in level.elements}
-            cls = [l2 for l2 in lambdas if l2 not in assigned
-                   and points[l2] in orb]
-            for l2 in cls:
-                assigned[l2] = len(classes)
-            classes.append(cls)
-    else:
-        cache = ActionCache(level.gens)
-        for lam in lambdas:
-            if lam in assigned:
-                continue
-            members, _ = orbit_with_tree(points[lam], level.gens, cache.sub,
-                                         budget)
-            mem = set(members)
-            cls = [l2 for l2 in lambdas if l2 not in assigned
-                   and points[l2] in mem]
-            for l2 in cls:
-                assigned[l2] = len(classes)
-            classes.append(cls)
-    return classes, None
-
-
-def _classes_by_orbits(built, lambdas, gens, n, q, budget):
-    cache = ActionCache(gens)
-    classes = []
-    assigned = {}
-    for lam in lambdas:
-        if lam in assigned:
-            continue
-        members, _ = orbit_with_tree(built[lam], gens, cache.tuple, budget)
-        keys = {tuple_key(m) for m in members}
-        cls = [l2 for l2 in lambdas if l2 not in assigned
-               and tuple_key(built[l2]) in keys]
-        for l2 in cls:
-            assigned[l2] = len(classes)
-        classes.append(cls)
-    return classes, None
+    fixed = [ref[i] for i in sorted(shared, key=lambda i: (-ref[i].dim, i))]
+    points = [flat[lam][moving[0]] for lam in lambdas]
+    gens = group_generators(q, n)
+    _, index, images = action_points(gens, fixed + points, budget)
+    base = list(dict.fromkeys(index[s] for s in fixed))
+    chain = StabChain(images, len(images[0]), base=base,
+                      order=order_bound(gens, n))
+    stab = chain.gens[len(base)] if len(base) < len(chain.gens) else []
+    orbit_of = {}
+    for k, orb in enumerate(orbits(stab, [index[p] for p in points])):
+        orbit_of.update(dict.fromkeys(orb, k))
+    classes = {}
+    for lam, p in zip(lambdas, points):
+        classes.setdefault(orbit_of[index[p]], []).append(lam)
+    return list(classes.values()), None

@@ -97,15 +97,6 @@ def test_verify_and_report(tmp_path, capsys):
     assert code == 2
 
 
-def test_jobs_flag(capsys):
-    code, out, _ = run(capsys, "--jobs", "2", "classify", "--n", "4",
-                       "--triple", "(4)|(4)|(4)")
-    assert code == 0 and out.startswith("Finite")
-    code, _, err = run(capsys, "--jobs", "0", "classify", "--n", "4",
-                       "--triple", "(4)|(4)|(4)")
-    assert code == 2
-
-
 CENSUS_USAGE_ERRORS = [
     ({}, ["--n", "2", "--q", "4", "--space", "(1)|(2)"]),
     ({}, ["--n", "2", "--q", "0", "--space", "(1)|(2)"]),
@@ -135,6 +126,7 @@ USAGE_ERRORS = [
      "--u-minus", "[[1,0,0,0,0,0],[0,0,0,0,0,1]]"],
     ["normalize", "--n", "3", "--q", "3", "--u-plus", "[1,0]",
      "--u-minus", E1],
+    ["--jobs", "2", "classify", "--n", "4", "--triple", "(4)|(4)|(4)"],
 ]
 
 

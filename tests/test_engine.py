@@ -2,15 +2,17 @@ import random
 
 import pytest
 
-from flagtype.linalg import identity, act_on_subspace
+from flagtype.linalg import Mat, identity, act_on_subspace
 from flagtype.geometry import (standard_isotropic, group_generators,
                                so_generators, parabolic_generators,
-                               group_order, random_group_element)
+                               group_order, random_group_element,
+                               coordinate_subspace)
 from flagtype.flags import Composition, enumerate_chains, act
 from flagtype.engine import (orbit, same_orbit, census_direct, census_space,
                              census_product, signature, path_element,
                              close_group, schreier_descend, StabLevel,
-                             Infeasible, tuple_key)
+                             Infeasible, tuple_key, SAME, DIFFERENT,
+                             INFEASIBLE)
 from flagtype.invariants import b_invariants
 from flagtype.suites import CENSUS_PLAN
 
@@ -71,6 +73,51 @@ def test_same_orbit_descent_translate():
         y = act(g0, x)
         v, g = same_orbit(x, y, gens, n, q)
         assert v == "Yes" and act(g, x) == y
+
+
+def _line_plane(q, n, line, plane):
+    return ((coordinate_subspace(q, 2 * n, line),),
+            (coordinate_subspace(q, 2 * n, plane),))
+
+
+@pytest.mark.parametrize("kind", [parabolic_generators, so_generators,
+                                  group_generators])
+def test_same_orbit_of_line_plane_pairs(kind):
+    """same_orbit on (line, plane) pairs at n=3, q=3 under P, SO and G,
+    each verdict checked against membership in the BFS orbit of x.  The
+    translates are SAME with a verified element.  <e1> < <e1,e2> and
+    <e6> < <e5,e6> share a G-orbit but lie in different P-orbits, since
+    only the first plane lies in U_0."""
+    n, q = 3, 3
+    gens = kind(q, n)
+    rng = random.Random(11)
+    flag = _line_plane(q, n, [1], [1, 2])
+    pairs = [(x, act(random_group_element(q, n, rng, gens=gens), x))
+             for x in (flag, _line_plane(q, n, [3], [1, 2]))]
+    pairs.append((flag, _line_plane(q, n, [6], [5, 6])))
+    verdicts = []
+    for x, y in pairs:
+        members, _ = orbit(x, gens, q)
+        v, g = same_orbit(x, y, gens, n, q)
+        assert v == (SAME if tuple_key(y) in {tuple_key(m) for m in members}
+                     else DIFFERENT)
+        if v == SAME:
+            assert act(g, x) == y
+        verdicts.append(v)
+    assert verdicts == [SAME, SAME, DIFFERENT if kind is parabolic_generators
+                        else SAME]
+
+
+def test_same_orbit_checks_generators_and_budget():
+    n, q = 2, 3
+    x = ((standard_isotropic(q, n, 0),),)
+    y = ((standard_isotropic(q, n, 1),),)
+    gens = group_generators(q, n)
+    assert same_orbit(x, y, gens, n, q, budget=5) == (INFEASIBLE, None)
+    scale = Mat(q, [[2 if i == j == 0 else int(i == j) for j in range(4)]
+                    for i in range(4)])
+    with pytest.raises(ValueError):
+        same_orbit(x, y, gens + [scale], n, q)
 
 
 def test_census_matches_per_orbit_bfs():

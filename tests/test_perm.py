@@ -70,6 +70,8 @@ def test_chain_on_random_groups():
         group = closure(gens, degree)
         chain = StabChain(gens, degree)
         assert chain.order() == len(group) == sympy_group(gens).order()
+        assert StabChain(gens, degree, order=2 * len(group)).order() == \
+            len(group)
         for g in rng.sample(sorted(group), min(10, len(group))):
             assert chain.sift(g)[0] == chain.ident
         b = rng.randrange(degree)
@@ -83,10 +85,13 @@ def test_chain_on_random_groups():
 
 
 def test_chain_rejects_a_wrong_order():
+    """`order` is an upper bound: a chain that exceeds it raises, and one
+    that stays below it is completed to the exact order."""
     gens = [(1, 2, 0, 3), (1, 0, 2, 3)]
     assert StabChain(gens, 4).order() == 6
     with pytest.raises(AssertionError):
-        StabChain(gens, 4, order=12)
+        StabChain(gens, 4, order=3)
+    assert StabChain(gens, 4, order=12).order() == 6
 
 
 GROUPS = {"P": parabolic_generators, "SO": so_generators,

@@ -1,7 +1,9 @@
 import pytest
 
 from flagtype.linalg import canonicalize, identity
+from flagtype.geometry import group_generators
 from flagtype.flags import validate_tuple, act
+from flagtype.engine import orbit, tuple_key
 from flagtype.witnesses import (FAMILIES, build, compositions,
                                 equivariance_check, separation_check,
                                 family_classes)
@@ -94,6 +96,32 @@ def test_family_classes_o4_q3():
     for i in range(5):
         classes, _ = family_classes("O4_L31_%d" % i, 3)
         assert len(classes) == 3  # all lambda in F_3 pairwise distinct
+
+
+def tuple_bfs_classes(family_id, q):
+    """Classes of {m_lambda} from the BFS orbit of each whole tuple."""
+    fam = FAMILIES[family_id]
+    n = fam.n_min
+    lambdas = fam.lambda_domain(q, n)
+    keys = {lam: tuple_key(build(family_id, n, lam, q)) for lam in lambdas}
+    classes, done = [], set()
+    for lam in lambdas:
+        if lam in done:
+            continue
+        members, _ = orbit(build(family_id, n, lam, q),
+                           group_generators(q, n), q)
+        reached = {tuple_key(m) for m in members}
+        cls = [mu for mu in lambdas if mu not in done and keys[mu] in reached]
+        done.update(cls)
+        classes.append(cls)
+    return classes
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_family_classes_match_tuple_bfs(q):
+    for i in range(5):
+        fid = "O4_L31_%d" % i
+        assert family_classes(fid, q)[0] == tuple_bfs_classes(fid, q)
 
 
 def test_square_class_partition_q3():
