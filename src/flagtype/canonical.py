@@ -17,11 +17,11 @@ from fractions import Fraction
 import itertools
 
 from .linalg import (Mat, canonicalize, identity, inverse, mat_mul, mat_vec,
-                     transpose, kernel, solve, meet, sc, sc_inv,
-                     complement_basis)
-from .geometry import (bar, form, perp, classify_element,
+                     transpose, kernel, solve, sc, sc_inv,
+                     complement_basis, combination)
+from .geometry import (bar, form, classify_element,
                        NOT_ORTHOGONAL, standard_pair_spaces, is_isotropic)
-from .invariants import ThetaInvariants, BInvariants, theta, \
+from .invariants import ThetaInvariants, BInvariants, theta_and_w, \
     verify_relations, theta_of_b
 
 
@@ -268,12 +268,7 @@ def _isotropic_in(q, n, basis_rows):
         for coeffs in coeff_sets:
             if not any(coeffs):
                 continue
-            v = [0] * len(take[0])
-            for c, row in zip(coeffs, take):
-                if c:
-                    for i, x in enumerate(row):
-                        v[i] = (v[i] + c * x) % q
-            vt = tuple(v)
+            vt = combination(q, coeffs, take, len(take[0]))
             if form(q, n, vt, vt) == 0:
                 return vt
         raise AssertionError("no isotropic vector found in split subspace")
@@ -320,12 +315,9 @@ def _int_sqrt(k):
 def normalize_pair(u_plus, u_minus, n):
     """g in G with (g U+, g U-) the standard pair of theta(U+, U-)."""
     q = u_plus.q
-    t = theta(u_plus, u_minus, n)
+    t, w0, wp_full, wm_full = theta_and_w(u_plus, u_minus, n)
     a0, ap, am, a1, a2 = t.tuple5()
     d = t.d
-    w0 = meet(u_plus, u_minus)
-    wp_full = meet(u_plus, perp(u_minus, n))
-    wm_full = meet(u_minus, perp(u_plus, n))
     w0_rows = list(w0.rows)
     wp_rows = complement_basis(w0, wp_full)
     wm_rows = complement_basis(w0, wm_full)
@@ -336,15 +328,7 @@ def normalize_pair(u_plus, u_minus, n):
         c = mat_mul(inverse(pmat),
                     Mat(q, [[1 if i + j == a1 - 1 else 0 for j in range(a1)]
                             for i in range(a1)]))
-        umf_rows = []
-        for j in range(a1):
-            v = [sc(q, 0)] * 2 * n
-            for k in range(a1):
-                ck = c.rows[k][j]
-                if ck:
-                    for i, x in enumerate(umf_raw[k]):
-                        v[i] = (v[i] + ck * x) % q if q else v[i] + ck * x
-            umf_rows.append(tuple(v))
+        umf_rows = [combination(q, col, umf_raw, 2 * n) for col in zip(*c.rows)]
     else:
         umf_rows = []
 

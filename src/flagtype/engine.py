@@ -11,8 +11,9 @@ Censuses index the component chain spaces (``index_spaces``); the census
 descent takes each stabilizer from a chain based at the representative, so
 no group order is assumed.  Same-orbit decisions and the witness classes
 index vectors and subspaces (``action_points``): the vectors make the
-action faithful, so the chain's order is bounded by |O_2n(q)| and a
-permutation converts back to the connecting matrix.
+action faithful, so the chain's order is bounded by |O_2n(q)|, or |SO_2n(q)|
+for generators of determinant 1, and a permutation converts back to the
+connecting matrix.
 """
 
 from operator import add
@@ -20,7 +21,7 @@ from operator import add
 from .linalg import (Mat, identity, inverse, mat_mul, mat_vec,
                      act_on_subspace, meet)
 from .geometry import (group_order, perp, coordinate_subspace,
-                       classify_element, NOT_ORTHOGONAL)
+                       classify_element, NOT_ORTHOGONAL, IN_SO)
 from . import flags as _flags
 from .perm import StabChain, inv, mul, orbits
 
@@ -318,12 +319,13 @@ def point_matrix(perm, vectors, q):
 
 
 def order_bound(gens, n):
-    """|O_2n(q)|, an upper bound on the order of <gens> once each generator
-    is checked to be orthogonal (ValueError otherwise)."""
-    for g in gens:
-        if classify_element(g, n) == NOT_ORTHOGONAL:
-            raise ValueError("generator is not orthogonal")
-    return group_order(gens[0].q, n)
+    """An upper bound on the order of <gens> once each generator is checked
+    to be orthogonal (ValueError otherwise): |SO_2n(q)| = |O_2n(q)|/2 if
+    every generator has determinant 1, else |O_2n(q)|."""
+    verdicts = {classify_element(g, n) for g in gens}
+    if NOT_ORTHOGONAL in verdicts:
+        raise ValueError("generator is not orthogonal")
+    return group_order(gens[0].q, n) // (2 if verdicts == {IN_SO} else 1)
 
 
 def same_orbit(x, y, gens, n, q, budget=None):

@@ -72,6 +72,18 @@ class Composition:
         return "Composition%r" % (self.parts,)
 
 
+def flag_count(q, n, comp):
+    """|M_comp| in closed form: the step to dims[j] picks an isotropic
+    parts[j]-space in the split rank-(n - dims[j-1]) space U^perp/U."""
+    out, rank = 1, n
+    for k in comp.parts:
+        for i in range(k):
+            out = (out * (q ** (rank - i) - 1) * (q ** (rank - i - 1) + 1)
+                   // (q ** (i + 1) - 1))
+        rank -= k
+    return out
+
+
 def validate(ch, comp, n):
     """None if the chain is a valid member of M_comp, else the first violation."""
     dims = comp.dims

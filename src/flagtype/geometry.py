@@ -12,7 +12,8 @@ by the tests (orbit of U_0, Bruhat cell counts) rather than trusted.
 
 from .linalg import (Mat, canonicalize, identity, mat_mul, inverse,
                      transpose, det, meet, kernel, sc, sc_inv,
-                     primitive_root, act_on_subspace, zero_space, check_field)
+                     primitive_root, act_on_subspace, zero_space, full_space,
+                     check_field, combination)
 
 
 def bar(i, n):
@@ -108,10 +109,9 @@ def perp(s, n):
     if s.ambient != 2 * n:
         raise ValueError("ambient mismatch in perp")
     if s.dim == 0:
-        return canonicalize(s.q, s.ambient, identity(s.q, s.ambient).rows)
+        return full_space(s.q, s.ambient)
     # (x, r) = 0 for basis rows r  <=>  (reversed r) . x = 0
-    rev = [tuple(reversed(r)) for r in s.rows]
-    return kernel(Mat(s.q, rev))
+    return kernel(Mat.raw(s.q, tuple(r[::-1] for r in s.rows)))
 
 
 def bruhat_cell(v, n):
@@ -309,11 +309,7 @@ def _random_isotropic_vector_in(space, avoid, n, rng):
     q = space.q
     for _ in range(400):
         coeffs = [rng.randrange(q) for _ in range(space.dim)]
-        v = [0] * space.ambient
-        for cf, row in zip(coeffs, space.rows):
-            for i, x in enumerate(row):
-                v[i] = (v[i] + cf * x) % q
-        vt = tuple(v)
+        vt = combination(q, coeffs, space.rows, space.ambient)
         if form(q, n, vt, vt) == 0 and not avoid.contains(vt):
             return vt
     return None

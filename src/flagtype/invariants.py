@@ -7,7 +7,7 @@ filtration X0 ⊆ X1 ⊆ X = (U+ + U-) ∩ V whose middle term needs an explicit
 splitting of each X-vector into a (U+ + W-)-part and a (W+ + U-)-part.
 """
 
-from .linalg import Mat, canonicalize, meet, join, solve, kernel, sc
+from .linalg import Mat, canonicalize, meet, join, solve, kernel, combination
 from .geometry import perp, is_isotropic, form
 
 
@@ -72,10 +72,11 @@ class BInvariants:
         return list(self.b)
 
 
-def theta(u_plus, u_minus, n):
-    """The pair invariants of two isotropic subspaces of F^{2n}."""
+def theta_and_w(u_plus, u_minus, n):
+    """theta of two isotropic subspaces of F^{2n}, with the spaces it is read
+    from: W0 = U+ ∩ U-, W+ = U+ ∩ U-^perp and W- = U- ∩ U+^perp."""
     if not is_isotropic(u_plus, n) or not is_isotropic(u_minus, n):
-        raise ValueError("theta needs isotropic subspaces")
+        raise ValueError("U+ and U- must be isotropic")
     w0 = meet(u_plus, u_minus)
     wp = meet(u_plus, perp(u_minus, n))
     wm = meet(u_minus, perp(u_plus, n))
@@ -86,7 +87,12 @@ def theta(u_plus, u_minus, n):
     t = ThetaInvariants(n, a0, a_plus, a_minus, a1)
     if u_minus.dim - a0 - a_minus != a1:
         raise AssertionError("the two a1 formulas disagree")
-    return t
+    return t, w0, wp, wm
+
+
+def theta(u_plus, u_minus, n):
+    """The pair invariants of two isotropic subspaces of F^{2n}."""
+    return theta_and_w(u_plus, u_minus, n)[0]
 
 
 def _plus_part_map(u_plus, u_minus, wp, wm, x, n):
@@ -101,61 +107,52 @@ def _plus_part_map(u_plus, u_minus, wp, wm, x, n):
         coeffs = solve(m, v)
         if coeffs is None:
             raise AssertionError("X-vector not decomposable; invariant bug")
-        vp = [sc(q, 0)] * x.ambient
-        for c, row in zip(coeffs[:left.dim], left.rows):
-            for i, e in enumerate(row):
-                vp[i] = (vp[i] + c * e) % q if q else vp[i] + c * e
-        plus_parts.append(tuple(vp))
+        plus_parts.append(combination(q, coeffs[:left.dim], left.rows,
+                                      x.ambient))
     return plus_parts
 
 
-def x_filtration(u_plus, u_minus, v, n):
-    """(X, X0, X1) with X = (U+ + U-) ∩ V; checks X0 ⊆ X1 ⊆ X."""
+def _x_filtration(u_plus, u_minus, v, n, wp, wm):
+    """(X, X0, X1, W, (U+ + W-) ∩ V, (W+ + U-) ∩ V), W = W+ + W-."""
     q = v.q
-    if v.dim != n or not is_isotropic(v, n):
-        raise ValueError("V must be maximally isotropic")
-    wp = meet(u_plus, perp(u_minus, n))
-    wm = meet(u_minus, perp(u_plus, n))
     w = join(wp, wm)
     x = meet(join(u_plus, u_minus), v)
-    x0 = join(meet(join(u_plus, wm), v), meet(join(wp, u_minus), v))
+    left_v, right_v = meet(join(u_plus, wm), v), meet(join(wp, u_minus), v)
+    x0 = join(left_v, right_v)
     # (W, X) = 0 makes the v+ choice immaterial; assert it before using it
     for wrow in w.rows:
         for xrow in x.rows:
             if form(q, n, wrow, xrow) != 0:
                 raise AssertionError("(W, X) != 0; X1 would be ill-defined")
-    plus_parts = _plus_part_map(u_plus, u_minus, wp, wm, x, n)
     # X1 = {v in X : (v_+, X) = 0}: kernel of the pairing matrix in X-coordinates
-    pair_rows = []
-    for vp in plus_parts:
-        pair_rows.append(tuple(form(q, n, vp, xr) for xr in x.rows))
     if x.dim:
-        ker = kernel(Mat(q, tuple(zip(*pair_rows))))
-        x1_rows = []
-        for coeff in ker.rows:
-            vec = [sc(q, 0)] * x.ambient
-            for c, row in zip(coeff, x.rows):
-                for i, e in enumerate(row):
-                    vec[i] = (vec[i] + c * e) % q if q else vec[i] + c * e
-            x1_rows.append(tuple(vec))
-        x1 = canonicalize(q, x.ambient, x1_rows)
+        pair_rows = [tuple(form(q, n, vp, xr) for xr in x.rows)
+                     for vp in _plus_part_map(u_plus, u_minus, wp, wm, x, n)]
+        ker = kernel(Mat.raw(q, tuple(zip(*pair_rows))))
+        x1 = canonicalize(q, x.ambient, [combination(q, c, x.rows, x.ambient)
+                                         for c in ker.rows])
     else:
         x1 = x
     if not x1.contains_space(x0) or not x.contains_space(x1):
         raise AssertionError("filtration X0 ⊆ X1 ⊆ X violated")
-    return x, x0, x1
+    return x, x0, x1, w, left_v, right_v
+
+
+def x_filtration(u_plus, u_minus, v, n):
+    """(X, X0, X1) with X = (U+ + U-) ∩ V; checks X0 ⊆ X1 ⊆ X."""
+    if v.dim != n or not is_isotropic(v, n):
+        raise ValueError("V must be maximally isotropic")
+    _, _, wp, wm = theta_and_w(u_plus, u_minus, n)
+    return _x_filtration(u_plus, u_minus, v, n, wp, wm)[:3]
 
 
 def b_invariants(u_plus, u_minus, v, n):
     """The fifteen invariants of (U+, U-, V), V maximally isotropic."""
-    q = v.q
     if v.dim != n or not is_isotropic(v, n):
         raise ValueError("V must be maximally isotropic")
-    t = theta(u_plus, u_minus, n)
-    w0 = meet(u_plus, u_minus)
-    wp = meet(u_plus, perp(u_minus, n))
-    wm = meet(u_minus, perp(u_plus, n))
-    w = join(wp, wm)
+    t, w0, wp, wm = theta_and_w(u_plus, u_minus, n)
+    x, x0, x1, w, left_v, right_v = _x_filtration(u_plus, u_minus, v, n,
+                                                   wp, wm)
     b1 = meet(w0, v).dim
     b2 = t.a0 - b1
     b3 = meet(wp, v).dim - b1
@@ -164,15 +161,14 @@ def b_invariants(u_plus, u_minus, v, n):
     b6 = meet(u_minus, v).dim - b1 - b4
     dim_wv = meet(w, v).dim
     b7 = dim_wv - b1 - b3 - b4
-    b8 = meet(join(wp, u_minus), v).dim - dim_wv - b6
-    b9 = meet(join(u_plus, wm), v).dim - dim_wv - b5
+    b8 = right_v.dim - dim_wv - b6
+    b9 = left_v.dim - dim_wv - b5
     b10 = t.a_plus - b3 - b7 - b8
     b11 = t.a_minus - b4 - b7 - b9
-    x, x0, x1 = x_filtration(u_plus, u_minus, v, n)
     b12 = x1.dim - x0.dim
     b15 = x.dim - x1.dim
     # pi: W-perp -> W-perp/W; dim pi(X) = dim X - dim(X ∩ W) and X ∩ W = W ∩ V
-    dim_pi_x = x.dim - meet(x, w).dim
+    dim_pi_x = x.dim - dim_wv
     b13 = t.a1 - dim_pi_x - b12
     b14 = t.a2 - b12 - b13
     bb = BInvariants((b1, b2, b3, b4, b5, b6, b7, b8, b9, b10, b11, b12, b13, b14, b15))

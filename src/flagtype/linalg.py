@@ -7,7 +7,15 @@ is rejected.
 
 Subspaces are stored by their reduced row-echelon basis, which makes the
 representation canonical: two subspaces are equal iff their stored bases
-are identical.
+are identical.  `canonicalize`, `Mat` and the functions that take a raw
+vector (`in_span`, `solve`) coerce entries into the field; `join`, `kernel`,
+`meet` and `act_on_subspace` get field values and skip that.
+
+`meet` is one Zassenhaus reduction: in the RREF of the rows (a|a) over (b|0),
+the rows whose pivot lies in the right half have a zero left half, and their
+right halves are the canonical basis of a ∩ b.  As a's basis is in RREF, the
+(a|a) rows clear their pivot columns from each (b|0) row in one pass, and
+only the b rows are left to reduce.
 """
 
 from fractions import Fraction
@@ -28,6 +36,8 @@ def check_field(q):
 def sc(q, x):
     """Coerce an int (or Fraction) into the field q."""
     if q:
+        if type(x) is int:
+            return x % q
         if isinstance(x, Fraction):
             return x.numerator * pow(x.denominator, q - 2, q) % q
         return x % q
@@ -104,7 +114,7 @@ class Mat:
 
 def identity(q, m):
     one, zero = sc(q, 1), sc(q, 0)
-    return Mat(q, tuple(tuple(one if i == j else zero for j in range(m)) for i in range(m)))
+    return Mat.raw(q, tuple(tuple(one if i == j else zero for j in range(m)) for i in range(m)))
 
 
 def mat_mul(a, b):
@@ -130,8 +140,16 @@ def mat_vec(a, v):
     return tuple(out)
 
 
+def combination(q, coeffs, rows, ambient):
+    """sum_j coeffs[j] * rows[j], a vector of F^ambient."""
+    zero = sc(q, 0)
+    out = [sum((c * r[i] for c, r in zip(coeffs, rows)), zero)
+           for i in range(ambient)]
+    return tuple(x % q for x in out) if q else tuple(out)
+
+
 def transpose(a):
-    return Mat(a.q, tuple(zip(*a.rows)) if a.rows else ())
+    return Mat.raw(a.q, tuple(zip(*a.rows)) if a.rows else ())
 
 
 def _rref_rows(rows, q, ncols):
@@ -313,27 +331,31 @@ def canonicalize(q, ambient, vectors):
     return Subspace(q, ambient, tuple(rows), tuple(pivots))
 
 
-def span_matrix(m, ambient=None):
-    return canonicalize(m.q, ambient if ambient is not None else m.ncols, m.rows)
-
-
 def zero_space(q, ambient):
     return canonicalize(q, ambient, [])
 
 
 def full_space(q, ambient):
-    return span_matrix(identity(q, ambient))
+    check_field(q)
+    return Subspace(q, ambient, identity(q, ambient).rows, tuple(range(ambient)))
+
+
+def _span(q, ambient, rows):
+    """Subspace spanned by rows whose entries are field values already."""
+    rows, pivots = _rref_rows(rows, q, ambient)
+    return Subspace(q, ambient, tuple(rows), tuple(pivots))
 
 
 def join(a, b):
     """a + b."""
     _check_pair(a, b)
-    return canonicalize(a.q, a.ambient, list(a.rows) + list(b.rows))
+    return _span(a.q, a.ambient, a.rows + b.rows)
 
 
 def kernel(m):
     """{x : m·x = 0} as a canonical Subspace of F^ncols."""
     q, n = m.q, m.ncols
+    check_field(q)
     rows, pivots = _rref_rows(m.rows, q, n)
     piv = set(pivots)
     basis = []
@@ -344,24 +366,26 @@ def kernel(m):
         v[free] = sc(q, 1)
         for r, c in zip(rows, pivots):
             v[c] = -r[free] % q if q else -r[free]
-        basis.append(tuple(v))
-    return canonicalize(q, n, basis)
+        basis.append(v)
+    return _span(q, n, basis)
 
 
 def meet(a, b):
-    """a ∩ b via the kernel of the stacked dual system."""
+    """a ∩ b by one Zassenhaus reduction (see the module docstring)."""
     _check_pair(a, b)
     q, n = a.q, a.ambient
-    if a.dim == 0 or b.dim == 0:
-        return zero_space(q, n)
-    # x in a ⟺ x ⊥ ker(a-basis-as-columns)... use the dual description:
-    # x ∈ a ⟺ D_a · x = 0 where rows of D_a span the annihilator of a.
-    da = kernel(Mat(q, a.rows))
-    db = kernel(Mat(q, b.rows))
-    rows = tuple(da.rows) + tuple(db.rows)
-    if not rows:
-        return full_space(q, n)
-    return kernel(Mat(q, rows))
+    stacked = []
+    for r in b.rows:
+        left = r
+        for ar, c in zip(a.rows, a.pivots):
+            f = left[c]
+            if f:
+                left = [x - f * y for x, y in zip(left, ar)]
+        row = list(left) + [x - y for x, y in zip(left, r)]
+        stacked.append([x % q for x in row] if q else row)
+    rows, pivots = _rref_rows(stacked, q, 2 * n)
+    return Subspace(q, n, tuple(r[n:] for r, c in zip(rows, pivots) if c >= n),
+                    tuple(c - n for c in pivots if c >= n))
 
 
 def _check_pair(a, b):
@@ -373,8 +397,7 @@ def act_on_subspace(g, s):
     """Image g·s of a subspace under an invertible matrix (rows transform)."""
     if g.q != s.q or g.ncols != s.ambient:
         raise ValueError("field/ambient mismatch in action")
-    imgs = [mat_vec(g, r) for r in s.rows]
-    return canonicalize(s.q, s.ambient, imgs)
+    return _span(s.q, s.ambient, [mat_vec(g, r) for r in s.rows])
 
 
 def complement_basis(inner, outer):

@@ -5,6 +5,7 @@ The CLI command `flagtype verify --suite NAME` runs one of them and exits
 0/1/3; the acceptance tests assert them directly.
 """
 
+import math
 import random
 
 from .linalg import Mat, act_on_subspace, identity, mat_mul
@@ -12,9 +13,10 @@ from .geometry import (group_generators, so_generators, parabolic_generators,
                        standard_isotropic, random_isotropic,
                        random_group_element, group_order, sp_order,
                        w_element, classify_element, IN_SO, IN_O_MINUS_SO,
-                       coordinate_subspace, primitive_root)
-from .flags import Composition, enumerate_chains, enumerate_chains_ambient
-from .invariants import b_invariants, theta, verify_relations
+                       primitive_root)
+from .flags import (Composition, enumerate_chains, enumerate_chains_ambient,
+                    flag_count)
+from .invariants import b_invariants, verify_relations
 from .canonical import (enumerate_thetas, enumerate_valid_b, standard_pair,
                         representative, IndexLayout, rv_generator,
                         sp_prime_generators, in_sp_prime, eliminate,
@@ -347,24 +349,21 @@ def suite_censuses(plan=None):
     checks = []
     results = {}
     for n, comps, qs in (plan or CENSUS_PLAN):
-        counts = {}
+        counts, totals_ok = {}, True
         for q in qs:
             cen = census_space(n, q, [Composition(c) for c in comps],
                                group_generators(q, n))
             counts[q] = cen.orbit_count
+            totals_ok &= cen.total == math.prod(
+                flag_count(q, n, Composition(c)) for c in comps)
         results[(n, tuple(map(tuple, comps)))] = counts
         verdict = classify(n, comps).status
         label = "census n=%d %s" % (n, "|".join(map(str, comps)))
-        if len(counts) == 2:
-            stable = counts[3] == counts[5]
-            # all these spaces are finite-type (they carry an (n) factor)
-            ok = stable if verdict == FINITE else True
-            checks.append((label, ok,
-                           "counts %r, classifier %s" % (counts, verdict)))
-        else:
-            checks.append((label, True,
-                           "counts %r (single q), classifier %s"
-                           % (counts, verdict)))
+        # every space here carries an (n) factor, so it is of finite type:
+        # its counts must not move with q, and its points are the closed form
+        ok = verdict == FINITE and totals_ok and len(set(counts.values())) == 1
+        checks.append((label, ok,
+                       "counts %r, classifier %s" % (counts, verdict)))
     growth, _ = family_classes("O6_L32p", 3)
     growth5, _ = family_classes("O6_L32p", 5)
     checks.append(("infinite shapes realize growth (O6 (2)|(2)|(2))",

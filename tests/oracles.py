@@ -2,7 +2,8 @@
 
 These deliberately avoid the library's enumeration strategy: subspaces are
 produced straight from RREF pivot patterns, so counts can be compared
-against the recursive isotropic-extension enumerator.
+against the recursive isotropic-extension enumerator.  Meets, kernels and
+perps are checked against sets of vectors listed one by one.
 """
 
 import itertools
@@ -47,3 +48,16 @@ def isotropic_subspaces(q, n, dim):
         if good:
             out.append(s)
     return out
+
+
+def span_vectors(s):
+    """Every vector of a subspace over GF(q), from every coefficient tuple."""
+    q = s.q
+    return {tuple(sum(c * r[i] for c, r in zip(coeffs, s.rows)) % q
+                  for i in range(s.ambient))
+            for coeffs in itertools.product(range(q), repeat=s.dim)}
+
+
+def vectors_where(q, ambient, pred):
+    """Every vector of F_q^ambient that satisfies pred."""
+    return {v for v in itertools.product(range(q), repeat=ambient) if pred(v)}

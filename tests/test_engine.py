@@ -6,14 +6,16 @@ from flagtype.linalg import Mat, identity, act_on_subspace
 from flagtype.geometry import (standard_isotropic, group_generators,
                                so_generators, parabolic_generators,
                                group_order, random_group_element,
-                               coordinate_subspace)
+                               coordinate_subspace, w_element,
+                               classify_element, IN_O_MINUS_SO)
 from flagtype.flags import Composition, enumerate_chains, act
 from flagtype.engine import (orbit, same_orbit, census_direct, census_space,
                              census_product, signature, path_element,
                              close_group, schreier_descend, StabLevel,
                              Infeasible, tuple_key, SAME, DIFFERENT,
-                             INFEASIBLE)
+                             INFEASIBLE, order_bound)
 from flagtype.invariants import b_invariants
+from flagtype import suites
 from flagtype.suites import CENSUS_PLAN
 
 
@@ -118,6 +120,16 @@ def test_same_orbit_checks_generators_and_budget():
                     for i in range(4)])
     with pytest.raises(ValueError):
         same_orbit(x, y, gens + [scale], n, q)
+
+
+@pytest.mark.parametrize("n,q", [(2, 3), (3, 3), (2, 5)])
+def test_order_bound_is_so_order_for_so_generators(n, q):
+    so = so_generators(q, n)
+    assert order_bound(so, n) == group_order(q, n) // 2
+    w = w_element(q, n, 1)
+    assert classify_element(w, n) == IN_O_MINUS_SO
+    assert order_bound(so + [w], n) == group_order(q, n)
+    assert order_bound(group_generators(q, n), n) == group_order(q, n)
 
 
 def test_census_matches_per_orbit_bfs():
@@ -261,3 +273,15 @@ def test_so_and_p_censuses_of_three_lines():
     for cen in (so, p):
         assert sizes_by_signature(cen) == sizes_by_signature(g)
         assert sum(cen.orbit_sizes) == cen.total == 130 ** 3
+
+
+def test_census_suite_checks_single_q_entries(monkeypatch):
+    """A census entry run at one q passes only if its point total is the
+    closed-form product of the flag counts and the classifier says Finite."""
+    monkeypatch.setattr(suites, "family_classes", lambda name, q: ([], None))
+    finite = [(2, [(1,), (1,), (2,)], (3,))]
+    assert suites.suite_censuses(finite)["checks"][0][1]
+    assert not suites.suite_censuses([(2, [(1,), (1,), (1,)], (3,))]
+                                     )["checks"][0][1]
+    monkeypatch.setattr(suites, "flag_count", lambda q, n, comp: 1)
+    assert not suites.suite_censuses(finite)["checks"][0][1]

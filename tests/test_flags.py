@@ -9,7 +9,7 @@ from flagtype.geometry import (standard_isotropic, coordinate_subspace,
 from flagtype.flags import (Composition, validate, validate_tuple, act,
                             enumerate_chains, enumerate_chains_ambient,
                             enumerate_subspaces, BudgetExceeded,
-                            tuple_to_json)
+                            tuple_to_json, flag_count)
 
 from oracles import isotropic_subspaces
 
@@ -98,6 +98,10 @@ def test_enumeration_closed_form_counts():
         assert _isotropic_count(q, n, top) * \
             _flag_count(top, comp.dims[:-1], q) == want
         assert len(enumerate_chains(q, n, comp)) == want
+        assert flag_count(q, n, comp) == want
+    for parts in ((1,), (2,), (1, 1), (1, 2), (2, 1), (1, 1, 1), (3,)):
+        comp = Composition(parts)
+        assert flag_count(3, 3, comp) == len(enumerate_chains(3, 3, comp))
     for q, want in ((3, 2080), (5, 29016)):
         assert _flag_count(4, (1, 2, 3, 4), q) == want
         full = enumerate_chains_ambient(q, 4, Composition([1, 1, 1, 1]))

@@ -130,3 +130,23 @@ def test_induced_pairing_alternating():
 def test_theta_consistency_guard():
     with pytest.raises(ValueError):
         ThetaInvariants(2, 2, 1, 0, 0)  # a2 < 0
+
+
+def test_public_functions_validate_their_input():
+    """theta, x_filtration and b_invariants each reject a non-isotropic U+
+    or U- and a V that is not maximal isotropic, U+ and U- in either slot."""
+    n, q = 3, 5
+    u0 = standard_isotropic(q, n, 0)
+    bad_u = coordinate_subspace(q, 2 * n, [1, 6])         # (e1, e6) = 1
+    short_v = coordinate_subspace(q, 2 * n, [1, 2])       # isotropic, dim 2
+    bad_v = coordinate_subspace(q, 2 * n, [1, 2, 6])      # dim 3, not isotropic
+    for up, um in ((bad_u, u0), (u0, bad_u)):
+        with pytest.raises(ValueError):
+            theta(up, um, n)
+        for f in (x_filtration, b_invariants):
+            with pytest.raises(ValueError):
+                f(up, um, u0, n)
+    for v in (short_v, bad_v):
+        for f in (x_filtration, b_invariants):
+            with pytest.raises(ValueError):
+                f(u0, u0, v, n)

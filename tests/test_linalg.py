@@ -8,6 +8,8 @@ from flagtype.linalg import (Mat, canonicalize, meet, join, kernel, rank,
                              identity, inverse, mat_mul, det, solve,
                              zero_space, full_space, subspace_from_json,
                              complement_basis, check_field, sc)
+from flagtype.geometry import form, perp
+from oracles import span_vectors, vectors_where
 
 
 def rand_mat(rng, q, rows, cols):
@@ -104,6 +106,8 @@ def test_kernel_examples_and_rank_nullity():
     assert kernel(identity(3, 3)).dim == 0
     z = Mat(5, [[0] * 4, [0] * 4])
     assert kernel(z) == full_space(5, 4)
+    with pytest.raises(ValueError):
+        kernel(Mat(9, [[1, 2]]))
     rng = random.Random(2)
     for _ in range(500):
         q = rng.choice([3, 5])
@@ -155,3 +159,56 @@ def test_complement_basis():
     assert canonicalize(3, 4, list(inner.rows) + rows) == outer
     with pytest.raises(ValueError):
         complement_basis(canonicalize(3, 4, [[0, 0, 0, 1]]), outer)
+
+
+def _rand_space(rng, q, amb):
+    return canonicalize(q, amb, [[rng.randrange(q) for _ in range(amb)]
+                                 for _ in range(rng.randrange(0, amb + 1))])
+
+
+def _assert_canonical(s):
+    assert canonicalize(s.q, s.ambient, s.rows) == s
+    assert all(0 <= x < s.q for r in s.rows for x in r)
+
+
+def test_meet_kernel_perp_against_vector_oracle():
+    """meet, kernel and perp give exactly the vectors listed by brute force
+    (q in {3, 5}, ambient <= 5), in canonical form."""
+    rng = random.Random(12)
+    for _ in range(60):
+        q = rng.choice([3, 5])
+        amb = rng.randrange(1, 6)
+        a, b = _rand_space(rng, q, amb), _rand_space(rng, q, amb)
+        m = meet(a, b)
+        _assert_canonical(m)
+        assert span_vectors(m) == span_vectors(a) & span_vectors(b)
+        assert a.contains_space(m) and b.contains_space(m)
+        mat = rand_mat(rng, q, rng.randrange(1, 4), amb)
+        k = kernel(mat)
+        _assert_canonical(k)
+        assert span_vectors(k) == vectors_where(
+            q, amb, lambda v: all(sum(x * y for x, y in zip(r, v)) % q == 0
+                                  for r in mat.rows))
+        n = rng.choice([1, 2])
+        s = _rand_space(rng, q, 2 * n)
+        p = perp(s, n)
+        _assert_canonical(p)
+        assert span_vectors(p) == vectors_where(
+            q, 2 * n, lambda v: all(form(q, n, r, v) == 0 for r in s.rows))
+
+
+def test_rational_meet_kernel_perp():
+    F = Fraction
+    a = canonicalize(0, 4, [[1, F(1, 2), 0, 3], [0, 0, 1, -1]])
+    b = canonicalize(0, 4, [[2, 1, 1, 5], [0, 1, 0, 0]])
+    m = meet(a, b)
+    assert m.rows == ((1, F(1, 2), F(1, 2), F(5, 2)),)
+    assert all(isinstance(x, Fraction) for x in m.rows[0])
+    assert a.contains_space(m) and b.contains_space(m)
+    assert meet(a, canonicalize(0, 4, [[0, 1, 0, 0], [0, 0, 0, 1]])).dim == 0
+    assert meet(a, a) == a and meet(a, full_space(0, 4)) == a
+    assert meet(a, zero_space(0, 4)) == zero_space(0, 4)
+    k = kernel(Mat(0, [[1, 2, 3], [2, 4, 7]]))
+    assert k.rows == ((1, F(-1, 2), 0),)
+    p = perp(canonicalize(0, 4, [[1, 0, 0, F(1, 2)]]), 2)
+    assert p == canonicalize(0, 4, [[0, 1, 0, 0], [0, 0, 1, 0], [2, 0, 0, -1]])
