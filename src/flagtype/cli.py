@@ -52,9 +52,11 @@ def parse_composition(text):
 
 
 def parse_triple(text):
-    parts = [p for p in text.split("|") if p.strip()]
-    if not parts:
+    if not text.strip():
         raise UsageError("empty triple")
+    parts = text.split("|")
+    if not all(p.strip() for p in parts):
+        raise UsageError("empty component in %r" % text)
     return [parse_composition(p) for p in parts]
 
 

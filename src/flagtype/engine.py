@@ -14,6 +14,13 @@ index vectors and subspaces (``action_points``): the vectors make the
 action faithful, so the chain's order is bounded by |O_2n(q)|, or |SO_2n(q)|
 for generators of determinant 1, and a permutation converts back to the
 connecting matrix.
+
+Subspace images go through the action memo of ``flags.memo_act``, which
+holds the image of each (generator, subspace) and of each (generator, row
+vector): a row is multiplied by a generator once, however many subspaces
+contain it, and a subspace image is its rows' images put in RREF.  The
+census fills the memo during enumeration; ``action_points`` fills its row
+part with the vector block's images.
 """
 
 from operator import add
@@ -268,7 +275,7 @@ def orbit(start, gens, q, budget=None):
     return orbit_with_tree(start, gens, cache.tuple, budget)
 
 
-def action_points(gens, spaces, budget=None):
+def action_points(gens, spaces, budget=None, memo=None):
     """Integer points for the action of the matrix group <gens>.
 
     Points come in blocks.  The first holds the vectors reached from the
@@ -278,16 +285,25 @@ def action_points(gens, spaces, budget=None):
     in a block, sorted by rows.  Returns (vectors, index, images): vectors
     is the first block, index maps each space of the later blocks to its
     point, and images[gi] is generator gi as a permutation of all points.
+
+    Every vector image g·v of the first block goes into `memo`, the action
+    memo of ``flags.memo_act`` (a new dict by default) that the subspace
+    orbits then use.  The rows of an isotropic subspace are isotropic
+    vectors, which (Witt) lie in the orbit of e_1 under O_2n, so under
+    O_2n's generators a subspace image costs lookups and one RREF, and no
+    matrix arithmetic.
     """
     if budget is None:
         budget = _flags.orbit_budget()
+    if memo is None:
+        memo = {}
     m = gens[0].nrows
     vectors = [tuple(int(i == j) for j in range(m)) for i in range(m)]
     at = {v: i for i, v in enumerate(vectors)}
     images = [[] for _ in gens]
     for v in vectors:
         for g, img in zip(gens, images):
-            w = mat_vec(g, v)
+            w = memo[(g, v)] = mat_vec(g, v)
             p = at.get(w)
             if p is None:
                 p = at[w] = len(vectors)
@@ -295,7 +311,7 @@ def action_points(gens, spaces, budget=None):
             img.append(p)
         if len(vectors) > budget:
             raise Infeasible("orbit budget exceeded")
-    index, memo = {}, {}
+    index = {}
     for s in spaces:
         if s in index:
             continue
@@ -405,7 +421,7 @@ def index_spaces(spaces, gens, memo=None):
     Returns (blocks, slot, images): blocks[b] = (offset, chains, index) with
     index mapping a chain to its point, slot[j] the block of spaces[j], and
     images[gi] the permutation of all points by generator gi.  ``memo`` is
-    an action memo keyed by (matrix, subspace), as the enumeration fills it.
+    the action memo of ``flags.memo_act``, as the enumeration fills it.
     """
     if memo is None:
         memo = {}

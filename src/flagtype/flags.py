@@ -15,7 +15,7 @@ the spaces of each dimension on the way.
 
 import os
 
-from .linalg import act_on_subspace, check_field
+from .linalg import act_on_subspace, check_field, mat_vec, _span
 from .geometry import (is_isotropic, coordinate_subspace, group_generators,
                        gl_generators)
 
@@ -118,10 +118,26 @@ def act(g, ft):
 
 
 def memo_act(memo, g, s):
-    """g·s through memo, a dict keyed by (matrix, subspace)."""
+    """g·s through memo, equal to ``act_on_subspace(g, s)``.
+
+    memo is a dict of images under matrices: (g, subspace) -> g·s and
+    (g, row tuple) -> g·row (a Subspace never equals a tuple, so both kinds
+    share one dict).  On a miss, the image of each row of s comes from the
+    memo or one ``mat_vec``, and only the RREF of the image rows is left to
+    do; a vector image stored by the caller (``engine.action_points``) is
+    used like one computed here.
+    """
     t = memo.get((g, s))
     if t is None:
-        t = memo[(g, s)] = act_on_subspace(g, s)
+        if g.q != s.q or g.ncols != s.ambient:
+            raise ValueError("field/ambient mismatch in action")
+        rows = []
+        for r in s.rows:
+            w = memo.get((g, r))
+            if w is None:
+                w = memo[(g, r)] = mat_vec(g, r)
+            rows.append(w)
+        t = memo[(g, s)] = _span(s.q, s.ambient, rows)
     return t
 
 
@@ -161,9 +177,10 @@ def enumerate_chains_ambient(q, ambient, comp, iso_n=None, budget=None,
     The flags are the orbit of the standard flag U_[d1] < ... < U_[dk] under
     O_2n (Witt) or GL_ambient.  Each space U_[d] is first replaced by its
     orbit, indexed in rows order, so the flag orbit runs on integer tuples
-    whose order is the rows order of the chains.  ``memo`` maps
-    (generator, subspace) to the image; a caller that acts on the flags with
-    the same generators can pass its own dict and reuse the images.
+    whose order is the rows order of the chains.  ``memo`` is the action
+    memo of ``memo_act`` (images of subspaces and of their rows); a caller
+    that acts on the flags with the same generators can pass its own dict
+    and reuse the images.
     """
     check_field(q)
     if not q:

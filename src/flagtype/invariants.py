@@ -95,11 +95,10 @@ def theta(u_plus, u_minus, n):
     return theta_and_w(u_plus, u_minus, n)[0]
 
 
-def _plus_part_map(u_plus, u_minus, wp, wm, x, n):
-    """For each basis vector of X pick v+ in U+ + W- with v - v+ in W+ + U-."""
+def _plus_part_map(left, right, x):
+    """For each basis vector of X pick v+ in left = U+ + W- with v - v+ in
+    right = W+ + U-."""
     q = x.q
-    left = join(u_plus, wm)       # U+ + W-
-    right = join(u_minus, wp)     # W+ + U-
     cols = list(left.rows) + list(right.rows)
     m = Mat(q, tuple(zip(*cols))) if cols else Mat(q, ())
     plus_parts = []
@@ -117,7 +116,8 @@ def _x_filtration(u_plus, u_minus, v, n, wp, wm):
     q = v.q
     w = join(wp, wm)
     x = meet(join(u_plus, u_minus), v)
-    left_v, right_v = meet(join(u_plus, wm), v), meet(join(wp, u_minus), v)
+    left, right = join(u_plus, wm), join(wp, u_minus)   # U+ + W-, W+ + U-
+    left_v, right_v = meet(left, v), meet(right, v)
     x0 = join(left_v, right_v)
     # (W, X) = 0 makes the v+ choice immaterial; assert it before using it
     for wrow in w.rows:
@@ -127,7 +127,7 @@ def _x_filtration(u_plus, u_minus, v, n, wp, wm):
     # X1 = {v in X : (v_+, X) = 0}: kernel of the pairing matrix in X-coordinates
     if x.dim:
         pair_rows = [tuple(form(q, n, vp, xr) for xr in x.rows)
-                     for vp in _plus_part_map(u_plus, u_minus, wp, wm, x, n)]
+                     for vp in _plus_part_map(left, right, x)]
         ker = kernel(Mat.raw(q, tuple(zip(*pair_rows))))
         x1 = canonicalize(q, x.ambient, [combination(q, c, x.rows, x.ambient)
                                          for c in ker.rows])

@@ -19,6 +19,7 @@ only the b rows are left to reduce.
 """
 
 from fractions import Fraction
+from operator import mul
 
 
 RATIONAL = 0
@@ -133,11 +134,9 @@ def mat_mul(a, b):
 
 def mat_vec(a, v):
     q = a.q
-    out = []
-    for ra in a.rows:
-        s = sum(x * y for x, y in zip(ra, v))
-        out.append(s % q if q else s)
-    return tuple(out)
+    if q:
+        return tuple([sum(map(mul, ra, v)) % q for ra in a.rows])
+    return tuple([sum(map(mul, ra, v)) for ra in a.rows])
 
 
 def combination(q, coeffs, rows, ambient):
@@ -253,7 +252,7 @@ def solve(m, b):
 class Subspace:
     """A linear subspace of F^ambient stored by its canonical RREF basis."""
 
-    __slots__ = ("q", "ambient", "rows", "pivots")
+    __slots__ = ("q", "ambient", "rows", "pivots", "_hash")
 
     def __init__(self, q, ambient, rows, pivots, _raw=True):
         # use canonicalize() to build from arbitrary spanning rows
@@ -261,6 +260,7 @@ class Subspace:
         self.ambient = ambient
         self.rows = rows
         self.pivots = pivots
+        self._hash = None
 
     @property
     def dim(self):
@@ -283,7 +283,10 @@ class Subspace:
                 and self.ambient == other.ambient and self.rows == other.rows)
 
     def __hash__(self):
-        return hash((self.q, self.ambient, self.rows))
+        h = self._hash
+        if h is None:
+            h = self._hash = hash((self.q, self.ambient, self.rows))
+        return h
 
     def __repr__(self):
         return "Subspace(q=%r, ambient=%d, %r)" % (self.q, self.ambient,

@@ -103,6 +103,7 @@ CENSUS_USAGE_ERRORS = [
     ({}, ["--n", "0", "--q", "3", "--space", "(1)|(2)"]),
     ({}, ["--n", "2", "--q", "3", "--space", "(3)|(2)"]),
     ({"FLAGTYPE_BUDGET": "abc"}, ["--n", "2", "--q", "3", "--space", "(2)"]),
+    ({}, ["--n", "2", "--q", "3", "--space", "(1)||(1)"]),
 ]
 
 

@@ -2,18 +2,18 @@ import random
 
 import pytest
 
-from flagtype.linalg import Mat, identity, act_on_subspace
+from flagtype.linalg import Mat, identity, act_on_subspace, mat_vec, canonicalize
 from flagtype.geometry import (standard_isotropic, group_generators,
                                so_generators, parabolic_generators,
                                group_order, random_group_element,
                                coordinate_subspace, w_element,
-                               classify_element, IN_O_MINUS_SO)
+                               classify_element, IN_O_MINUS_SO, is_isotropic)
 from flagtype.flags import Composition, enumerate_chains, act
 from flagtype.engine import (orbit, same_orbit, census_direct, census_space,
                              census_product, signature, path_element,
                              close_group, schreier_descend, StabLevel,
                              Infeasible, tuple_key, SAME, DIFFERENT,
-                             INFEASIBLE, order_bound)
+                             INFEASIBLE, order_bound, action_points)
 from flagtype.invariants import b_invariants
 from flagtype import suites
 from flagtype.suites import CENSUS_PLAN
@@ -120,6 +120,41 @@ def test_same_orbit_checks_generators_and_budget():
                     for i in range(4)])
     with pytest.raises(ValueError):
         same_orbit(x, y, gens + [scale], n, q)
+
+
+@pytest.mark.parametrize("kind", [parabolic_generators, group_generators])
+def test_action_points_blocks(kind):
+    """Each generator permutes the vector block as mat_vec and each subspace
+    block as act_on_subspace; under O_2n every row of an indexed isotropic
+    subspace is a point of the vector block (Witt), so the memo that
+    action_points seeds holds every row image the subspace orbits need."""
+    n, q = 3, 3
+    gens = kind(q, n)
+    m = 2 * n
+    spaces = [coordinate_subspace(q, m, [1]), coordinate_subspace(q, m, [1, 2]),
+              standard_isotropic(q, n, 1),
+              canonicalize(q, m, [[1, 0, 0, 0, 0, 1]])]
+    assert not is_isotropic(spaces[-1], n)
+    memo = {}
+    vectors, index, images = action_points(gens, spaces, memo=memo)
+    degree = len(vectors) + len(index)
+    assert vectors[:m] == [tuple(int(i == j) for j in range(m))
+                           for i in range(m)]
+    assert sorted(index.values()) == list(range(len(vectors), degree))
+    assert set(spaces) <= set(index)
+    at = {v: i for i, v in enumerate(vectors)}
+    assert len(at) == len(vectors)
+    for g, img in zip(gens, images):
+        assert sorted(img) == list(range(degree))
+        for i, v in enumerate(vectors):
+            assert memo[(g, v)] == mat_vec(g, v)
+            assert img[i] == at[mat_vec(g, v)]
+        for s, p in index.items():
+            assert img[p] == index[act_on_subspace(g, s)]
+    if kind is group_generators:
+        isotropic = [s for s in index if is_isotropic(s, n)]
+        assert len(isotropic) > len(spaces)
+        assert all(r in at for s in isotropic for r in s.rows)
 
 
 @pytest.mark.parametrize("n,q", [(2, 3), (3, 3), (2, 5)])

@@ -1,15 +1,20 @@
+import functools
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from flagtype.linalg import identity, inverse
+from flagtype.linalg import (Mat, identity, inverse, det, canonicalize,
+                             act_on_subspace)
 from flagtype.geometry import (standard_isotropic, coordinate_subspace,
                                group_generators, random_group_element,
-                               w_element, bruhat_cell)
+                               random_isotropic, w_element, bruhat_cell)
 from flagtype.flags import (Composition, validate, validate_tuple, act,
                             enumerate_chains, enumerate_chains_ambient,
                             enumerate_subspaces, BudgetExceeded,
-                            tuple_to_json, flag_count)
+                            tuple_to_json, flag_count, memo_act)
+from flagtype.engine import action_points
 
 from oracles import isotropic_subspaces
 
@@ -162,3 +167,74 @@ def test_tuple_json():
     j = tuple_to_json(((u0,),), n, q)
     assert j["n"] == n and j["q"] == q
     assert j["chains"][0][0]["basis"] == [[1, 0, 0, 0], [0, 1, 0, 0]]
+
+
+def _random_space(q, n, dim, isotropic, rng):
+    """A random dim-dimensional subspace of F^2n, isotropic if asked."""
+    if isotropic:
+        return random_isotropic(q, n, dim, rng)
+    while True:
+        s = canonicalize(q, 2 * n, [[rng.randrange(q) for _ in range(2 * n)]
+                                    for _ in range(dim)])
+        if s.dim == dim:
+            return s
+
+
+def _random_invertible(q, m, rng):
+    while True:
+        g = Mat(q, [[rng.randrange(q) for _ in range(m)] for _ in range(m)])
+        if det(g) != 0:
+            return g
+
+
+@functools.lru_cache(maxsize=None)
+def _seeded_memo(q, n):
+    """The row memo that action_points fills for O_2n's generators."""
+    memo = {}
+    action_points(group_generators(q, n), [], memo=memo)
+    return memo
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10 ** 6), st.sampled_from([3, 5]), st.sampled_from([2, 3]),
+       st.integers(0, 6), st.booleans())
+def test_memo_act_matches_act_on_subspace(seed, q, n, dim, isotropic):
+    rng = random.Random(seed)
+    dim = min(dim, 2 * n)
+    isotropic = isotropic and dim <= n
+    s = _random_space(q, n, dim, isotropic, rng)
+    gens = group_generators(q, n)
+    mats = gens + [random_group_element(q, n, rng),
+                   _random_invertible(q, 2 * n, rng)]
+    # a fresh memo; a second call is a hit and returns the same image
+    fresh = {}
+    for g in mats:
+        assert memo_act(fresh, g, s) == act_on_subspace(g, s)
+        assert memo_act(fresh, g, s) == act_on_subspace(g, s)
+    # a memo already filled with the images of spaces sharing s's rows
+    filled = {}
+    for k in range(dim + 1):
+        for rows in itertools.combinations(s.rows, k):
+            sub = canonicalize(q, 2 * n, rows)
+            other = _random_space(q, n, rng.randrange(2 * n + 1), False, rng)
+            for g in mats:
+                memo_act(filled, g, sub)
+                memo_act(filled, g, other)
+    assert all((g, r) in filled for g in mats for r in s.rows)
+    for g in mats:
+        assert memo_act(filled, g, s) == act_on_subspace(g, s)
+    # the memo action_points seeds: for an isotropic s every row image under
+    # O_2n's generators is already there
+    seeded = dict(_seeded_memo(q, n))
+    if isotropic:
+        assert all((g, r) in seeded for g in gens for r in s.rows)
+    for g in mats:
+        assert memo_act(seeded, g, s) == act_on_subspace(g, s)
+
+
+def test_memo_act_checks_field_and_ambient():
+    s = coordinate_subspace(3, 4, [1])
+    with pytest.raises(ValueError):
+        memo_act({}, identity(5, 4), s)
+    with pytest.raises(ValueError):
+        memo_act({}, identity(3, 6), s)

@@ -117,7 +117,7 @@ def test_induced_pairing_alternating():
         wp = meet(up, perp(um, n))
         wm = meet(um, perp(up, n))
         x = meet(join(up, um), v)
-        plus = _plus_part_map(up, um, wp, wm, x, n)
+        plus = _plus_part_map(join(up, wm), join(wp, um), x)
         for vp, xr in zip(plus, x.rows):
             assert form(q, n, vp, xr) == 0
         for i in range(len(plus)):

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from flagtype.linalg import (Mat, canonicalize, meet, join, kernel, rank,
                              identity, inverse, mat_mul, det, solve,
                              zero_space, full_space, subspace_from_json,
-                             complement_basis, check_field, sc)
+                             complement_basis, check_field, sc,
+                             act_on_subspace, _span)
 from flagtype.geometry import form, perp
 from oracles import span_vectors, vectors_where
 
@@ -212,3 +213,32 @@ def test_rational_meet_kernel_perp():
     assert k.rows == ((1, F(-1, 2), 0),)
     p = perp(canonicalize(0, 4, [[1, 0, 0, F(1, 2)]]), 2)
     assert p == canonicalize(0, 4, [[0, 1, 0, 0], [0, 0, 1, 0], [2, 0, 0, -1]])
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_equal_subspaces_hash_equal(q):
+    """Equal subspaces built by different routes hash equal, whether the
+    cached hash was taken before or after the others were built, and find
+    each other as dict keys."""
+    rng = random.Random(q)
+    a = canonicalize(q, 4, [[1, 2, 0, 3], [0, 1, 4, 1]])
+    h = hash(a)
+    r0, r1 = a.rows
+    spanned = _span(q, 4, [tuple((x + y) % q for x, y in zip(r0, r1)),
+                           tuple(2 * y % q for y in r1)])
+    met = meet(join(a, canonicalize(q, 4, [[0, 0, 1, 0]])),
+               join(a, canonicalize(q, 4, [[0, 0, 0, 1]])))
+    while True:
+        g = rand_mat(rng, q, 4, 4)
+        if det(g) != 0:
+            break
+    acted = act_on_subspace(g, act_on_subspace(inverse(g), a))
+    same = [a, spanned, met, acted]
+    assert len({id(s) for s in same}) == len(same)
+    other = canonicalize(q, 4, [[1, 0, 0, 0], [0, 1, 0, 0]])
+    for s in same:
+        assert s == a and hash(s) == h
+        assert {s: 1}.get(other) is None
+        table = {s: "found"}
+        assert all(table.get(t) == "found" for t in same)
+    assert len(set(same)) == 1
