@@ -275,7 +275,7 @@ def orbit(start, gens, q, budget=None):
     return orbit_with_tree(start, gens, cache.tuple, budget)
 
 
-def action_points(gens, spaces, budget=None, memo=None):
+def action_points(gens, spaces, budget=None):
     """Integer points for the action of the matrix group <gens>.
 
     Points come in blocks.  The first holds the vectors reached from the
@@ -286,28 +286,28 @@ def action_points(gens, spaces, budget=None, memo=None):
     is the first block, index maps each space of the later blocks to its
     point, and images[gi] is generator gi as a permutation of all points.
 
-    Every vector image g·v of the first block goes into `memo`, the action
-    memo of ``flags.memo_act`` (a new dict by default) that the subspace
-    orbits then use.  The rows of an isotropic subspace are isotropic
-    vectors, which (Witt) lie in the orbit of e_1 under O_2n, so under
-    O_2n's generators a subspace image costs lookups and one RREF, and no
-    matrix arithmetic.
+    Every vector image g·v of the first block goes into the action memo of
+    ``flags.memo_act`` that the subspace orbits then use, as the block's own
+    tuple, so the memo holds no second copy of it.  The rows of an isotropic
+    subspace are isotropic vectors, which (Witt) lie in the orbit of e_1
+    under O_2n, so under O_2n's generators a subspace image costs lookups
+    and one RREF, and no matrix arithmetic.
     """
     if budget is None:
         budget = _flags.orbit_budget()
-    if memo is None:
-        memo = {}
     m = gens[0].nrows
     vectors = [tuple(int(i == j) for j in range(m)) for i in range(m)]
     at = {v: i for i, v in enumerate(vectors)}
     images = [[] for _ in gens]
+    memo = {}
     for v in vectors:
         for g, img in zip(gens, images):
-            w = memo[(g, v)] = mat_vec(g, v)
+            w = mat_vec(g, v)
             p = at.get(w)
             if p is None:
                 p = at[w] = len(vectors)
                 vectors.append(w)
+            memo[(g, v)] = vectors[p]
             img.append(p)
         if len(vectors) > budget:
             raise Infeasible("orbit budget exceeded")

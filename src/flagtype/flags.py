@@ -15,7 +15,7 @@ the spaces of each dimension on the way.
 
 import os
 
-from .linalg import act_on_subspace, check_field, mat_vec, _span
+from .linalg import act_on_subspace, check_field, image_from_rows, mat_vec
 from .geometry import (is_isotropic, coordinate_subspace, group_generators,
                        gl_generators)
 
@@ -124,20 +124,18 @@ def memo_act(memo, g, s):
     (g, row tuple) -> g·row (a Subspace never equals a tuple, so both kinds
     share one dict).  On a miss, the image of each row of s comes from the
     memo or one ``mat_vec``, and only the RREF of the image rows is left to
-    do; a vector image stored by the caller (``engine.action_points``) is
-    used like one computed here.
+    do (``linalg.image_from_rows``); a vector image stored by the caller
+    (``engine.action_points``) is used like one computed here.
     """
     t = memo.get((g, s))
     if t is None:
-        if g.q != s.q or g.ncols != s.ambient:
-            raise ValueError("field/ambient mismatch in action")
         rows = []
         for r in s.rows:
             w = memo.get((g, r))
             if w is None:
                 w = memo[(g, r)] = mat_vec(g, r)
             rows.append(w)
-        t = memo[(g, s)] = _span(s.q, s.ambient, rows)
+        t = memo[(g, s)] = image_from_rows(g, s, rows)
     return t
 
 

@@ -398,9 +398,15 @@ def _check_pair(a, b):
 
 def act_on_subspace(g, s):
     """Image g·s of a subspace under an invertible matrix (rows transform)."""
+    return image_from_rows(g, s, [mat_vec(g, r) for r in s.rows])
+
+
+def image_from_rows(g, s, rows):
+    """g·s from `rows`, the images g·r of the rows r of s in order, for a
+    caller that has them already (``flags.memo_act``)."""
     if g.q != s.q or g.ncols != s.ambient:
         raise ValueError("field/ambient mismatch in action")
-    return _span(s.q, s.ambient, [mat_vec(g, r) for r in s.rows])
+    return _span(s.q, s.ambient, rows)
 
 
 def complement_basis(inner, outer):

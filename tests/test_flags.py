@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from flagtype.linalg import (Mat, identity, inverse, det, canonicalize,
-                             act_on_subspace)
+                             act_on_subspace, mat_vec)
 from flagtype.geometry import (standard_isotropic, coordinate_subspace,
                                group_generators, random_group_element,
                                random_isotropic, w_element, bruhat_cell)
@@ -189,10 +189,11 @@ def _random_invertible(q, m, rng):
 
 @functools.lru_cache(maxsize=None)
 def _seeded_memo(q, n):
-    """The row memo that action_points fills for O_2n's generators."""
-    memo = {}
-    action_points(group_generators(q, n), [], memo=memo)
-    return memo
+    """The row memo that action_points fills for O_2n's generators: the
+    image of every vector of its first block."""
+    gens = group_generators(q, n)
+    vectors, _, _ = action_points(gens, [])
+    return {(g, v): mat_vec(g, v) for g in gens for v in vectors}
 
 
 @settings(max_examples=80, deadline=None)
