@@ -16,9 +16,9 @@ group and to stabilize what it must stabilize.
 from fractions import Fraction
 import itertools
 
-from .linalg import (Mat, canonicalize, identity, inverse, mat_mul, mat_vec,
-                     transpose, kernel, solve, sc, sc_inv,
-                     complement_basis, combination)
+from .linalg import (Mat, act_on_subspace, canonicalize, identity, inverse,
+                     mat_mul, mat_vec, transpose, kernel, solve, sc, sc_inv,
+                     complement_basis, combination, primitive_root)
 from .geometry import (bar, form, classify_element,
                        NOT_ORTHOGONAL, standard_pair_spaces, is_isotropic)
 from .invariants import ThetaInvariants, BInvariants, theta_and_w, \
@@ -370,7 +370,6 @@ def normalize_pair(u_plus, u_minus, n):
     if classify_element(g, n) == NOT_ORTHOGONAL:
         raise AssertionError("normalize_pair produced a non-orthogonal element")
     su, sm = standard_pair(t, q)
-    from .linalg import act_on_subspace
     if act_on_subspace(g, u_plus) != su or act_on_subspace(g, u_minus) != sm:
         raise AssertionError("normalize_pair postcondition failed")
     return g
@@ -441,9 +440,8 @@ def sp_prime_generators(q, m):
                 v[j] = cj
                 vecs.append(tuple(v))
     gens = []
-    from .geometry import primitive_root as _pr
     for v in vecs:
-        for c in (1, _pr(q)):
+        for c in (1, primitive_root(q)):
             rows = [list(r) for r in identity(q, 2 * m).rows]
             for col in range(2 * m):
                 e = [0] * (2 * m)
@@ -482,10 +480,6 @@ def h15(lay, a, q):
     return Mat(q, rows)
 
 
-def _comparable(bi, bk):
-    return block_precedes(bi, bk)
-
-
 def _tilde_indices(lay, label):
     """All 1..2n indices of the tilde set containing the given plus block."""
     n = lay.n
@@ -503,13 +497,10 @@ def _tilde_indices(lay, label):
     return idxs
 
 
-def _v_block_vectors(lay, labels, q):
-    """The V(b)-basis vectors supported on the given blocks' tilde sets."""
+def _v_block_vectors(lay, support, q):
+    """The V(b)-basis vectors supported on the given 1..2n indices."""
     n = lay.n
     v = representative(lay.b, n, q)
-    support = set()
-    for lbl in labels:
-        support |= _tilde_indices(lay, lbl)
     rows = [r for r in v.rows
             if all(x == 0 or (idx + 1) in support for idx, x in enumerate(r))]
     return canonicalize(q, 2 * n, rows)
@@ -518,12 +509,13 @@ def _v_block_vectors(lay, labels, q):
 def rv_transvection(lay, i, k, mu, q):
     """g_{i,k}(mu): stabilizer transvection for i, k in I+ with block(i) < block(k).
 
-    The element is found by solving for a correction N supported on the two
-    blocks' tilde index sets: column k is pinned to mu e_i, the other I+
-    columns are pinned to zero (except the single compensated column of the
-    exceptional pairs, whose coupled entry is pinned to -mu), and the linear
-    parts of orthogonality plus stabilization of U-, V(b) determine the
-    rest.  The result is then checked exactly.
+    g = 1 + N with N supported on T x T, T the union of the two blocks'
+    tilde index sets.  The I+ columns of N are pinned: column k is mu e_i,
+    the single compensated column of the exceptional pairs holds its coupled
+    entry -mu (+mu is tried too on the mirror half of I_(15)), and the other
+    I+ columns are zero.  The remaining columns of T are solved from the
+    constraint map of `_solve_rv_transvection`, and the result is checked
+    exactly.
     """
     n = lay.n
     mu = sc(q, mu)
@@ -531,158 +523,86 @@ def rv_transvection(lay, i, k, mu, q):
     bk = lay.block_of.get(k)
     if bi is None or bk is None:
         raise ValueError("indices must lie in I+")
-    if not _comparable(bi, bk):
+    if not block_precedes(bi, bk):
         raise ValueError("blocks %s and %s are not comparable (i below k needed)"
                          % (bi, bk))
     pair = (bi, bk)
     if pair in EXCLUDED_PAIRS and pair not in COMPENSATED_PAIRS:
         raise ValueError("pair %r admits no g_{i,k}" % (pair,))
-    comp_col = comp_row = None
+    comp = None
     comp_signs = (1,)
     if pair in COMPENSATED_PAIRS:
         case = COMPENSATED_PAIRS[pair]
         if case == "ii":
-            comp_col, comp_row = bar(lay.eta[8][i], n), bar(lay.kappa[k], n)
+            comp = (bar(lay.kappa[k], n), bar(lay.eta[8][i], n))
         elif case == "iii":
-            comp_col, comp_row = bar(lay.kappa[i], n), bar(lay.eta15[k], n)
+            comp = (bar(lay.eta15[k], n), bar(lay.kappa[i], n))
         else:
-            comp_col, comp_row = bar(lay.eta[8][i], n), bar(lay.eta15[k], n)
-        comp_signs = (1,)
+            comp = (bar(lay.eta15[k], n), bar(lay.eta[8][i], n))
         if case in ("iii", "iv") and k in lay.I[15][lay.b[15] // 2:]:
             # the mirror half of I_(15) carries the opposite sign in V_(15)
             comp_signs = (-1, 1)
     t_set = sorted(_tilde_indices(lay, bi) | _tilde_indices(lay, bk))
-    i_plus = set(lay.block_of)
-    err = None
     for sign in comp_signs:
-        g = _solve_rv_transvection(lay, q, t_set, i_plus, i, k, mu,
-                                   comp_col, comp_row, sign)
+        pinned = {(i, k): mu}
+        if comp is not None:
+            pinned[comp] = -sign * mu
+        g = _solve_rv_transvection(lay, q, t_set, pinned)
         if g is not None:
             return g
-        err = "no R_V transvection found for pair %r" % (pair,)
-    raise AssertionError(err)
+    raise AssertionError("no R_V transvection found for pair %r" % (pair,))
 
 
-def _solve_rv_transvection(lay, q, t_set, i_plus, i, k, mu, comp_col, comp_row,
-                           comp_sign):
+def _solve_rv_transvection(lay, q, t_set, pinned):
+    """1 + N for the correction N on T x T (T = t_set) that equals `pinned`,
+    a {(row, column): value} dict, on the I+ columns of T (zero off it) and
+    satisfies the linear parts of the R_V conditions:
+
+    - orthogonality: N[bar b][a] + N[bar a][b] = 0 for a, b in T;
+    - U- stability: N[r][c] = 0 for a column c in I- and a row r outside it;
+    - V(b) stability: N v reduced modulo the V(b)-basis vectors supported
+      on T is zero, for each such vector v.
+
+    The constraint map is linear in N, so the system's column for an
+    unknown entry is the map at that unit entry, and its right-hand side is
+    minus the map at `pinned`.  The unknowns are the columns of T outside
+    I+ in order, each over the rows of T; `solve` returns the RREF
+    particular solution in that order.  None if the system is inconsistent
+    or 1 + N is not orthogonal.
+    """
     n = lay.n
-    pinned = {}
-    for c in t_set:
-        if c not in i_plus:
-            continue
-        col = {r: sc(q, 0) for r in t_set}
-        if c == k:
-            col[i] = mu
-        elif comp_col is not None and c == comp_col:
-            val = -comp_sign * mu
-            col[comp_row] = val % q if q else val
-        pinned[c] = col
-    free_cols = [c for c in t_set if c not in i_plus]
-    unknowns = []
-    for c in free_cols:
-        for r in t_set:
-            unknowns.append((r, c))
-    uidx = {rc: pos for pos, rc in enumerate(unknowns)}
-
-    def entry(r, c):
-        """(constant, {unknown: coeff}) decomposition of N[r][c]."""
-        if (r, c) in uidx:
-            return sc(q, 0), {(r, c): sc(q, 1)}
-        if c in pinned and r in pinned[c]:
-            return pinned[c][r], {}
-        return sc(q, 0), {}
-
-    eqs = []
-    rhs = []
-    nu = len(unknowns)
-
-    def add_eq(terms, const):
-        row = [sc(q, 0)] * nu
-        for rc, cf in terms.items():
-            row[uidx[rc]] = (row[uidx[rc]] + cf) % q if q else row[uidx[rc]] + cf
-        eqs.append(row)
-        rhs.append(-const % q if q else -const)
-
-    # linearized orthogonality: N[bar b][a] + N[bar a][b] = 0 on T x T
-    for ai in range(len(t_set)):
-        for bj2 in range(ai, len(t_set)):
-            a, b2 = t_set[ai], t_set[bj2]
-            ca, ta = entry(bar(b2, n), a)
-            cb, tb = entry(bar(a, n), b2)
-            terms = dict(ta)
-            for rc, cf in tb.items():
-                terms[rc] = (terms.get(rc, sc(q, 0)) + cf) % q if q \
-                    else terms.get(rc, sc(q, 0)) + cf
-            add_eq(terms, (ca + cb) % q if q else ca + cb)
-    # U- stability: columns at I- positions keep rows inside I-
     t = lay.theta
     i_minus = set(range(1, t.a0 + 1)) | \
         set(range(t.a0 + t.a_plus + 1, t.d + 1)) | \
         set(range(t.d_prime + 1, t.d_prime + t.a1 + 1))
-    for c in free_cols:
-        if c in i_minus:
-            for r in t_set:
-                if r not in i_minus:
-                    cst, terms = entry(r, c)
-                    add_eq(terms, cst)
-    # V stability: N v must fall back into V for block-supported V-vectors
-    bi = lay.block_of[i]
-    bk = lay.block_of[k]
-    vloc = _v_block_vectors(lay, {bi, bk}, q)
-    for vvec in vloc.rows:
-        img = {}
-        for r in t_set:
-            cst_total, terms_total = sc(q, 0), {}
-            for c in t_set:
-                vc = vvec[c - 1]
-                if vc == 0:
-                    continue
-                cst, terms = entry(r, c)
-                cst_total = (cst_total + vc * cst) % q if q else cst_total + vc * cst
-                for rc, cf in terms.items():
-                    add_v = (vc * cf) % q if q else vc * cf
-                    terms_total[rc] = (terms_total.get(rc, sc(q, 0)) + add_v) % q \
-                        if q else terms_total.get(rc, sc(q, 0)) + add_v
-            img[r] = (cst_total, terms_total)
-        # reduce the symbolic image against the local V-basis (RREF rows)
-        work = dict(img)
-        for vrow in vloc.rows:
-            pivot = next(idx + 1 for idx, x in enumerate(vrow) if x != 0)
-            if pivot not in work:
-                continue
-            pc, pt = work[pivot]
-            for r in t_set:
-                coeff = vrow[r - 1]
-                if coeff == 0:
-                    continue
-                cst, terms = work.get(r, (sc(q, 0), {}))
-                ncst = (cst - coeff * pc) % q if q else cst - coeff * pc
-                nterms = dict(terms)
-                for rc, cf in pt.items():
-                    sub = (coeff * cf) % q if q else coeff * cf
-                    nterms[rc] = (nterms.get(rc, sc(q, 0)) - sub) % q if q \
-                        else nterms.get(rc, sc(q, 0)) - sub
-                work[r] = (ncst, nterms)
-        for r, (cst, terms) in work.items():
-            if terms or cst != 0:
-                add_eq(terms, cst)
+    free_cols = [c for c in t_set if c not in lay.block_of]
+    unknowns = [(r, c) for c in free_cols for r in t_set]
+    u_minus_cells = [(r, c) for c in free_cols if c in i_minus
+                     for r in t_set if r not in i_minus]
+    vloc = _v_block_vectors(lay, set(t_set), q)
 
-    sol = solve(Mat(q, eqs), rhs) if nu else tuple()
-    if sol is None and any(rhs):
-        return None
+    def constraints(entries):
+        out = [entries.get((bar(b, n), a), 0) + entries.get((bar(a, n), b), 0)
+               for a, b in itertools.combinations_with_replacement(t_set, 2)]
+        out += [entries.get(rc, 0) for rc in u_minus_cells]
+        for v in vloc.rows:
+            w = [0] * (2 * n)
+            for (r, c), x in entries.items():
+                w[r - 1] += x * v[c - 1]
+            for row, p in zip(vloc.rows, vloc.pivots):
+                f = w[p]
+                if f:
+                    w = [y - f * z for y, z in zip(w, row)]
+            out += [w[r - 1] for r in t_set]
+        return out
+
+    system = Mat(q, zip(*[constraints({u: 1}) for u in unknowns]))
+    sol = solve(system, [sc(q, -x) for x in constraints(pinned)])
     if sol is None:
-        sol = tuple()
-    rows = [list(r) for r in identity(q, 2 * n).rows]
-    for c in t_set:
-        for r in t_set:
-            cst, terms = entry(r, c)
-            val = cst
-            for rc, cf in terms.items():
-                val = (val + cf * sol[uidx[rc]]) % q if q else val + cf * sol[uidx[rc]]
-            if val != 0:
-                rows[r - 1][c - 1] = (rows[r - 1][c - 1] + val) % q if q \
-                    else rows[r - 1][c - 1] + val
-    g = Mat(q, rows)
+        return None
+    correction = {**dict(zip(unknowns, sol)), **pinned}
+    g = Mat(q, [[int(r == c) + correction.get((r, c), 0)
+                 for c in range(1, 2 * n + 1)] for r in range(1, 2 * n + 1)])
     if classify_element(g, n) == NOT_ORTHOGONAL:
         return None
     return g
@@ -739,7 +659,7 @@ def eliminate(lay, k, support, q):
         resid.sort(key=lambda t: (lay.block_of[t[0]] in ("15", "12b"), t[0]))
         i, c = resid[0]
         bi = lay.block_of[i]
-        mu = (-c) % q if q else -c
+        mu = sc(q, -c)
         if (bi, bk) in EXCLUDED_PAIRS and (bi, bk) not in COMPENSATED_PAIRS:
             # reach the column through a compensated element read backwards;
             # the mirror half of I_(15) flips the compensating sign, so try
@@ -754,8 +674,7 @@ def eliminate(lay, k, support, q):
                 raise ValueError("pair (%s, %s) not handled" % (bi, bk))
             f = None
             for nu in (c, mu):
-                cand = rv_transvection(lay, args[0], args[1],
-                                       nu if q == 0 else nu % q, q)
+                cand = rv_transvection(lay, args[0], args[1], nu, q)
                 if mat_vec(cand, vec)[i - 1] == 0:
                     f = cand
                     break
@@ -792,7 +711,6 @@ def rv_generator(lay, kind, q, **params):
 
 def check_rv_membership(lay, g, q):
     """g in G, g U+_std = U+_std, g U-_std = U-_std, g V(b) = V(b)."""
-    from .linalg import act_on_subspace
     n = lay.n
     t = lay.theta
     if classify_element(g, n) == NOT_ORTHOGONAL:

@@ -35,6 +35,8 @@ from .perm import StabChain, inv, mul, orbits
 
 MATERIALIZE_CAP = 500_000
 GENLIST_CAP = 20_000
+# products of at most this many tuples get the direct census
+DIRECT_LIMIT = 200_000
 
 
 INFEASIBLE = "Infeasible"
@@ -499,25 +501,23 @@ def census_direct(tuples, gens, n, q, descriptor="", memo=None):
     return OrbitCensus(descriptor, q, len(reps), sizes, reps, sigs, len(tuples))
 
 
-def census_product(component_spaces, gens, n, q, descriptor="",
-                   direct_limit=200_000, budget=None, memo=None):
+def census_product(component_spaces, gens, n, q, descriptor="", memo=None):
     """Census of a product of component chain-spaces under <gens>.
 
-    Small products use the direct census; larger ones descend through the
-    components, one Schreier-Sims stabilizer chain per representative with
-    a nontrivial orbit.  Orbit sizes multiply along the descent, which is
-    exact by orbit-stabilizer.
+    Products of at most DIRECT_LIMIT tuples use the direct census; larger
+    ones descend through the components, one Schreier-Sims stabilizer chain
+    per representative with a nontrivial orbit.  Orbit sizes multiply along
+    the descent, which is exact by orbit-stabilizer.
     """
     total = 1
     for cs in component_spaces:
         total *= len(cs)
-    if total <= direct_limit:
+    if total <= DIRECT_LIMIT:
         tuples = [()]
         for cs in component_spaces:
             tuples = [t + (c,) for t in tuples for c in cs]
         return census_direct(tuples, gens, n, q, descriptor, memo)
-    if budget is None:
-        budget = _flags.orbit_budget()
+    budget = _flags.orbit_budget()
     # fix big components first
     perm = sorted(range(len(component_spaces)),
                   key=lambda i: -max(s.dim for ch in component_spaces[i][:1]
@@ -575,8 +575,7 @@ def _descend_census(levels, gens, order, degree, depth, prefix, size_acc,
                         size, leaves, budget, std)
 
 
-def census_space(n, q, comps, gens, isotropic=True, descriptor="",
-                 direct_limit=200_000, budget=None):
+def census_space(n, q, comps, gens):
     """Census of M_{c1} x ... x M_{ck} over GF(q) under <gens>.
 
     The enumeration and the census share one action memo, so images under
@@ -586,10 +585,7 @@ def census_space(n, q, comps, gens, isotropic=True, descriptor="",
     enumerated = {}
     for c in comps:
         if c not in enumerated:
-            enumerated[c] = _flags.enumerate_chains(q, n, c,
-                                                    isotropic=isotropic,
-                                                    memo=memo)
+            enumerated[c] = _flags.enumerate_chains(q, n, c, memo=memo)
     spaces = [enumerated[c] for c in comps]
-    desc = descriptor or "n=%d %s" % (n, "|".join(str(c.parts) for c in comps))
-    return census_product(spaces, gens, n, q, desc, direct_limit, budget,
-                          memo)
+    desc = "n=%d %s" % (n, "|".join(str(c.parts) for c in comps))
+    return census_product(spaces, gens, n, q, desc, memo)

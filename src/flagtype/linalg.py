@@ -122,13 +122,12 @@ def mat_mul(a, b):
     if a.q != b.q or a.ncols != b.nrows:
         raise ValueError("shape/field mismatch in mat_mul")
     q = a.q
-    bt = tuple(zip(*b.rows)) if b.rows else ()
     if q:
+        bt = tuple(zip(*b.rows)) if b.rows else ()
         out = tuple(tuple(sum(map(int.__mul__, ra, cb)) % q for cb in bt)
                     for ra in a.rows)
     else:
-        out = tuple(tuple(sum(x * y for x, y in zip(ra, cb)) for cb in bt)
-                    for ra in a.rows)
+        out = tuple(_rational_row_times(ra, b.rows, b.ncols) for ra in a.rows)
     return Mat.raw(q, out)
 
 
@@ -136,7 +135,25 @@ def mat_vec(a, v):
     q = a.q
     if q:
         return tuple([sum(map(mul, ra, v)) % q for ra in a.rows])
-    return tuple([sum(map(mul, ra, v)) for ra in a.rows])
+    support = [(j, y) for j, y in enumerate(v) if y]
+    return tuple([sum([ra[j] * y for j, y in support if ra[j]], Fraction(0))
+                  for ra in a.rows])
+
+
+def _rational_row_times(ra, b_rows, width):
+    """The row vector ra times the matrix with rows b_rows, over Q.
+
+    Zero entries are skipped: a Fraction product costs far more than a zero
+    test, and the matrices met over Q (group elements, near-identity
+    stabilizer elements) are sparse.
+    """
+    out = [Fraction(0)] * width
+    for x, rb in zip(ra, b_rows):
+        if x:
+            for k, y in enumerate(rb):
+                if y:
+                    out[k] += x * y
+    return tuple(out)
 
 
 def combination(q, coeffs, rows, ambient):

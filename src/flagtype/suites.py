@@ -8,7 +8,7 @@ The CLI command `flagtype verify --suite NAME` runs one of them and exits
 import math
 import random
 
-from .linalg import Mat, act_on_subspace, identity, mat_mul
+from .linalg import Mat, act_on_subspace, identity, mat_mul, meet
 from .geometry import (group_generators, so_generators, parabolic_generators,
                        standard_isotropic, random_isotropic,
                        random_group_element, group_order, sp_order,
@@ -16,12 +16,12 @@ from .geometry import (group_generators, so_generators, parabolic_generators,
                        primitive_root)
 from .flags import (Composition, enumerate_chains, enumerate_chains_ambient,
                     flag_count)
-from .invariants import b_invariants, verify_relations
+from .invariants import BInvariants, b_invariants, verify_relations
 from .canonical import (enumerate_thetas, enumerate_valid_b, standard_pair,
                         representative, IndexLayout, rv_generator,
                         sp_prime_generators, in_sp_prime, eliminate,
-                        PLUS_BLOCKS, EXCLUDED_PAIRS, COMPENSATED_PAIRS,
-                        block_precedes, normalize_pair)
+                        check_rv_membership, PLUS_BLOCKS, EXCLUDED_PAIRS,
+                        COMPENSATED_PAIRS, block_precedes, normalize_pair)
 from .engine import (action_points, census_direct, census_space, close_group,
                      index_spaces)
 from .perm import StabChain, orbits
@@ -105,7 +105,6 @@ def suite_roundtrip(n_max=4, q=3):
 
 def full_blocks_layout(q=5):
     """The smallest layout with every block populated (b_j = 1, b15 = 2)."""
-    from .invariants import BInvariants
     b = BInvariants([1] * 14 + [2])
     lay = IndexLayout(22, b)
     return lay
@@ -162,7 +161,6 @@ def suite_rv_generators(q=5, seed=11):
             pass
     checks.append(("inadmissible pairs rejected", ok_ex, ""))
     ok_e = True
-    from .canonical import check_rv_membership
     for trial in range(12):
         kind = rng.choice(["6b", "8b", "12b"])
         k = rng.choice(lay.plus[kind])
@@ -222,7 +220,6 @@ def suite_bruhat(ns=(2, 3), qs=(3, 5)):
 
 
 def _dim_meet_u0(v, n):
-    from .linalg import meet
     return meet(v, standard_isotropic(v.q, n, 0)).dim
 
 

@@ -1,9 +1,10 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from flagtype.linalg import Mat, canonicalize, identity, mat_mul, \
-    act_on_subspace
+    act_on_subspace, sc
 from flagtype.geometry import (standard_isotropic, random_isotropic,
                                random_group_element, is_isotropic,
                                classify_element, NOT_ORTHOGONAL)
@@ -15,7 +16,7 @@ from flagtype.canonical import (IndexLayout, standard_pair, representative,
                                 check_rv_membership, sp_prime_generators,
                                 in_sp_prime, sp_form_matrix, PLUS_BLOCKS,
                                 EXCLUDED_PAIRS, COMPENSATED_PAIRS,
-                                block_precedes)
+                                block_precedes, _tilde_indices)
 from flagtype.suites import full_blocks_layout
 
 
@@ -116,10 +117,12 @@ def test_rv_generator_identity_cases():
     assert rv_generator(lay, "g", q, i=i, k=k, mu=0) == identity(q, 2 * lay.n)
 
 
-def test_rv_generator_block_pairs():
-    q = 5
+@pytest.mark.parametrize("q", [0, 3, 5])
+def test_rv_generator_block_pairs(q):
     rng = random.Random(1)
     lay = full_blocks_layout(q)
+    n = lay.n
+    one = identity(q, 2 * n)
     count = 0
     for bi in PLUS_BLOCKS:
         for bk in PLUS_BLOCKS:
@@ -131,8 +134,19 @@ def test_rv_generator_block_pairs():
                     rv_generator(lay, "g", q, i=lay.plus[bi][0],
                                  k=lay.plus[bk][0], mu=1)
                 continue
-            rv_generator(lay, "g", q, i=lay.plus[bi][0], k=lay.plus[bk][0],
-                         mu=rng.randrange(1, q))
+            i, k = lay.plus[bi][0], lay.plus[bk][0]
+            mu = rng.randrange(1, q) if q else Fraction(rng.randrange(1, 7), 3)
+            g = rv_generator(lay, "g", q, i=i, k=k, mu=mu)
+            # g e_k = e_k + mu e_i, and g - 1 lives on the blocks' tilde sets
+            want = [sc(q, 0)] * (2 * n)
+            want[k - 1] = sc(q, 1)
+            want[i - 1] = sc(q, mu)
+            assert [row[k - 1] for row in g.rows] == want
+            t_set = _tilde_indices(lay, bi) | _tilde_indices(lay, bk)
+            assert all(r in t_set and c in t_set
+                       for r in range(1, 2 * n + 1)
+                       for c in range(1, 2 * n + 1)
+                       if g.rows[r - 1][c - 1] != one.rows[r - 1][c - 1])
             count += 1
     assert count >= 30
     # non-comparable pair is rejected

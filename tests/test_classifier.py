@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from flagtype.flags import Composition
+from flagtype.flags import Composition, flag_count
 from flagtype.classifier import (classify, theorem17_match, normalize_triple,
                                  gates_fired, sq_free_cover, FINITE, INFINITE,
                                  IFF_SQ, EMPIRICAL, Verdict)
@@ -127,3 +127,40 @@ def test_input_validation():
         classify(3, [(2,), (2,), (2,)], "sometimes")
     with pytest.raises(ValueError):
         classify(3, [])
+
+
+def _compositions(n):
+    """Every composition with sum at most n."""
+    return [(p,) + rest for p in range(1, n + 1)
+            for rest in [()] + _compositions(n - p)]
+
+
+def _flag_dim(n, parts):
+    """dim M_c = n(n-1) - sum c_i(c_i-1)/2 - r(r-1), r = n - sum c_i."""
+    r = n - sum(parts)
+    return n * (n - 1) - sum(c * (c - 1) // 2 for c in parts) - r * (r - 1)
+
+
+@pytest.mark.parametrize("n, above", [(2, 0), (3, 28), (4, 441), (5, 4479)])
+def test_dimension_count(n, above):
+    """A product of dimension above dim O_2n = n(2n-1) has infinitely many
+    orbits over an infinite field: no Finite or square-class verdict may
+    exceed it, and from n = 4 on every triple above it is Infinite."""
+    comps = _compositions(n)
+    # |M_c(F_Q)| is a polynomial in Q of degree dim M_c, with leading
+    # coefficient 2 when the flag ends in a maximal isotropic space (the
+    # two families) and 1 otherwise
+    big_q = 10 ** 6
+    for c in comps:
+        lead = 2 if sum(c) == n else 1
+        assert flag_count(big_q, n, Composition(c)) // \
+            big_q ** _flag_dim(n, c) == lead, c
+    statuses = []
+    for tri in itertools.combinations_with_replacement(comps, 3):
+        if sum(_flag_dim(n, c) for c in tri) > n * (2 * n - 1):
+            status = classify(n, tri).status
+            assert status not in (FINITE, IFF_SQ), (tri, status)
+            statuses.append(status)
+    assert len(statuses) == above
+    if n >= 4:
+        assert set(statuses) == {INFINITE}

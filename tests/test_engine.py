@@ -15,7 +15,7 @@ from flagtype.engine import (orbit, same_orbit, census_direct, census_space,
                              Infeasible, tuple_key, SAME, DIFFERENT,
                              INFEASIBLE, order_bound, action_points)
 from flagtype.invariants import b_invariants
-from flagtype import suites
+from flagtype import engine, suites
 from flagtype.suites import CENSUS_PLAN
 
 
@@ -273,7 +273,7 @@ def sizes_by_signature(cen):
 
 @pytest.mark.parametrize("kind", [parabolic_generators, so_generators,
                                   group_generators])
-def test_descent_matches_direct_census(kind):
+def test_descent_matches_direct_census(kind, monkeypatch):
     """The stabilizer-chain descent against the direct census, under P, SO
     and G; representatives may differ, so orbits are compared by size and
     signature."""
@@ -282,7 +282,9 @@ def test_descent_matches_direct_census(kind):
     for _, comps, _ in [e for e in CENSUS_PLAN if e[0] == n]:
         spaces = [enumerate_chains(q, n, Composition(c)) for c in comps]
         direct = census_product(spaces, gens, n, q)
-        descent = census_product(spaces, gens, n, q, direct_limit=0)
+        with monkeypatch.context() as m:
+            m.setattr(engine, "DIRECT_LIMIT", 0)
+            descent = census_product(spaces, gens, n, q)
         assert descent.orbit_count == direct.orbit_count
         assert sorted(descent.orbit_sizes) == sorted(direct.orbit_sizes)
         assert sorted(zip(descent.signatures, descent.orbit_sizes)) == \
