@@ -114,6 +114,14 @@ class IndexLayout:
         if set(self.block_of) != i_plus:
             raise AssertionError("plus blocks do not partition I+")
         self._check_tilde_partition()
+        self._reps = {}
+
+    def representative(self, q):
+        """V(b) over GF(q) (q=0: Q), built once per layout and field."""
+        v = self._reps.get(q)
+        if v is None:
+            v = self._reps[q] = representative(self.b, self.n, q)
+        return v
 
     def _check_tilde_partition(self):
         used = []
@@ -500,7 +508,7 @@ def _tilde_indices(lay, label):
 def _v_block_vectors(lay, support, q):
     """The V(b)-basis vectors supported on the given 1..2n indices."""
     n = lay.n
-    v = representative(lay.b, n, q)
+    v = lay.representative(q)
     rows = [r for r in v.rows
             if all(x == 0 or (idx + 1) in support for idx, x in enumerate(r))]
     return canonicalize(q, 2 * n, rows)
@@ -716,7 +724,7 @@ def check_rv_membership(lay, g, q):
     if classify_element(g, n) == NOT_ORTHOGONAL:
         raise AssertionError("element is not orthogonal")
     su, sm = standard_pair(t, q)
-    v = representative(lay.b, n, q)
+    v = lay.representative(q)
     if act_on_subspace(g, su) != su:
         raise AssertionError("element moves U+_std")
     if act_on_subspace(g, sm) != sm:

@@ -217,7 +217,6 @@ def normalize_triple(comps):
     out = []
     for perm in permutations(range(3)):
         a, b, c = (comps[i] for i in perm)
-        n_hint = max(sum(x.parts) for x in comps)
         notes = []
         if len(a.parts) == 1:
             notes.append("a-single")

@@ -2,8 +2,10 @@
 witness, census, verify, report.
 
 Exit codes: 0 pass, 1 verification failure, 2 usage error, 3 infeasible.
-FLAGTYPE_BUDGET caps the orbit members of enumerations and orbit searches;
-a run that exceeds it is infeasible.
+FLAGTYPE_BUDGET caps the orbit members of enumerations and orbit searches.
+Every run that exceeds it raises ``Infeasible``, and ``main`` alone turns
+that into exit 3 with one ``infeasible:`` line on stderr; ``verify`` first
+writes its ``--out`` store with the suite marked infeasible.
 """
 
 import argparse
@@ -14,10 +16,10 @@ import sys
 from .linalg import canonicalize, check_field
 from .geometry import (group_generators, so_generators, parabolic_generators,
                        is_isotropic)
-from .flags import Composition, BudgetExceeded
+from .flags import Composition, Infeasible
 from .invariants import b_invariants, theta, BInvariants
 from .canonical import IndexLayout, representative, normalize_pair
-from .engine import census_space, Infeasible
+from .engine import census_space
 from .witnesses import (FAMILIES, build, family_classes, equivariance_check,
                         separation_check)
 from .classifier import classify
@@ -27,6 +29,9 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_INFEASIBLE = 3
+
+GENERATORS = {"G": group_generators, "SO": so_generators,
+              "P": parabolic_generators}
 
 
 class UsageError(Exception):
@@ -226,16 +231,15 @@ def cmd_witness(args):
                 cert = equivariance_check(args.family, lam, c, q, n)
                 rows.append({"lam": lam, "c": c, "ok": cert["ok"],
                              "target": cert.get("target")})
-        verdictish = "equivariance table"
-        try:
+        if fam.separable_at(n):
             classes, _ = family_classes(args.family, q, n, lambdas=lambdas)
             verdictish = "classes: %r" % (classes,)
-        except Infeasible:
+        else:
             verdictish = "separation infeasible (by design)"
         payload = {"family": args.family, "q": q, "n": n,
                    "certificates": rows, "classes": verdictish}
     else:
-        if not fam.separable or n > fam.n_min:
+        if not fam.separable_at(n):
             payload = {"family": args.family, "q": q, "n": n,
                        "separation": "Infeasible (construction-only family)"}
             build(args.family, n, domain[0], q)
@@ -286,14 +290,7 @@ def cmd_census(args):
             c.check(n)
         except ValueError as exc:
             raise UsageError(str(exc))
-    kind = {"G": group_generators, "SO": so_generators,
-            "P": parabolic_generators}[args.group]
-    gens = kind(q, n)
-    try:
-        cen = census_space(n, q, comps, gens)
-    except Infeasible as exc:
-        print("Infeasible: %s" % exc)
-        return EXIT_INFEASIBLE
+    cen = census_space(n, q, comps, GENERATORS[args.group](q, n))
     payload = cen.to_json(n)
     if args.csv:
         print("descriptor,q,orbit_count,total,sizes")
@@ -320,10 +317,9 @@ def cmd_verify(args):
         try:
             res = fn()
         except Infeasible as exc:
-            print("suite %s: INFEASIBLE (%s)" % (name, exc))
             summary[name] = {"ok": False, "infeasible": str(exc)}
             _write_store(args, summary)
-            return EXIT_INFEASIBLE
+            raise Infeasible("suite %s: %s" % (name, exc)) from exc
         summary[name] = res
         for label, ok, detail in res["checks"]:
             print("[%s] %-55s %s" % ("PASS" if ok else "FAIL", label,
@@ -334,9 +330,7 @@ def cmd_verify(args):
 
 
 def cmd_generators(args):
-    kind = {"G": group_generators, "SO": so_generators,
-            "P": parabolic_generators}[args.group]
-    gens = kind(args.q, args.n)
+    gens = GENERATORS[args.group](args.q, args.n)
     payload = {"n": args.n, "q": args.q, "group": args.group,
                "generators": [[list(r) for r in g.rows] for g in gens]}
     print(json.dumps(payload))
@@ -433,7 +427,7 @@ def make_parser():
     c.add_argument("--n", type=int, required=True)
     c.add_argument("--q", type=int, required=True)
     c.add_argument("--space", required=True, help='e.g. "(3)|(1)|(3)"')
-    c.add_argument("--group", default="G", choices=["G", "SO", "P"])
+    c.add_argument("--group", default="G", choices=list(GENERATORS))
     c.add_argument("--csv", action="store_true")
     c.add_argument("--out")
     c.set_defaults(fn=cmd_census)
@@ -448,7 +442,7 @@ def make_parser():
                        help="export validated generator sets as JSON")
     c.add_argument("--n", type=int, required=True)
     c.add_argument("--q", type=int, required=True)
-    c.add_argument("--group", default="G", choices=["G", "SO", "P"])
+    c.add_argument("--group", default="G", choices=list(GENERATORS))
     c.add_argument("--out")
     c.set_defaults(fn=cmd_generators)
 
@@ -469,10 +463,6 @@ def main(argv=None):
     except UsageError as exc:
         print("usage error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
-    except (Infeasible, BudgetExceeded) as exc:
+    except Infeasible as exc:
         print("infeasible: %s" % exc, file=sys.stderr)
         return EXIT_INFEASIBLE
-
-
-if __name__ == "__main__":
-    sys.exit(main())

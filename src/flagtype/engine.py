@@ -1,7 +1,9 @@
 """Exact orbit computation over GF(q): BFS orbits with word recovery,
 same-orbit decisions with connecting elements, and orbit censuses.
 
-Everything here is exact; large jobs either finish or report Infeasible.
+Everything here is exact; large jobs either finish or raise Infeasible
+(``flags.Infeasible``, re-exported here), whose budget each public call
+reads once from ``flags.orbit_budget``.
 Orbit and stabilizer work runs on integers: the spaces involved are indexed
 once, every generator becomes a permutation of the points, and stabilizers
 come from a Schreier-Sims chain (``perm.StabChain``) whose base begins at
@@ -30,6 +32,7 @@ from .linalg import (Mat, identity, inverse, mat_mul, mat_vec,
 from .geometry import (group_order, perp, coordinate_subspace,
                        classify_element, NOT_ORTHOGONAL, IN_SO)
 from . import flags as _flags
+from .flags import Infeasible
 from .perm import StabChain, inv, mul, orbits
 
 
@@ -39,13 +42,9 @@ GENLIST_CAP = 20_000
 DIRECT_LIMIT = 200_000
 
 
-INFEASIBLE = "Infeasible"
+INFEASIBLE = "Infeasible"  # a separation not run by design (witnesses)
 SAME = "Yes"
 DIFFERENT = "No"
-
-
-class Infeasible(Exception):
-    pass
 
 
 class ActionCache:
@@ -271,13 +270,13 @@ def signature(ft, n):
     return tuple(sig)
 
 
-def orbit(start, gens, q, budget=None):
+def orbit(start, gens, q):
     """Orbit of a FlagTuple with a spanning tree of generator words."""
     cache = ActionCache(gens)
-    return orbit_with_tree(start, gens, cache.tuple, budget)
+    return orbit_with_tree(start, gens, cache.tuple)
 
 
-def action_points(gens, spaces, budget=None):
+def action_points(gens, spaces):
     """Integer points for the action of the matrix group <gens>.
 
     Points come in blocks.  The first holds the vectors reached from the
@@ -295,8 +294,7 @@ def action_points(gens, spaces, budget=None):
     under O_2n, so under O_2n's generators a subspace image costs lookups
     and one RREF, and no matrix arithmetic.
     """
-    if budget is None:
-        budget = _flags.orbit_budget()
+    budget = _flags.orbit_budget()
     m = gens[0].nrows
     vectors = [tuple(int(i == j) for j in range(m)) for i in range(m)]
     at = {v: i for i, v in enumerate(vectors)}
@@ -312,15 +310,12 @@ def action_points(gens, spaces, budget=None):
             memo[(g, v)] = vectors[p]
             img.append(p)
         if len(vectors) > budget:
-            raise Infeasible("orbit budget exceeded")
+            raise Infeasible.over_budget(len(vectors), budget)
     index = {}
     for s in spaces:
         if s in index:
             continue
-        try:
-            members, perms = _flags.subspace_orbit(s, gens, memo, budget)
-        except _flags.BudgetExceeded as exc:
-            raise Infeasible(str(exc))
+        members, perms = _flags.subspace_orbit(s, gens, memo)
         offset = len(vectors) + len(index)
         index.update((t, offset + i) for i, t in enumerate(members))
         for img, p in zip(images, perms):
@@ -346,8 +341,9 @@ def order_bound(gens, n):
     return group_order(gens[0].q, n) // (2 if verdicts == {IN_SO} else 1)
 
 
-def same_orbit(x, y, gens, n, q, budget=None):
-    """Exact same-orbit decision; returns (verdict, connecting element|None).
+def same_orbit(x, y, gens, n, q):
+    """Exact same-orbit decision; returns (verdict, connecting element|None)
+    with verdict SAME or DIFFERENT, and raises Infeasible past the budget.
 
     One stabilizer chain of <gens> has a base beginning with the points of
     x's subspaces, largest first.  y's points are sifted through those
@@ -362,10 +358,7 @@ def same_orbit(x, y, gens, n, q, budget=None):
         return DIFFERENT, None
     fx = [s for ch in x for s in ch]
     fy = [s for ch in y for s in ch]
-    try:
-        vectors, index, images = action_points(gens, fx, budget)
-    except Infeasible:
-        return INFEASIBLE, None
+    vectors, index, images = action_points(gens, fx)
     # base point (a space of x) -> the point of the matching space of y
     target = {}
     for i in sorted(range(len(fx)), key=lambda i: (-fx[i].dim, i)):
@@ -525,13 +518,45 @@ def census_product(component_spaces, gens, n, q, descriptor="", memo=None):
     spaces = [component_spaces[i] for i in perm]
     blocks, slot, images = index_spaces(spaces, gens, memo)
     levels = [blocks[b] for b in slot]
+    degree = blocks[-1][0] + len(blocks[-1][1])
     _, chains0, index0 = levels[0]
     std = index0.get(tuple(coordinate_subspace(q, 2 * n,
                                                range(1, s.dim + 1))
                            for s in chains0[0]))
     leaves = []
-    _descend_census(levels, images, None, blocks[-1][0] + len(blocks[-1][1]),
-                    0, (), 1, leaves, budget, std)
+
+    def descend(gens, order, depth, prefix, size_acc):
+        """Orbits of <gens> (of the given order, None if unknown) on the
+        points of levels[depth], recursing into the stabilizer of each
+        representative.
+
+        Representatives are the smallest point of their orbit, except at
+        depth 0 where the standard chain `std` represents its own orbit.
+        """
+        offset, chains, _ = levels[depth]
+        last = depth == len(levels) - 1
+        for members in orbits(gens, range(offset, offset + len(chains))):
+            if len(members) > budget:
+                raise Infeasible.over_budget(len(members), budget)
+            rep = std if depth == 0 and std in members else min(members)
+            here = prefix + (chains[rep - offset],)
+            size = size_acc * len(members)
+            if last:
+                leaves.append((here, size))
+                continue
+            sub_gens, sub_order = gens, order
+            if len(members) > 1:
+                chain = StabChain(gens, degree, base=(rep,), order=order)
+                if len(chain.orbit[0]) != len(members):
+                    raise AssertionError("basic orbit differs from the orbit")
+                if order is not None and chain.order() != order:
+                    raise AssertionError("stabilizer chain does not reach "
+                                         "the telescoped order")
+                order = chain.order()
+                sub_gens, sub_order = chain.stabilizer(), order // len(members)
+            descend(sub_gens, sub_order, depth + 1, here, size)
+
+    descend(images, None, 0, (), 1)
     inv = [perm.index(i) for i in range(len(perm))]
     reps, sizes, sigs = [], [], []
     for rep, size in sorted(leaves, key=lambda t: tuple_key(t[0])):
@@ -540,39 +565,6 @@ def census_product(component_spaces, gens, n, q, descriptor="", memo=None):
         sizes.append(size)
         sigs.append(signature(rep, n))
     return OrbitCensus(descriptor, q, len(reps), sizes, reps, sigs, total)
-
-
-def _descend_census(levels, gens, order, degree, depth, prefix, size_acc,
-                    leaves, budget, std):
-    """Orbits of <gens> (of the given order, None if unknown) on the points
-    of levels[depth], recursing into the stabilizer of each representative.
-
-    Representatives are the smallest point of their orbit, except at depth
-    0 where the standard chain `std` represents its own orbit.
-    """
-    offset, chains, _ = levels[depth]
-    last = depth == len(levels) - 1
-    for members in orbits(gens, range(offset, offset + len(chains))):
-        if len(members) > budget:
-            raise Infeasible("orbit budget exceeded")
-        rep = std if depth == 0 and std in members else min(members)
-        here = prefix + (chains[rep - offset],)
-        size = size_acc * len(members)
-        if last:
-            leaves.append((here, size))
-            continue
-        sub_gens, sub_order = gens, order
-        if len(members) > 1:
-            chain = StabChain(gens, degree, base=(rep,), order=order)
-            if len(chain.orbit[0]) != len(members):
-                raise AssertionError("basic orbit differs from the orbit")
-            if order is not None and chain.order() != order:
-                raise AssertionError("stabilizer chain does not reach the "
-                                     "telescoped order")
-            order = chain.order()
-            sub_gens, sub_order = chain.stabilizer(), order // len(members)
-        _descend_census(levels, sub_gens, sub_order, degree, depth + 1, here,
-                        size, leaves, budget, std)
 
 
 def census_space(n, q, comps, gens):

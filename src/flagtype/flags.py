@@ -6,11 +6,12 @@ orbit engine keys on.
 
 Enumeration works over GF(q) as an orbit: by Witt's theorem O_2n is
 transitive on the isotropic flags of one type, and GL_m on the flags of one
-type in F_q^m (``isotropic=False``, which is what the GL-flag spot checks of
-the appendix formula use), so M_comp is the orbit of the standard flag of
-initial coordinate spaces.  The one budget of the package
-(FLAGTYPE_BUDGET, ``orbit_budget``) counts orbit members: here flags, and
-the spaces of each dimension on the way.
+type in F_q^m (``enumerate_chains_ambient`` without ``iso_n``, which is what
+the GL-flag spot checks of the appendix formula use), so M_comp is the orbit
+of the standard flag of initial coordinate spaces.  The one budget of the
+package (FLAGTYPE_BUDGET, ``orbit_budget``, read once per public call)
+counts orbit members: here flags, and the spaces of each dimension on the
+way.  Every overrun raises ``Infeasible``, on which the CLI exits 3.
 """
 
 import os
@@ -23,11 +24,12 @@ from .geometry import (is_isotropic, coordinate_subspace, group_generators,
 DEFAULT_ORBIT_BUDGET = 10 ** 8
 
 
-class BudgetExceeded(Exception):
-    def __init__(self, projected, budget):
-        self.projected = projected
-        self.budget = budget
-        super().__init__("orbit budget exceeded: %r > %r" % (projected, budget))
+class Infeasible(Exception):
+    """A computation past the budget (or a cap), or not run by design."""
+
+    @classmethod
+    def over_budget(cls, size, allowed):
+        return cls("orbit budget exceeded: %r > %r" % (size, allowed))
 
 
 def orbit_budget():
@@ -139,9 +141,10 @@ def memo_act(memo, g, s):
     return t
 
 
-def subspace_orbit(start, gens, memo, budget):
+def subspace_orbit(start, gens, memo):
     """Orbit of a subspace, sorted by rows, with each generator as a
     permutation of it."""
+    budget = orbit_budget()
     seen = {start}
     orbit = [start]
     for s in orbit:
@@ -151,25 +154,18 @@ def subspace_orbit(start, gens, memo, budget):
                 seen.add(t)
                 orbit.append(t)
         if len(orbit) > budget:
-            raise BudgetExceeded(len(orbit), budget)
+            raise Infeasible.over_budget(len(orbit), budget)
     orbit.sort(key=lambda s: s.rows)
     pos = {s: i for i, s in enumerate(orbit)}
     return orbit, [tuple(pos[memo[(g, s)]] for s in orbit) for g in gens]
 
 
-def enumerate_chains(q, n, comp, isotropic=True, budget=None, memo=None):
-    """All flags of M_comp over GF(q), each exactly once, sorted by rows.
-
-    With isotropic=False this enumerates plain GL-flags of F_q^{2n}; the
-    appendix spot checks call it with the ambient reinterpreted as F_q^m via
-    ``ambient`` below.
-    """
-    return enumerate_chains_ambient(q, 2 * n, comp, n if isotropic else None,
-                                    budget, memo)
+def enumerate_chains(q, n, comp, memo=None):
+    """All flags of M_comp over GF(q), each exactly once, sorted by rows."""
+    return enumerate_chains_ambient(q, 2 * n, comp, n, memo)
 
 
-def enumerate_chains_ambient(q, ambient, comp, iso_n=None, budget=None,
-                             memo=None):
+def enumerate_chains_ambient(q, ambient, comp, iso_n=None, memo=None):
     """Flag enumeration in F_q^ambient; isotropy enforced iff iso_n is set.
 
     The flags are the orbit of the standard flag U_[d1] < ... < U_[dk] under
@@ -183,8 +179,7 @@ def enumerate_chains_ambient(q, ambient, comp, iso_n=None, budget=None,
     check_field(q)
     if not q:
         raise ValueError("flag enumeration needs a finite field")
-    if budget is None:
-        budget = orbit_budget()
+    budget = orbit_budget()
     if memo is None:
         memo = {}
     if iso_n is not None:
@@ -196,7 +191,7 @@ def enumerate_chains_ambient(q, ambient, comp, iso_n=None, budget=None,
         gens = gl_generators(q, ambient)
     standard = [coordinate_subspace(q, ambient, range(1, d + 1))
                 for d in comp.dims]
-    levels = [subspace_orbit(s, gens, memo, budget) for s in standard]
+    levels = [subspace_orbit(s, gens, memo) for s in standard]
     spaces = [orbit for orbit, _ in levels]
     moves = list(zip(*[perms for _, perms in levels]))
     start = tuple(orbit.index(s) for orbit, s in zip(spaces, standard))
@@ -211,15 +206,9 @@ def enumerate_chains_ambient(q, ambient, comp, iso_n=None, budget=None,
                     seen.add(img)
                     nxt.append(img)
         if len(seen) > budget:
-            raise BudgetExceeded(len(seen), budget)
+            raise Infeasible.over_budget(len(seen), budget)
         frontier = nxt
     return [tuple(sp[x] for sp, x in zip(spaces, ch)) for ch in sorted(seen)]
-
-
-def enumerate_subspaces(q, ambient, dim, iso_n=None, budget=None):
-    """All dim-dimensional (isotropic) subspaces, via the chain enumerator."""
-    return [ch[0] for ch in
-            enumerate_chains_ambient(q, ambient, Composition([dim]), iso_n, budget)]
 
 
 def tuple_to_json(ft, n, q):

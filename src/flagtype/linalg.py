@@ -271,7 +271,7 @@ class Subspace:
 
     __slots__ = ("q", "ambient", "rows", "pivots", "_hash")
 
-    def __init__(self, q, ambient, rows, pivots, _raw=True):
+    def __init__(self, q, ambient, rows, pivots):
         # use canonicalize() to build from arbitrary spanning rows
         self.q = q
         self.ambient = ambient

@@ -103,17 +103,15 @@ def suite_roundtrip(n_max=4, q=3):
     return _suite("roundtrip", checks)
 
 
-def full_blocks_layout(q=5):
+def full_blocks_layout():
     """The smallest layout with every block populated (b_j = 1, b15 = 2)."""
-    b = BInvariants([1] * 14 + [2])
-    lay = IndexLayout(22, b)
-    return lay
+    return IndexLayout(22, BInvariants([1] * 14 + [2]))
 
 
 def suite_rv_generators(q=5, seed=11):
     """Membership battery for every generator kind at the full-blocks layout."""
     rng = random.Random(seed)
-    lay = full_blocks_layout(q)
+    lay = full_blocks_layout()
     checks = []
     ok_h = True
     for j in range(1, 15):

@@ -17,9 +17,8 @@ from fractions import Fraction
 
 from .linalg import Mat, canonicalize, sc, sc_inv
 from .geometry import group_generators, ell, classify_element, NOT_ORTHOGONAL
-from .flags import Composition, validate_tuple, act
-from .engine import (action_points, order_bound, Infeasible, INFEASIBLE,
-                     SAME, same_orbit)
+from .flags import Composition, Infeasible, validate_tuple, act
+from .engine import action_points, order_bound, INFEASIBLE, SAME, same_orbit
 from .perm import StabChain, orbits
 
 
@@ -54,7 +53,7 @@ class WitnessFamily:
                                     # space = list of vectors = [(idx,coeff)..]
         self.domain = domain        # "F" or "Fx"
         self.relation = relation    # "equality" | "lam~1-lam" | "square-class"
-        self.separable = separable  # ambient families where BFS separation runs
+        self.separable = separable  # families whose separation is computed
         self.phi = phi
         self.lambda_ne_one_when_padded = lambda_ne_one_when_padded
         self.equivariance = equivariance  # diag pattern builder or None
@@ -64,6 +63,11 @@ class WitnessFamily:
         if self.lambda_ne_one_when_padded and n > self.n_min:
             vals = [v for v in vals if v % q != 1]
         return vals
+
+    def separable_at(self, n):
+        """Whether separation runs at n: for separable families, and not
+        once padding embeds them in a larger space (n > n_min)."""
+        return self.separable and n <= self.n_min
 
 
 def _phi_generic(h):
@@ -301,31 +305,35 @@ def equivariance_check(family_id, lam, c, q, n=None):
 # separation
 
 
-def separation_check(family_id, lam, mu, q, n=None, budget=None):
-    """Exact verdict for m_lambda ~ m_mu: (verdict, connecting g or None)."""
+def separation_check(family_id, lam, mu, q, n=None):
+    """Exact verdict for m_lambda ~ m_mu: (verdict, connecting g or None).
+
+    The verdict is INFEASIBLE, by design, where the family is not separable
+    at n; a run past the budget raises Infeasible.
+    """
     fam = FAMILIES[family_id]
     if n is None:
         n = fam.n_min
-    if not fam.separable or n > fam.n_min:
+    if not fam.separable_at(n):
         return INFEASIBLE, None
     x = build(family_id, n, lam, q)
     y = build(family_id, n, mu, q)
-    return same_orbit(x, y, group_generators(q, n), n, q, budget)
+    return same_orbit(x, y, group_generators(q, n), n, q)
 
 
-def family_classes(family_id, q, n=None, lambdas=None, budget=None):
+def family_classes(family_id, q, n=None, lambdas=None):
     """Exact orbit classes among {m_lambda}.
 
     The lambda-independent components are the base of one stabilizer chain
     of O_2n; the one moving component of each m_lambda is then classed by
     the orbits of the next level, the stabilizer of those components.
-    Returns (classes, certificates) where classes is a list of lists of
-    lambda values.
+    Returns (classes, None), where classes is a list of lists of lambda
+    values; the second item is always None.
     """
     fam = FAMILIES[family_id]
     if n is None:
         n = fam.n_min
-    if not fam.separable or n > fam.n_min:
+    if not fam.separable_at(n):
         raise Infeasible("separation disabled for %s at n=%d" % (family_id, n))
     if lambdas is None:
         lambdas = fam.lambda_domain(q, n)
@@ -343,7 +351,7 @@ def family_classes(family_id, q, n=None, lambdas=None, budget=None):
     fixed = [ref[i] for i in sorted(shared, key=lambda i: (-ref[i].dim, i))]
     points = [flat[lam][moving[0]] for lam in lambdas]
     gens = group_generators(q, n)
-    _, index, images = action_points(gens, fixed + points, budget)
+    _, index, images = action_points(gens, fixed + points)
     base = list(dict.fromkeys(index[s] for s in fixed))
     chain = StabChain(images, len(images[0]), base=base,
                       order=order_bound(gens, n))

@@ -35,7 +35,7 @@ def test_standard_pair_examples():
 
 
 def test_layout_partitions():
-    lay = full_blocks_layout(5)
+    lay = full_blocks_layout()
     # plus blocks partition I+ and tilde sets partition 1..2n (asserted in
     # the constructor); spot-check the audit dump shape
     audit = lay.audit()
@@ -108,7 +108,7 @@ def test_normalize_pair_rational():
 
 def test_rv_generator_identity_cases():
     q = 5
-    lay = full_blocks_layout(q)
+    lay = full_blocks_layout()
     for j in (1, 7, 12, 14):
         g = rv_generator(lay, "h", q, j=j, A=identity(q, lay.b[j]))
         assert g == identity(q, 2 * lay.n)
@@ -120,7 +120,7 @@ def test_rv_generator_identity_cases():
 @pytest.mark.parametrize("q", [0, 3, 5])
 def test_rv_generator_block_pairs(q):
     rng = random.Random(1)
-    lay = full_blocks_layout(q)
+    lay = full_blocks_layout()
     n = lay.n
     one = identity(q, 2 * n)
     count = 0
@@ -159,7 +159,7 @@ def test_compensated_action_matches_citation():
     # case (ii): g e_k = e_k + mu e_i and g e_{bar eta8(i)} picks up
     # -mu e_{bar kappa(k)}
     q = 5
-    lay = full_blocks_layout(q)
+    lay = full_blocks_layout()
     n = lay.n
     i = lay.I[8][0]
     k = lay.I[12][0]
@@ -181,7 +181,7 @@ def test_compensated_action_matches_citation():
 
 def test_h15_and_sp_membership():
     q = 5
-    lay = full_blocks_layout(q)
+    lay = full_blocks_layout()
     m = lay.b[15] // 2
     om = sp_form_matrix(q, m)
     gens = sp_prime_generators(q, m)
@@ -201,7 +201,7 @@ def test_h15_and_sp_membership():
 
 def test_eliminate_cases():
     q = 5
-    lay = full_blocks_layout(q)
+    lay = full_blocks_layout()
     k = lay.plus["6b"][0]
     assert eliminate(lay, k, {}, q) == identity(q, 2 * lay.n)
     g = eliminate(lay, k, {lay.plus["1"][0]: 3}, q)

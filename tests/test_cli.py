@@ -149,9 +149,41 @@ def test_usage_errors(capsys, argv):
     _assert_usage_error(capsys, argv)
 
 
-def test_budget_overrun_is_infeasible(capsys, monkeypatch):
-    monkeypatch.setenv("FLAGTYPE_BUDGET", "100")
-    code, out, err = run(capsys, "census", "--n", "3", "--q", "5",
-                         "--space", "(3)|(1)")
+def _assert_infeasible(capsys, argv):
+    code, out, err = run(capsys, *argv)
     assert code == 3 and out == ""
     assert err.startswith("infeasible: ") and err.count("\n") == 1
+
+
+def test_budget_overrun_is_infeasible(capsys, monkeypatch):
+    monkeypatch.setenv("FLAGTYPE_BUDGET", "100")
+    _assert_infeasible(capsys, ["census", "--n", "3", "--q", "5",
+                                "--space", "(3)|(1)"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["witness", "--family", "O6_L322_sq", "--q", "3"],
+    ["witness", "--family", "O6_L32p", "--q", "5", "--pair", "2,4"],
+])
+def test_witness_budget_overrun_is_infeasible(capsys, monkeypatch, argv):
+    monkeypatch.setenv("FLAGTYPE_BUDGET", "50")
+    _assert_infeasible(capsys, argv)
+
+
+def test_witness_separation_infeasible_by_design(capsys):
+    code, out, _ = run(capsys, "witness", "--family", "O10_L323_sq",
+                       "--q", "3")
+    assert code == 0
+    assert json.loads(out)["classes"] == "separation infeasible (by design)"
+
+
+def test_verify_budget_overrun_writes_store(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("FLAGTYPE_BUDGET", "50")
+    store = os.path.join(tmp_path, "bruhat.json")
+    code, _, err = run(capsys, "verify", "--suite", "bruhat", "--out", store)
+    assert code == 3
+    assert err.startswith("infeasible: suite bruhat: ")
+    assert err.count("\n") == 1
+    data = json.load(open(store))
+    assert data["bruhat"]["ok"] is False
+    assert data["bruhat"]["infeasible"].startswith("orbit budget exceeded")

@@ -8,12 +8,13 @@ from flagtype.geometry import (standard_isotropic, group_generators,
                                group_order, random_group_element,
                                coordinate_subspace, w_element,
                                classify_element, IN_O_MINUS_SO, is_isotropic)
+from flagtype import flags
 from flagtype.flags import Composition, enumerate_chains, act
 from flagtype.engine import (orbit, same_orbit, census_direct, census_space,
                              census_product, signature, path_element,
                              close_group, schreier_descend, StabLevel,
                              Infeasible, tuple_key, SAME, DIFFERENT,
-                             INFEASIBLE, order_bound, action_points)
+                             order_bound, action_points)
 from flagtype.invariants import b_invariants
 from flagtype import engine, suites
 from flagtype.suites import CENSUS_PLAN
@@ -110,12 +111,15 @@ def test_same_orbit_of_line_plane_pairs(kind):
                         else SAME]
 
 
-def test_same_orbit_checks_generators_and_budget():
+def test_same_orbit_checks_generators_and_budget(monkeypatch):
     n, q = 2, 3
     x = ((standard_isotropic(q, n, 0),),)
     y = ((standard_isotropic(q, n, 1),),)
     gens = group_generators(q, n)
-    assert same_orbit(x, y, gens, n, q, budget=5) == (INFEASIBLE, None)
+    monkeypatch.setenv("FLAGTYPE_BUDGET", "5")
+    with pytest.raises(Infeasible, match="orbit budget exceeded"):
+        same_orbit(x, y, gens, n, q)
+    monkeypatch.delenv("FLAGTYPE_BUDGET")
     scale = Mat(q, [[2 if i == j == 0 else int(i == j) for j in range(4)]
                     for i in range(4)])
     with pytest.raises(ValueError):
@@ -256,12 +260,15 @@ def test_schreier_descend_exact():
         assert act_on_subspace(trans[m], pt) == m
 
 
-def test_budget_infeasible():
+def test_budget_infeasible(monkeypatch):
     n, q = 3, 3
     gens = group_generators(q, n)
     start = ((standard_isotropic(q, n, 0),),)
+    monkeypatch.setenv("FLAGTYPE_BUDGET", "5")
+    # the engine re-exports the one exception of the flags module
+    assert Infeasible is flags.Infeasible
     with pytest.raises(Infeasible):
-        orbit(start, gens, q, budget=5)
+        orbit(start, gens, q)
 
 
 def sizes_by_signature(cen):

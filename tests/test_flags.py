@@ -12,8 +12,7 @@ from flagtype.geometry import (standard_isotropic, coordinate_subspace,
                                random_isotropic, w_element, bruhat_cell)
 from flagtype.flags import (Composition, validate, validate_tuple, act,
                             enumerate_chains, enumerate_chains_ambient,
-                            enumerate_subspaces, BudgetExceeded,
-                            tuple_to_json, flag_count, memo_act)
+                            Infeasible, tuple_to_json, flag_count, memo_act)
 from flagtype.engine import action_points
 
 from oracles import isotropic_subspaces
@@ -48,11 +47,17 @@ def test_validate_examples():
     assert msg is None
 
 
+def _subspaces(q, ambient, dim, iso_n):
+    """All dim-dimensional isotropic subspaces, via the chain enumerator."""
+    return [ch[0] for ch in
+            enumerate_chains_ambient(q, ambient, Composition([dim]), iso_n)]
+
+
 def test_enumeration_counts_against_oracle():
     # naive all-subspaces-filtered oracle at n = 2
     for q in (3, 5):
         for dim in (1, 2):
-            mine = enumerate_subspaces(q, 4, dim, iso_n=2)
+            mine = _subspaces(q, 4, dim, iso_n=2)
             oracle = isotropic_subspaces(q, 2, dim)
             assert sorted(s.rows for s in mine) == \
                 sorted(s.rows for s in oracle)
@@ -89,7 +94,7 @@ def _flag_count(m, dims, q):
 def test_enumeration_against_oracle_n3():
     q, n = 3, 3
     for dim in (1, 2, 3):
-        mine = enumerate_subspaces(q, 2 * n, dim, iso_n=n)
+        mine = _subspaces(q, 2 * n, dim, iso_n=n)
         oracle = isotropic_subspaces(q, n, dim)
         assert [s.rows for s in mine] == sorted(s.rows for s in oracle)
 
@@ -131,9 +136,10 @@ def test_enumeration_deterministic():
         assert validate(ch, Composition([1, 1]), 2) is None
 
 
-def test_enumeration_budget():
-    with pytest.raises(BudgetExceeded):
-        enumerate_chains(5, 3, Composition([3]), budget=100)
+def test_enumeration_budget(monkeypatch):
+    monkeypatch.setenv("FLAGTYPE_BUDGET", "100")
+    with pytest.raises(Infeasible, match="orbit budget exceeded: 102 > 100"):
+        enumerate_chains(5, 3, Composition([3]))
 
 
 def test_gl_flag_enumeration():
