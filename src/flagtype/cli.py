@@ -240,8 +240,10 @@ def cmd_witness(args):
                    "certificates": rows, "classes": verdictish}
     else:
         if not fam.separable_at(n):
+            why = ("separated at n=%d only" % fam.n_min if fam.separable
+                   else "construction-only family")
             payload = {"family": args.family, "q": q, "n": n,
-                       "separation": "Infeasible (construction-only family)"}
+                       "separation": "Infeasible (%s)" % why}
             build(args.family, n, domain[0], q)
             payload["validates"] = True
         elif args.pair:

@@ -17,12 +17,14 @@ action faithful, so the chain's order is bounded by |O_2n(q)|, or |SO_2n(q)|
 for generators of determinant 1, and a permutation converts back to the
 connecting matrix.
 
-Subspace images go through the action memo of ``flags.memo_act``, which
-holds the image of each (generator, subspace) and of each (generator, row
-vector): a row is multiplied by a generator once, however many subspaces
-contain it, and a subspace image is its rows' images put in RREF.  The
-census fills the memo during enumeration; ``action_points`` fills its row
-part with the vector block's images.
+Subspace orbits (``flags.subspace_orbit``) key their members by their
+projective points: a generator moves each point once, a member's image is
+found by lookups, and only a member met for the first time is put in RREF.
+They share the action memo of ``flags.memo_act``, which holds the image of
+each (generator, subspace) and of each (generator, vector).  The census
+fills the memo during enumeration, and ``index_spaces`` finds every image
+of an enumerated space there; ``action_points`` fills its vector part with
+the vector block's images.
 """
 
 from operator import add
@@ -289,10 +291,10 @@ def action_points(gens, spaces):
 
     Every vector image g·v of the first block goes into the action memo of
     ``flags.memo_act`` that the subspace orbits then use, as the block's own
-    tuple, so the memo holds no second copy of it.  The rows of an isotropic
-    subspace are isotropic vectors, which (Witt) lie in the orbit of e_1
-    under O_2n, so under O_2n's generators a subspace image costs lookups
-    and one RREF, and no matrix arithmetic.
+    tuple, so the memo holds no second copy of it.  The projective points of
+    an isotropic subspace are isotropic vectors, which (Witt) lie in the
+    orbit of e_1 under O_2n, so under O_2n's generators a subspace orbit
+    does no matrix arithmetic: one RREF per member, and lookups.
     """
     budget = _flags.orbit_budget()
     m = gens[0].nrows
@@ -523,12 +525,16 @@ def census_product(component_spaces, gens, n, q, descriptor="", memo=None):
     std = index0.get(tuple(coordinate_subspace(q, 2 * n,
                                                range(1, s.dim + 1))
                            for s in chains0[0]))
+    # the group acts on spaces through <gens>/(<gens> ∩ {±I}), of order at
+    # most |O_2n(q)|/2 (or |SO_2n(q)|/2): -I lies in both groups, so a
+    # subgroup without it has index at least 2
+    root_bound = order_bound(gens, n) // 2
     leaves = []
 
     def descend(gens, order, depth, prefix, size_acc):
-        """Orbits of <gens> (of the given order, None if unknown) on the
-        points of levels[depth], recursing into the stabilizer of each
-        representative.
+        """Orbits of <gens> (of the given order, None if not yet telescoped
+        from a chain above) on the points of levels[depth], recursing into
+        the stabilizer of each representative.
 
         Representatives are the smallest point of their orbit, except at
         depth 0 where the standard chain `std` represents its own orbit.
@@ -546,7 +552,8 @@ def census_product(component_spaces, gens, n, q, descriptor="", memo=None):
                 continue
             sub_gens, sub_order = gens, order
             if len(members) > 1:
-                chain = StabChain(gens, degree, base=(rep,), order=order)
+                chain = StabChain(gens, degree, base=(rep,),
+                                  order=root_bound if order is None else order)
                 if len(chain.orbit[0]) != len(members):
                     raise AssertionError("basic orbit differs from the orbit")
                 if order is not None and chain.order() != order:

@@ -8,15 +8,20 @@ Enumeration works over GF(q) as an orbit: by Witt's theorem O_2n is
 transitive on the isotropic flags of one type, and GL_m on the flags of one
 type in F_q^m (``enumerate_chains_ambient`` without ``iso_n``, which is what
 the GL-flag spot checks of the appendix formula use), so M_comp is the orbit
-of the standard flag of initial coordinate spaces.  The one budget of the
+of the standard flag of initial coordinate spaces.  Each space of the
+standard flag is first replaced by its orbit (``subspace_orbit``), whose
+members are keyed by their projective points, so a generator moves each
+point once and each member costs one RREF.  The one budget of the
 package (FLAGTYPE_BUDGET, ``orbit_budget``, read once per public call)
 counts orbit members: here flags, and the spaces of each dimension on the
 way.  Every overrun raises ``Infeasible``, on which the CLI exits 3.
 """
 
 import os
+from itertools import product
 
-from .linalg import act_on_subspace, check_field, image_from_rows, mat_vec
+from .linalg import (act_on_subspace, check_field, combination,
+                     image_from_rows, inverse_table, mat_vec)
 from .geometry import (is_isotropic, coordinate_subspace, group_generators,
                        gl_generators)
 
@@ -123,11 +128,12 @@ def memo_act(memo, g, s):
     """g·s through memo, equal to ``act_on_subspace(g, s)``.
 
     memo is a dict of images under matrices: (g, subspace) -> g·s and
-    (g, row tuple) -> g·row (a Subspace never equals a tuple, so both kinds
+    (g, vector tuple) -> g·v (a Subspace never equals a tuple, so both kinds
     share one dict).  On a miss, the image of each row of s comes from the
     memo or one ``mat_vec``, and only the RREF of the image rows is left to
-    do (``linalg.image_from_rows``); a vector image stored by the caller
-    (``engine.action_points``) is used like one computed here.
+    do (``linalg.image_from_rows``); an image stored by another caller
+    (``subspace_orbit``, ``engine.action_points``) is used like one
+    computed here.
     """
     t = memo.get((g, s))
     if t is None:
@@ -141,18 +147,65 @@ def memo_act(memo, g, s):
     return t
 
 
+def _projective_points(s):
+    """The nonzero vectors of s with leading entry 1, over GF(q): for the
+    RREF basis r_1..r_k, the combinations r_j + sum_(i>j) c_i r_i."""
+    rows, q = s.rows, s.q
+    return [combination(q, (1,) + coeffs, rows[j:], s.ambient)
+            for j in range(len(rows))
+            for coeffs in product(range(q), repeat=len(rows) - j - 1)]
+
+
 def subspace_orbit(start, gens, memo):
-    """Orbit of a subspace, sorted by rows, with each generator as a
-    permutation of it."""
+    """Orbit of a subspace over GF(q), sorted by rows, with each generator
+    as a permutation of it.
+
+    A member is keyed by the frozenset of the ids of its projective points
+    (``_projective_points``).  Each point's image under each generator is
+    found once, from the (g, vector) entries of the action memo of
+    ``memo_act`` or by one ``mat_vec``, and scaled to leading entry 1; a
+    generator then maps a member's key to its image's key by lookups, and
+    only a member met for the first time is put in RREF.  Every image
+    g·s of a member goes into the memo as ``memo_act`` would store it.
+    """
+    q = start.q
+    if not q:
+        raise ValueError("subspace orbits need a finite field")
     budget = orbit_budget()
-    seen = {start}
-    orbit = [start]
-    for s in orbit:
-        for g in gens:
-            t = memo_act(memo, g, s)
-            if t not in seen:
-                seen.add(t)
+    invs = inverse_table(q)
+    points = _projective_points(start)
+    at = {p: i for i, p in enumerate(points)}
+    images = [[] for _ in gens]
+    key = frozenset(range(len(points)))
+    members = {key: start}
+    orbit, keys = [start], [key]
+    done = 0  # the points whose images are known
+    for s, key in zip(orbit, keys):
+        top = max(key, default=-1) + 1
+        for v in points[done:top]:
+            for g, img in zip(gens, images):
+                w = memo.get((g, v))
+                if w is None:
+                    w = memo[(g, v)] = mat_vec(g, v)
+                lead = next(filter(None, w))
+                if lead != 1:
+                    lead = invs[lead]
+                    w = tuple([x * lead % q for x in w])
+                p = at.get(w)
+                if p is None:
+                    p = at[w] = len(points)
+                    points.append(w)
+                img.append(p)
+        done = max(done, top)
+        for g, img in zip(gens, images):
+            image = frozenset(map(img.__getitem__, key))
+            t = members.get(image)
+            if t is None:
+                t = members[image] = image_from_rows(
+                    g, s, [points[img[at[r]]] for r in s.rows])
                 orbit.append(t)
+                keys.append(image)
+            memo[(g, s)] = t
         if len(orbit) > budget:
             raise Infeasible.over_budget(len(orbit), budget)
     orbit.sort(key=lambda s: s.rows)

@@ -19,6 +19,7 @@ only the b rows are left to reduce.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from operator import mul
 
 
@@ -168,9 +169,49 @@ def transpose(a):
     return Mat.raw(a.q, tuple(zip(*a.rows)) if a.rows else ())
 
 
+@lru_cache(maxsize=None)
+def inverse_table(q):
+    """The inverses in GF(q) by value: entry x is 1/x, entry 0 is 0."""
+    return (0,) + tuple(pow(x, q - 2, q) for x in range(1, q))
+
+
 def _rref_rows(rows, q, ncols):
-    """Row-reduce a list of row tuples; returns (rref rows, pivot columns)."""
+    """Row-reduce a list of row tuples; returns (rref rows, pivot columns).
+
+    Over GF(q) the entries must be field values already.  The first row
+    with a nonzero entry in a column is its pivot row, over either field.
+    """
     rows = [list(r) for r in rows]
+    if not q:
+        return _rref_rational(rows, ncols)
+    invs = inverse_table(q)
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == len(rows):
+            break
+        for i in range(r, len(rows)):
+            if rows[i][c]:
+                break
+        else:
+            continue
+        prow = rows[i]
+        rows[i] = rows[r]
+        if prow[c] != 1:
+            inv = invs[prow[c]]
+            prow = [x * inv % q for x in prow]
+        rows[r] = prow
+        for i, row in enumerate(rows):
+            f = row[c]
+            if f and i != r:
+                rows[i] = [(x - f * y) % q for x, y in zip(row, prow)]
+        pivots.append(c)
+        r += 1
+    return [tuple(rw) for rw in rows[:r]], pivots
+
+
+def _rref_rational(rows, ncols):
+    """``_rref_rows`` over Q, on rows that are lists already."""
     pivots = []
     r = 0
     for c in range(ncols):
@@ -182,18 +223,12 @@ def _rref_rows(rows, q, ncols):
         if pr is None:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
-        inv = sc_inv(q, rows[r][c])
-        if q:
-            rows[r] = [x * inv % q for x in rows[r]]
-        else:
-            rows[r] = [x * inv for x in rows[r]]
+        inv = sc_inv(RATIONAL, rows[r][c])
+        rows[r] = [x * inv for x in rows[r]]
         for i in range(len(rows)):
             if i != r and rows[i][c] != 0:
                 f = rows[i][c]
-                if q:
-                    rows[i] = [(x - f * y) % q for x, y in zip(rows[i], rows[r])]
-                else:
-                    rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1
         if r == len(rows):
@@ -256,7 +291,7 @@ def inverse(m):
 def solve(m, b):
     """One solution x of m·x = b, or None if inconsistent."""
     q = m.q
-    aug = [list(r) + [bv] for r, bv in zip(m.rows, b)]
+    aug = [list(r) + [sc(q, bv)] for r, bv in zip(m.rows, b)]
     rows, pivots = _rref_rows(aug, q, m.ncols)
     x = [sc(q, 0)] * m.ncols
     for r, c in zip(rows, pivots):

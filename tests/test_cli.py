@@ -177,6 +177,18 @@ def test_witness_separation_infeasible_by_design(capsys):
     assert json.loads(out)["classes"] == "separation infeasible (by design)"
 
 
+@pytest.mark.parametrize("family, n, label", [
+    ("O6_L32p", "4", "Infeasible (separated at n=3 only)"),
+    ("O8_L32_i", "4", "Infeasible (construction-only family)"),
+])
+def test_witness_unseparated_label(capsys, family, n, label):
+    code, out, _ = run(capsys, "witness", "--family", family, "--q", "3",
+                       "--n", n)
+    assert code == 0
+    data = json.loads(out)
+    assert data["separation"] == label and data["validates"] is True
+
+
 def test_verify_budget_overrun_writes_store(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("FLAGTYPE_BUDGET", "50")
     store = os.path.join(tmp_path, "bruhat.json")

@@ -1,18 +1,22 @@
 import functools
+import importlib.util
 import itertools
+import os
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from flagtype.linalg import (Mat, identity, inverse, det, canonicalize,
-                             act_on_subspace, mat_vec)
+                             act_on_subspace, mat_vec, _rref_rows)
 from flagtype.geometry import (standard_isotropic, coordinate_subspace,
-                               group_generators, random_group_element,
-                               random_isotropic, w_element, bruhat_cell)
+                               group_generators, gl_generators,
+                               random_group_element, random_isotropic,
+                               w_element, bruhat_cell)
 from flagtype.flags import (Composition, validate, validate_tuple, act,
                             enumerate_chains, enumerate_chains_ambient,
-                            Infeasible, tuple_to_json, flag_count, memo_act)
+                            Infeasible, tuple_to_json, flag_count, memo_act,
+                            subspace_orbit)
 from flagtype.engine import action_points
 
 from oracles import isotropic_subspaces
@@ -245,3 +249,91 @@ def test_memo_act_checks_field_and_ambient():
         memo_act({}, identity(5, 4), s)
     with pytest.raises(ValueError):
         memo_act({}, identity(3, 6), s)
+
+
+@functools.lru_cache(maxsize=None)
+def _generators(kind, q, m):
+    return group_generators(q, m // 2) if kind == "O" else gl_generators(q, m)
+
+
+@functools.lru_cache(maxsize=None)
+def _plain_orbit(kind, q, m, dim):
+    """The orbit of <e_1..e_dim> by a plain BFS through act_on_subspace,
+    as ``subspace_orbit`` returns it: sorted by rows, with each generator
+    as a permutation."""
+    gens = _generators(kind, q, m)
+    start = coordinate_subspace(q, m, range(1, dim + 1))
+    seen, orbit = {start}, [start]
+    for s in orbit:
+        for g in gens:
+            t = act_on_subspace(g, s)
+            if t not in seen:
+                seen.add(t)
+                orbit.append(t)
+    orbit.sort(key=lambda s: s.rows)
+    pos = {s: i for i, s in enumerate(orbit)}
+    return orbit, [tuple(pos[act_on_subspace(g, s)] for s in orbit)
+                   for g in gens]
+
+
+# O_2n on isotropic spaces for n in {2, 3}, GL_m on all spaces for m in {3, 4};
+# isotropic planes at n=3 only at q=3: the plain BFS alone takes 2 s on the
+# 4836 at q=5 and 10 s on the 22800 at q=7
+ORBIT_CASES = ([("O", q, 2 * n, d) for n in (2, 3) for q in (3, 5, 7)
+                for d in range(1, n + 1) if (n, d) != (3, 2) or q == 3]
+               + [("GL", q, m, d) for m in (3, 4) for q in (3, 5)
+                  for d in range(1, m)])
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(ORBIT_CASES), st.integers(0, 10 ** 6))
+def test_subspace_orbit_matches_plain_bfs(case, seed):
+    kind, q, m, dim = case
+    gens = _generators(kind, q, m)
+    want = _plain_orbit(kind, q, m, dim)
+    rng = random.Random(seed)
+    # a random member as the start: the result does not depend on it
+    start = want[0][rng.randrange(len(want[0]))]
+    assert subspace_orbit(start, gens, {}) == want
+    # a memo filled beforehand (point and member images) by the orbit of the
+    # coordinate space of complementary dimension, then, on a second call,
+    # by the first
+    memo = {}
+    top = m // 2 if kind == "O" else m - 1
+    subspace_orbit(coordinate_subspace(q, m, range(1, top + 2 - dim)), gens,
+                   memo)
+    assert subspace_orbit(start, gens, memo) == want
+    assert subspace_orbit(start, gens, memo) == want
+    members, perms = want
+    for g, perm in zip(gens, perms):
+        assert [memo[(g, s)] for s in members] == [members[i] for i in perm]
+
+
+def test_subspace_orbit_rejects_rationals():
+    s = coordinate_subspace(0, 4, [1])
+    with pytest.raises(ValueError, match="finite field"):
+        subspace_orbit(s, [identity(0, 4)], {})
+
+
+def _load_gfp():
+    """The benchmark's independent GF(p) routines, imported from their file."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                        "gfp.py")
+    spec = importlib.util.spec_from_file_location("gfp", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+GFP = _load_gfp()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([3, 5, 7]), st.integers(1, 7), st.data())
+def test_gfp_rref_matches_independent_rref(p, ncols, data):
+    rows = data.draw(st.lists(st.lists(st.integers(0, p - 1), min_size=ncols,
+                                       max_size=ncols), max_size=6))
+    got, pivots = _rref_rows([tuple(r) for r in rows], p, ncols)
+    want = GFP.rref(rows, p)
+    assert tuple(got) == want
+    assert pivots == [r.index(1) for r in want]
