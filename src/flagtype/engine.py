@@ -7,7 +7,10 @@ reads once from ``flags.orbit_budget``.
 Orbit and stabilizer work runs on integers: the spaces involved are indexed
 once, every generator becomes a permutation of the points, and stabilizers
 come from a Schreier-Sims chain (``perm.StabChain``) whose base begins at
-the points to be fixed.
+the points to be fixed.  The chain keeps a Schreier vector per level and
+builds a transversal element only when one is asked for, so its memory
+grows with the basic orbits, not with their product by the number of
+points.
 
 Censuses index the component chain spaces (``index_spaces``); the census
 descent takes each stabilizer from a chain based at the representative, so
@@ -29,8 +32,8 @@ the vector block's images.
 
 from operator import add
 
-from .linalg import (Mat, identity, inverse, mat_mul, mat_vec,
-                     act_on_subspace, meet)
+from .linalg import (Mat, identity, inverse, inverse_table, mat_mul,
+                     mat_vec, act_on_subspace, meet)
 from .geometry import (group_order, perp, coordinate_subspace,
                        classify_element, NOT_ORTHOGONAL, IN_SO)
 from . import flags as _flags
@@ -289,22 +292,33 @@ def action_points(gens, spaces):
     is the first block, index maps each space of the later blocks to its
     point, and images[gi] is generator gi as a permutation of all points.
 
-    Every vector image g·v of the first block goes into the action memo of
-    ``flags.memo_act`` that the subspace orbits then use, as the block's own
-    tuple, so the memo holds no second copy of it.  The projective points of
-    an isotropic subspace are isotropic vectors, which (Witt) lie in the
-    orbit of e_1 under O_2n, so under O_2n's generators a subspace orbit
-    does no matrix arithmetic: one RREF per member, and lookups.
+    Over GF(q) a generator's image of each projective point of the first
+    block costs one ``mat_vec``; the image of a multiple c·v is c times the
+    image of v.  Every vector image g·v of the first block goes into the
+    action memo of ``flags.memo_act`` that the subspace orbits then use, as
+    the block's own tuple, so the memo holds no second copy of it.  The
+    projective points of an isotropic subspace are isotropic vectors, which
+    (Witt) lie in the orbit of e_1 under O_2n, so under O_2n's generators a
+    subspace orbit does no matrix arithmetic: one RREF per member, and
+    lookups.
     """
     budget = _flags.orbit_budget()
-    m = gens[0].nrows
+    m, q = gens[0].nrows, gens[0].q
+    invs = inverse_table(q) if q else None
     vectors = [tuple(int(i == j) for j in range(m)) for i in range(m)]
     at = {v: i for i, v in enumerate(vectors)}
     images = [[] for _ in gens]
     memo = {}
+    point_images = {}  # projective point (leading entry 1) -> its images
     for v in vectors:
-        for g, img in zip(gens, images):
-            w = mat_vec(g, v)
+        lead = next(filter(None, v)) if q else 1
+        unit = v if lead == 1 else tuple([invs[lead] * x % q for x in v])
+        ws = point_images.get(unit)
+        if ws is None:
+            ws = point_images[unit] = [mat_vec(g, unit) for g in gens]
+        for g, img, w in zip(gens, images, ws):
+            if lead != 1:
+                w = tuple([lead * x % q for x in w])
             p = at.get(w)
             if p is None:
                 p = at[w] = len(vectors)
@@ -350,7 +364,8 @@ def same_orbit(x, y, gens, n, q):
     One stabilizer chain of <gens> has a base beginning with the points of
     x's subspaces, largest first.  y's points are sifted through those
     levels: each must lie in its basic orbit, and the product of the
-    inverse transversal elements met carries y to x.
+    transversal elements met (``StabChain.transversal``, built by walking
+    the level's Schreier tree) carries y to x.
     """
     if tuple(len(ch) for ch in x) != tuple(len(ch) for ch in y):
         return DIFFERENT, None
@@ -370,8 +385,8 @@ def same_orbit(x, y, gens, n, q):
     chain = StabChain(images, len(images[0]), base=list(target),
                       order=order_bound(gens, n))
     back = chain.ident
-    for itrans, py in zip(chain.itrans, target.values()):
-        t = itrans.get(back[py])
+    for j, py in enumerate(target.values()):
+        t = chain.transversal(j, back[py])
         if t is None:
             return DIFFERENT, None
         back = mul(back, t)

@@ -166,7 +166,9 @@ def subspace_orbit(start, gens, memo):
     ``memo_act`` or by one ``mat_vec``, and scaled to leading entry 1; a
     generator then maps a member's key to its image's key by lookups, and
     only a member met for the first time is put in RREF.  Every image
-    g·s of a member goes into the memo as ``memo_act`` would store it.
+    g·s of a member goes into the memo as ``memo_act`` would store it.  The
+    search records the discovery index of each image, and the permutations
+    are those indices mapped through the ranks of the sort.
     """
     q = start.q
     if not q:
@@ -177,8 +179,9 @@ def subspace_orbit(start, gens, memo):
     at = {p: i for i, p in enumerate(points)}
     images = [[] for _ in gens]
     key = frozenset(range(len(points)))
-    members = {key: start}
+    members = {key: 0}  # key -> index in discovery order
     orbit, keys = [start], [key]
+    moves = [[] for _ in gens]  # moves[gi][a]: the index of g_gi·orbit[a]
     done = 0  # the points whose images are known
     for s, key in zip(orbit, keys):
         top = max(key, default=-1) + 1
@@ -197,20 +200,24 @@ def subspace_orbit(start, gens, memo):
                     points.append(w)
                 img.append(p)
         done = max(done, top)
-        for g, img in zip(gens, images):
+        for g, img, mv in zip(gens, images, moves):
             image = frozenset(map(img.__getitem__, key))
-            t = members.get(image)
-            if t is None:
-                t = members[image] = image_from_rows(
-                    g, s, [points[img[at[r]]] for r in s.rows])
-                orbit.append(t)
+            a = members.get(image)
+            if a is None:
+                a = members[image] = len(orbit)
+                orbit.append(image_from_rows(
+                    g, s, [points[img[at[r]]] for r in s.rows]))
                 keys.append(image)
-            memo[(g, s)] = t
+            memo[(g, s)] = orbit[a]
+            mv.append(a)
         if len(orbit) > budget:
             raise Infeasible.over_budget(len(orbit), budget)
-    orbit.sort(key=lambda s: s.rows)
-    pos = {s: i for i, s in enumerate(orbit)}
-    return orbit, [tuple(pos[memo[(g, s)]] for s in orbit) for g in gens]
+    order = sorted(range(len(orbit)), key=lambda a: orbit[a].rows)
+    rank = [0] * len(order)
+    for r, a in enumerate(order):
+        rank[a] = r
+    return ([orbit[a] for a in order],
+            [tuple([rank[mv[a]] for a in order]) for mv in moves])
 
 
 def enumerate_chains(q, n, comp, memo=None):

@@ -5,14 +5,24 @@ A permutation is a tuple p with p[x] the image of x.  Products read left to
 right: ``mul(p, r)`` applies p first, then r.
 
 The chain is the base and strong generating set of Sims (1970).  Each level
-keeps its basic orbit with the inverse transversal, which maps each orbit
-point back to the base point; the order of the chain is the product of its
-basic orbit lengths.  Given an upper bound on the group order, a seeded
-random-sift pass runs first (Seress, *Permutation Group Algorithms*, ch. 4;
-random elements by product replacement, Celler et al. 1995) and stops as
-soon as the chain reaches the bound, which certifies it complete.
-Otherwise the deterministic incremental algorithm of Holt-Eick-O'Brien,
-*Handbook of Computational Group Theory*, section 4.4, completes it.
+keeps its basic orbit with a Schreier vector: for each orbit point, the
+label (a strong generator or its inverse) that reaches it and the point it
+comes from.  A transversal element is built on demand by walking the tree
+back to the base point, so a level takes O(|orbit|) memory rather than one
+permutation of all points per orbit point (Seress, *Permutation Group
+Algorithms*, 2003, sections 4.1 and 4.4; Holt-Eick-O'Brien, *Handbook of
+Computational Group Theory*, 2005, section 4.1).  The trees are
+breadth-first, rebuilt whenever a generator joins, which keeps the walks
+short, except at a level with checked Schreier generators: there a tree is
+only extended, since a checked Schreier generator stays checked only while
+the transversal elements it was formed with stay the same.  The order of
+the chain is the product of its basic orbit lengths.
+
+Given an upper bound on the group order, a seeded random-sift pass runs
+first (Seress, ch. 4; random elements by product replacement, Celler et
+al. 1995) and stops as soon as the chain reaches the bound, which
+certifies it complete.  Otherwise the deterministic incremental algorithm
+of Holt-Eick-O'Brien, section 4.4, completes it, one generator at a time.
 """
 
 import random
@@ -74,8 +84,14 @@ class StabChain:
 
     The base begins with `base`.  ``gens[i]`` holds the strong generators
     that fix the first i base points, so ``gens[1]`` generates the
-    stabilizer of ``base[0]``, and ``itrans[i]`` maps each point x of the
-    basic orbit ``orbit[i]`` to an element carrying x to ``base[i]``.
+    stabilizer of ``base[0]``.  ``orbit[i]`` is the basic orbit of
+    ``base[i]`` under ``gens[i]``, spanned by the Schreier tree ``sv[i]``:
+    ``sv[i][y] = (k, x)`` when label k of the level, ``labels[i][k]``, maps
+    x to y, and ``sv[i][base[i]] = None``.  The labels are the strong
+    generators and their inverses, interleaved (label 2d is ``gens[i][d]``,
+    label 2d+1 its inverse, so label k ^ 1 undoes label k), which lets the
+    tree run along both directions of an edge.  ``transversal(i, x)`` walks
+    the tree to build an element carrying x to ``base[i]``.
     `order`, when given, must be an upper bound on the order of <gens>: the
     construction stops once the chain reaches it, and raises AssertionError
     if the chain exceeds it.
@@ -86,17 +102,21 @@ class StabChain:
         self.ident = tuple(range(degree))
         self.base = []
         self.gens = []
-        self.ginvs = []
+        self.labels = []
         self.orbit = []
-        self.itrans = []
+        self.sv = []
         self._done = []
         for b in base:
             self._add_level(b)
         gens = [tuple(g) for g in gens]
         for g in gens:
             # a generator's residue joins level 0 too: the chain's group
-            # holds g only with it
-            self._add_residue(g, 0, 0)
+            # holds g only with it.  Without a bound the chain of the
+            # generators so far is completed first, so that one lying in
+            # their group sifts to the identity and brings no Schreier
+            # generators to check
+            if self._add_residue(g, 0, 0) is not None and order is None:
+                self._complete(None)
         if order is not None:
             self._random_pass(gens, order)
         self._complete(order)
@@ -113,26 +133,52 @@ class StabChain:
         """Strong generators of the stabilizer of the first base point."""
         return list(self.gens[1]) if len(self.gens) > 1 else []
 
+    def transversal(self, j, x):
+        """An element carrying x to ``base[j]``, or None when x is not in
+        the basic orbit ``orbit[j]``."""
+        if x not in self.sv[j]:
+            return None
+        return self._back(j, self.ident, x)
+
     def sift(self, g, level=0):
         """Strip g through the levels from `level` on: (residue, stop level)."""
         base = self.base
         for j in range(level, len(base)):
-            b = base[j]
-            x = g[b]
-            if x != b:
-                t = self.itrans[j].get(x)
-                if t is None:
-                    return g, j
-                g = mul(g, t)
+            x = g[base[j]]
+            if x not in self.sv[j]:
+                return g, j
+            g = self._back(j, g, x)
         return g, len(base)
+
+    def _back(self, j, g, x):
+        """g followed by the tree walk from x back to ``base[j]``."""
+        sv, labels = self.sv[j], self.labels[j]
+        step = sv[x]
+        while step is not None:
+            k, x = step
+            g = mul(g, labels[k ^ 1])
+            step = sv[x]
+        return g
+
+    def _path(self, j, x):
+        """The element carrying ``base[j]`` to x along the tree: the
+        inverse of ``transversal(j, x)``, without inverting."""
+        sv, labels = self.sv[j], self.labels[j]
+        u = self.ident
+        step = sv[x]
+        while step is not None:
+            k, x = step
+            u = mul(labels[k], u)
+            step = sv[x]
+        return u
 
     def _add_level(self, b):
         self.base.append(b)
         self.gens.append([])
-        self.ginvs.append([])
+        self.labels.append([])
         self.orbit.append([b])
-        self.itrans.append({b: self.ident})
-        self._done.append([0])
+        self.sv.append({b: None})
+        self._done.append({})
 
     def _add_residue(self, g, level, lo):
         """Sift g from `level` on; add a nontrivial residue to the levels
@@ -152,30 +198,33 @@ class StabChain:
         gi = inv(g)
         for i in range(lo, hi + 1):
             self.gens[i].append(g)
-            self.ginvs[i].append(gi)
-            self._grow(i, g, gi)
+            self.labels[i] += (g, gi)
+            self._grow(i)
 
-    def _grow(self, i, g, gi):
-        """Close basic orbit i under its generators after g (inverse gi)
-        joined them."""
-        orb, itrans = self.orbit[i], self.itrans[i]
-        old = len(orb)
-        for x in orb[:old]:
-            y = g[x]
-            if y not in itrans:
-                itrans[y] = mul(gi, itrans[x])
-                orb.append(y)
-        pairs = list(zip(self.gens[i], self.ginvs[i]))
-        k = old
-        while k < len(orb):
-            x = orb[k]
-            k += 1
-            for s, si in pairs:
+    def _grow(self, i):
+        """Close basic orbit i under its labels after a generator joined.
+
+        While no Schreier generator of the level has been checked, the tree
+        is rebuilt breadth-first over all labels, which keeps it shallow.
+        Once one has, the tree is only extended: a checked Schreier
+        generator was formed with the transversal elements of its time,
+        and ``_check_level`` counts it as checked for good only because
+        those elements never change (a chain that rebuilds here anyway
+        can stop below its group's order: ``REBUILD_TRAPS`` in the tests).
+        """
+        labels = self.labels[i]
+        if self._done[i]:
+            sv, orb = self.sv[i], self.orbit[i]
+        else:
+            b = self.base[i]
+            sv, orb = {b: None}, [b]
+            self.sv[i], self.orbit[i] = sv, orb
+        for x in orb:
+            for k, s in enumerate(labels):
                 y = s[x]
-                if y not in itrans:
-                    itrans[y] = mul(si, itrans[x])
+                if y not in sv:
+                    sv[y] = (k, x)
                     orb.append(y)
-        self._done[i].extend([0] * (len(orb) - len(self._done[i])))
 
     def _random_pass(self, gens, order):
         """Sift random elements of <gens> (product replacement with an
@@ -216,23 +265,32 @@ class StabChain:
     def _check_level(self, i):
         """Sift the unchecked Schreier generators of level i.
 
-        A pair (orbit point, generator) counts as checked once its Schreier
-        generator lies in the group of the next level's generators: either
-        it sifts to the identity, or its residue has just been added there.
-        Both stay true as the chain grows, since transversals and generator
-        lists only ever gain entries.  Returns the deepest level that gained
-        a generator, or None when level i is closed.
+        ``_done[i][x]`` counts the generators whose Schreier generator at
+        the orbit point x is checked: it lies in the group of the next
+        level's generators, either because it sifts to the identity or
+        because its residue has just been added there.  That stays true as
+        the chain grows, since generator lists only gain entries and a tree
+        with checked generators only gains points (``_grow``).  An edge of
+        the tree between x and s(x), in either direction, gives the
+        identity and is skipped.  Returns the deepest
+        level that gained a generator, or None when level i is closed.
         """
-        orb, itrans = self.orbit[i], self.itrans[i]
+        orb, sv = self.orbit[i], self.sv[i]
         gens, done = self.gens[i], self._done[i]
-        for p, x in enumerate(orb):
-            if done[p] == len(gens):
-                continue
-            u = inv(itrans[x])
-            while done[p] < len(gens):
-                s = gens[done[p]]
-                done[p] += 1
-                h = mul(mul(u, s), itrans[s[x]])
+        for x in orb:
+            d = done.get(x, 0)
+            u = None
+            while d < len(gens):
+                s = gens[d]
+                k = 2 * d
+                d += 1
+                done[x] = d
+                y = s[x]
+                if sv[y] == (k, x) or sv[x] == (k + 1, y):
+                    continue
+                if u is None:
+                    u = self._path(i, x)
+                h = self._back(i, mul(u, s), y)
                 if h == self.ident:
                     continue
                 j = self._add_residue(h, i + 1, i + 1)

@@ -335,7 +335,7 @@ CENSUS_PLAN = [
     (3, [(1,), (1,), (3,)], (3, 5)),
     (3, [(3,), (1,), (3,)], (3, 5)),
     (3, [(3,), (3,), (3,)], (3, 5)),
-    (3, [(1,), (1, 1), (3,)], (3,)),   # q=5 exceeds the desk budget
+    (3, [(1,), (1, 1), (3,)], (3, 5)),
 ]
 
 

@@ -6,7 +6,7 @@ import random
 import pytest
 from sympy.combinatorics import Permutation, PermutationGroup
 
-from flagtype.engine import index_spaces, orbit
+from flagtype.engine import action_points, index_spaces, orbit, order_bound
 from flagtype.geometry import (coordinate_subspace, group_generators,
                                group_order, parabolic_generators,
                                so_generators)
@@ -62,6 +62,31 @@ def test_orbits_against_brute_force():
         assert sorted(x for o in got for x in o) == list(range(degree))
 
 
+def check_schreier_vectors(chain, elements):
+    """Every tree edge is labelled by a permutation that makes it, and the
+    next label undoes that one; transversal(j, x) carries x to base[j] on
+    the basic orbit and is None off it; every element sifts to 1."""
+    for j, b in enumerate(chain.base):
+        sv, labels = chain.sv[j], chain.labels[j]
+        assert len(set(chain.orbit[j])) == len(chain.orbit[j]) == len(sv)
+        assert len(labels) == 2 * len(chain.gens[j])
+        for y, step in sv.items():
+            if step is None:
+                assert y == b
+                continue
+            k, x = step
+            assert labels[k][x] == y
+            assert mul(labels[k], labels[k ^ 1]) == chain.ident
+        for x in range(chain.degree):
+            t = chain.transversal(j, x)
+            if x in sv:
+                assert t[x] == b
+            else:
+                assert t is None
+    for g in elements:
+        assert chain.sift(g)[0] == chain.ident
+
+
 def test_chain_on_random_groups():
     rng = random.Random(7)
     for _ in range(40):
@@ -70,6 +95,7 @@ def test_chain_on_random_groups():
         group = closure(gens, degree)
         chain = StabChain(gens, degree)
         assert chain.order() == len(group) == sympy_group(gens).order()
+        check_schreier_vectors(chain, group)
         assert StabChain(gens, degree, order=2 * len(group)).order() == \
             len(group)
         for g in rng.sample(sorted(group), min(10, len(group))):
@@ -77,11 +103,55 @@ def test_chain_on_random_groups():
         b = rng.randrange(degree)
         based = StabChain(gens, degree, base=(b,), order=len(group))
         assert based.base[0] == b
+        check_schreier_vectors(based, group)
         stab = {g for g in group if g[b] == b}
         sub = StabChain(based.stabilizer(), degree, order=len(stab))
         assert len(stab) * len(based.orbit[0]) == len(group)
         assert all(g[b] == b for g in based.stabilizer())
         assert sub.order() == len(stab)
+
+
+def test_transversals_on_the_o6_vector_action():
+    """The chain of O_6(3) on its 260 isotropic vectors (the first block of
+    action_points), bounded and unbounded; elements are the generators
+    and seeded random words in them."""
+    q, n = 3, 3
+    gens = group_generators(q, n)
+    _, _, images = action_points(gens, [])
+    rng = random.Random(5)
+    words = []
+    for _ in range(30):
+        g = images[0]
+        for _ in range(rng.randrange(1, 12)):
+            g = mul(g, rng.choice(images))
+        words.append(g)
+    for order in (order_bound(gens, n), None):
+        chain = StabChain(images, len(images[0]), order=order)
+        assert chain.order() == group_order(q, n)
+        check_schreier_vectors(chain, list(images) + words)
+
+
+# (generators, base): rebuilding the Schreier tree of a level whose Schreier
+# generators are already checked makes a chain stop below the group's order
+# on the first three, by factors of 2, 3150 and 1081080; the fourth does the
+# same to a chain whose trees use the generators alone, without inverses
+REBUILD_TRAPS = [
+    ([(0, 1, 2, 3, 5, 4, 6, 7, 8, 9), (4, 5, 6, 9, 0, 2, 8, 1, 7, 3),
+      (0, 1, 7, 3, 4, 5, 6, 2, 8, 9), (0, 1, 2, 3, 4, 5, 6, 8, 7, 9)], (5, 0)),
+    ([(8, 2, 9, 5, 7, 10, 0, 6, 1, 3, 4, 11),
+      (0, 1, 2, 3, 4, 7, 6, 5, 8, 9, 10, 11)], (3, 9)),
+    ([(0, 1, 15, 12, 11, 17, 13, 9, 2, 5, 3, 8, 16, 7, 6, 14, 4, 10),
+      (0, 1, 2, 3, 4, 5, 16, 7, 8, 9, 10, 11, 12, 13, 14, 15, 6, 17)], ()),
+    ([(2, 3, 6, 7, 1, 0, 13, 12, 9, 8, 10, 11, 17, 16, 15, 14, 4, 5),
+      (0, 14, 2, 3, 4, 5, 6, 7, 8, 9, 1, 11, 12, 13, 10, 15, 16, 17)],
+     (14, 13)),
+]
+
+
+@pytest.mark.parametrize("gens,base", REBUILD_TRAPS)
+def test_chain_keeps_checked_trees(gens, base):
+    chain = StabChain(gens, len(gens[0]), base=base)
+    assert chain.order() == sympy_group(gens).order()
 
 
 def test_chain_rejects_a_wrong_order():

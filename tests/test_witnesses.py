@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from flagtype.linalg import canonicalize, identity
@@ -127,3 +129,18 @@ def test_family_classes_match_tuple_bfs(q):
 def test_square_class_partition_q3():
     classes, _ = family_classes("O6_L322_sq", 3)
     assert sorted(map(sorted, classes)) == [[1], [2]]
+
+
+def test_family_classes_o6_q5_memory():
+    """The q=5 classes of O6_L32p come from one stabilizer chain whose
+    levels keep Schreier vectors: well under 100 MB of allocations, where
+    one stored permutation of all points per orbit point took about 500 MB.
+    """
+    tracemalloc.start()
+    try:
+        classes, _ = family_classes("O6_L32p", 5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert classes == [[0], [1], [2, 4], [3]]
+    assert peak < 100 * 2 ** 20
