@@ -32,6 +32,7 @@ EXIT_INFEASIBLE = 3
 
 GENERATORS = {"G": group_generators, "SO": so_generators,
               "P": parabolic_generators}
+SQUARE_CLASSES = ("finite", "infinite", "unknown")
 
 
 class UsageError(Exception):
@@ -105,9 +106,28 @@ def _write_store(args, payload):
             json.dump(payload, fh, indent=1, sort_keys=True)
 
 
+def check_n(n):
+    if n < 1:
+        raise UsageError("--n must be at least 1, got %d" % n)
+
+
+def parse_space(text, n):
+    """The compositions of `text`, each checked to fit n."""
+    comps = parse_triple(text)
+    for c in comps:
+        try:
+            c.check(n)
+        except ValueError as exc:
+            raise UsageError(str(exc))
+    return comps
+
+
 def cmd_classify(args):
+    check_n(args.n)
     if args.batch:
-        rows = []
+        # every line is parsed before any is classified, so a bad line
+        # prints nothing
+        jobs = []
         try:
             with open(args.batch) as fh:
                 for line in fh:
@@ -115,22 +135,26 @@ def cmd_classify(args):
                     if not line or line.startswith("#"):
                         continue
                     cells = line.split(";")
-                    comps = parse_triple(cells[0])
                     sq = cells[1].strip() if len(cells) > 1 \
                         else args.square_classes
-                    verdict = classify(args.n, comps, sq)
-                    rows.append({"triple": [list(c.parts) for c in comps],
-                                 "square_classes": sq,
-                                 **verdict.to_json()})
-                    print("%s;%s;%s" % (cells[0], verdict.status,
-                                        " / ".join(verdict.trace)))
+                    if sq not in SQUARE_CLASSES:
+                        raise UsageError("bad square classes %r in %r"
+                                         % (sq, line))
+                    jobs.append((cells[0], parse_space(cells[0], args.n), sq))
         except OSError as exc:
             raise UsageError("batch file: %s" % exc)
+        rows = []
+        for text, comps, sq in jobs:
+            verdict = classify(args.n, comps, sq)
+            rows.append({"triple": [list(c.parts) for c in comps],
+                         "square_classes": sq, **verdict.to_json()})
+            print("%s;%s;%s" % (text, verdict.status,
+                                " / ".join(verdict.trace)))
         _write_store(args, {"n": args.n, "rows": rows})
         return EXIT_OK
     if not args.triple:
         raise UsageError("--triple (or --batch) is required")
-    comps = parse_triple(args.triple)
+    comps = parse_space(args.triple, args.n)
     verdict = classify(args.n, comps, args.square_classes)
     payload = {"n": args.n, "triple": [list(c.parts) for c in comps],
                "square_classes": args.square_classes}
@@ -283,15 +307,9 @@ def cmd_witness(args):
 
 def cmd_census(args):
     n, q = args.n, args.q
-    if n < 1:
-        raise UsageError("--n must be at least 1, got %d" % n)
+    check_n(n)
     check_finite_field(q)
-    comps = parse_triple(args.space)
-    for c in comps:
-        try:
-            c.check(n)
-        except ValueError as exc:
-            raise UsageError(str(exc))
+    comps = parse_space(args.space, n)
     cen = census_space(n, q, comps, GENERATORS[args.group](q, n))
     payload = cen.to_json(n)
     if args.csv:
@@ -382,7 +400,7 @@ def make_parser():
     c.add_argument("--batch",
                    help="file of lines 'triple[;square_classes]'")
     c.add_argument("--square-classes", default="unknown",
-                   choices=["finite", "infinite", "unknown"])
+                   choices=SQUARE_CLASSES)
     c.add_argument("--json", action="store_true")
     c.add_argument("--out")
     c.set_defaults(fn=cmd_classify)

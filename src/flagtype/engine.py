@@ -12,13 +12,18 @@ builds a transversal element only when one is asked for, so its memory
 grows with the basic orbits, not with their product by the number of
 points.
 
-Censuses index the component chain spaces (``index_spaces``); the census
-descent takes each stabilizer from a chain based at the representative, so
-no group order is assumed.  Same-orbit decisions and the witness classes
-index vectors and subspaces (``action_points``): the vectors make the
-action faithful, so the chain's order is bounded by |O_2n(q)|, or |SO_2n(q)|
-for generators of determinant 1, and a permutation converts back to the
-connecting matrix.
+Censuses index the component chain spaces (``index_spaces``).  A small
+product gets the code census (``census_codes``): a tuple is the
+mixed-radix integer of its components' positions, in tuple_key order, each
+generator is a permutation of range(total) built from one weight list per
+component, and only the smallest code of each orbit is decoded into a
+tuple.  A larger one gets the descent, which takes each stabilizer from a
+chain based at the representative, so no group order is assumed.
+
+Same-orbit decisions and the witness classes index vectors and subspaces
+(``action_points``): the vectors make the action faithful, so the chain's
+order is bounded by |O_2n(q)|, or |SO_2n(q)| for generators of determinant
+1, and a permutation converts back to the connecting matrix.
 
 Subspace orbits (``flags.subspace_orbit``) key their members by their
 projective points: a generator moves each point once, a member's image is
@@ -29,8 +34,6 @@ fills the memo during enumeration, and ``index_spaces`` finds every image
 of an enumerated space there; ``action_points`` fills its vector part with
 the vector block's images.
 """
-
-from operator import add
 
 from .linalg import (Mat, identity, inverse, inverse_table, mat_mul,
                      mat_vec, act_on_subspace, meet)
@@ -462,59 +465,69 @@ def index_spaces(spaces, gens, memo=None):
     return blocks, slot, [tuple(img) for img in images]
 
 
-def _mixed_codes(columns, weights):
-    """sum_j weights[j][columns[j][i]] for every i."""
-    acc = list(map(weights[0].__getitem__, columns[0]))
-    for col, w in zip(columns[1:], weights[1:]):
-        acc = list(map(add, acc, map(w.__getitem__, col)))
-    return acc
+def census_codes(spaces, gens, n, q, descriptor="", memo=None):
+    """Orbit census of the product of the chain spaces `spaces` under <gens>.
+
+    A tuple is coded by the mixed-radix integer sum_j d_j * stride_j of its
+    components' positions d_j in their chain_key order, component 0 most
+    significant, so code order is tuple_key order.  A generator moves the
+    codes through one weight list per component, the orbits run on
+    range(total), and only each orbit's smallest code is decoded into the
+    tuple that represents it.  Orbits come in the order of their smallest
+    code.
+    """
+    blocks, slot, images = index_spaces(spaces, gens, memo)
+    levels = [blocks[b] for b in slot]
+    strides, total = [], 1
+    for _, chains, _ in reversed(levels):
+        strides.insert(0, total)
+        total *= len(chains)
+    moves = []
+    for img in images:
+        acc = [0]
+        for (offset, chains, _), stride in zip(levels, strides):
+            w = [(img[offset + x] - offset) * stride
+                 for x in range(len(chains))]
+            acc = [a + b for a in acc for b in w]
+        moves.append(acc)
+    reps, sizes, sigs = [], [], []
+    for members in orbits(moves, range(total)):
+        code, rep = members[0], []
+        for _, chains, _ in reversed(levels):
+            code, d = divmod(code, len(chains))
+            rep.append(chains[d])
+        rep = tuple(reversed(rep))
+        reps.append(rep)
+        sizes.append(len(members))
+        sigs.append(signature(rep, n))
+    return OrbitCensus(descriptor, q, len(reps), sizes, reps, sigs, total)
 
 
 def census_direct(tuples, gens, n, q, descriptor="", memo=None):
     """Orbit census of an explicit FlagTuple list under the generators.
 
-    A tuple is coded by the mixed-radix integer of its components' points,
-    so code order is tuple_key order; the orbits are found on positions in
-    the list, each generator acting through the code of the image tuple.
+    The list must be the full product of its columns' distinct chains, each
+    tuple once (ValueError otherwise); the census is that of the product
+    (``census_codes``), so orbits come in the order of their smallest
+    tuple_key, whatever the order of the list.
     """
     if not tuples:
         return OrbitCensus(descriptor, q, 0, [], [], [], 0)
-    k = len(tuples[0])
-    blocks, slot, images = index_spaces(
-        [{t[j] for t in tuples} for j in range(k)], gens, memo)
-    columns, strides, stride = [], [], 1
-    for j in reversed(range(k)):
-        offset, chains, index = blocks[slot[j]]
-        columns.append([index[t[j]] - offset for t in tuples])
-        strides.append((offset, len(chains), stride))
-        stride *= len(chains)
-    codes = _mixed_codes(columns, [range(0, size * st, st)
-                                   for _, size, st in strides])
-    position = dict(zip(codes, range(len(tuples))))
-    if len(position) != len(tuples):
-        raise ValueError("census space contains duplicates")
-    moves = []
-    for img in images:
-        weights = [[(img[offset + x] - offset) * st for x in range(size)]
-                   for offset, size, st in strides]
-        try:
-            moves.append(list(map(position.__getitem__,
-                                  _mixed_codes(columns, weights))))
-        except KeyError:
-            raise AssertionError("census space not closed under the action")
-    reps, sizes, sigs = [], [], []
-    for members in orbits(moves, range(len(tuples))):
-        rep = tuples[min(members, key=codes.__getitem__)]
-        reps.append(rep)
-        sizes.append(len(members))
-        sigs.append(signature(rep, n))
-    return OrbitCensus(descriptor, q, len(reps), sizes, reps, sigs, len(tuples))
+    columns = [{t[j] for t in tuples} for j in range(len(tuples[0]))]
+    total = 1
+    for col in columns:
+        total *= len(col)
+    if not len(tuples) == len(set(tuples)) == total:
+        raise ValueError("census tuples are not a full product of distinct "
+                         "chains")
+    return census_codes(columns, gens, n, q, descriptor, memo)
 
 
 def census_product(component_spaces, gens, n, q, descriptor="", memo=None):
     """Census of a product of component chain-spaces under <gens>.
 
-    Products of at most DIRECT_LIMIT tuples use the direct census; larger
+    Products of at most DIRECT_LIMIT tuples get the code census
+    (``census_codes``), which never builds the product's tuples; larger
     ones descend through the components, one Schreier-Sims stabilizer chain
     per representative with a nontrivial orbit.  Orbit sizes multiply along
     the descent, which is exact by orbit-stabilizer.
@@ -523,10 +536,7 @@ def census_product(component_spaces, gens, n, q, descriptor="", memo=None):
     for cs in component_spaces:
         total *= len(cs)
     if total <= DIRECT_LIMIT:
-        tuples = [()]
-        for cs in component_spaces:
-            tuples = [t + (c,) for t in tuples for c in cs]
-        return census_direct(tuples, gens, n, q, descriptor, memo)
+        return census_codes(component_spaces, gens, n, q, descriptor, memo)
     budget = _flags.orbit_budget()
     # fix big components first
     perm = sorted(range(len(component_spaces)),

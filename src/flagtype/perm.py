@@ -59,21 +59,24 @@ def orbits(images, points):
 
     images: one sequence per generator mapping each point to its image.
     Each orbit is returned as the list of its points in discovery order,
-    beginning with its smallest point; orbits come in the order of their
-    smallest points, which is the order of `points` when that is ascending.
+    beginning with its first point in `points`; orbits come in that order.
+    When `points` is ascending, each orbit begins with its smallest point.
+    With no generators every point is its own orbit.
     """
-    seen = set()
+    if not images:
+        return [[x] for x in points]
+    seen = bytearray(len(images[0]))
     out = []
     for start in points:
-        if start in seen:
+        if seen[start]:
             continue
-        seen.add(start)
+        seen[start] = 1
         orb = [start]
         for x in orb:
             for img in images:
                 y = img[x]
-                if y not in seen:
-                    seen.add(y)
+                if not seen[y]:
+                    seen[y] = 1
                     orb.append(y)
         out.append(orb)
     return out

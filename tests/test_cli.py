@@ -128,6 +128,18 @@ USAGE_ERRORS = [
     ["normalize", "--n", "3", "--q", "3", "--u-plus", "[1,0]",
      "--u-minus", E1],
     ["--jobs", "2", "classify", "--n", "4", "--triple", "(4)|(4)|(4)"],
+    ["classify", "--n", "2", "--triple", "(3)|(1)|(1)"],
+    ["classify", "--n", "2", "--triple", "(1)|(1,1)|(1,1,1)"],
+    ["classify", "--n", "0", "--triple", "(1)|(1)|(1)"],
+    ["classify", "--n", "-1", "--triple", "(1)|(1)|(1)"],
+]
+
+BATCH_USAGE_ERRORS = [
+    ("2", "(3)|(1)|(1)\n"),
+    ("2", "(1)|(1)|(2)\n(2)|(2)|(3)\n"),
+    ("0", "(1)|(1)|(1)\n"),
+    ("-1", "(1)|(1)|(1)\n"),
+    ("2", "(1)|(1)|(2);sometimes\n"),
 ]
 
 
@@ -147,6 +159,27 @@ def test_census_usage_errors(capsys, monkeypatch, env, argv):
 @pytest.mark.parametrize("argv", USAGE_ERRORS)
 def test_usage_errors(capsys, argv):
     _assert_usage_error(capsys, argv)
+
+
+@pytest.mark.parametrize("n,lines", BATCH_USAGE_ERRORS)
+def test_batch_usage_errors(tmp_path, capsys, n, lines):
+    """A bad line of a batch file is a usage error before any verdict is
+    printed."""
+    batch = os.path.join(tmp_path, "triples.txt")
+    with open(batch, "w") as fh:
+        fh.write(lines)
+    _assert_usage_error(capsys, ["classify", "--n", n, "--batch", batch])
+
+
+def test_batch_classify(tmp_path, capsys):
+    batch = os.path.join(tmp_path, "triples.txt")
+    with open(batch, "w") as fh:
+        fh.write("# comment\n(1)|(1)|(2)\n(2)|(2)|(2);infinite\n")
+    code, out, _ = run(capsys, "classify", "--n", "3", "--batch", batch)
+    assert code == 0
+    lines = out.splitlines()
+    assert [line.split(";")[:2] for line in lines] == \
+        [["(1)|(1)|(2)", "Empirical"], ["(2)|(2)|(2)", "Infinite"]]
 
 
 def _assert_infeasible(capsys, argv):

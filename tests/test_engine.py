@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -16,6 +17,7 @@ from flagtype.engine import (orbit, same_orbit, census_direct, census_space,
                              Infeasible, tuple_key, SAME, DIFFERENT,
                              order_bound, action_points)
 from flagtype.invariants import b_invariants
+from flagtype.canonical import enumerate_thetas, enumerate_valid_b
 from flagtype import engine, suites
 from flagtype.suites import CENSUS_PLAN
 
@@ -184,6 +186,80 @@ def test_census_matches_per_orbit_bfs():
         counts += 1
     assert cen.orbit_count == counts == n + 1
     assert sum(cen.orbit_sizes) == len(tuples)
+
+
+@pytest.mark.parametrize("kind", [parabolic_generators, so_generators,
+                                  group_generators])
+def test_code_census_matches_tuple_bfs(kind):
+    """The code census of each n=2 plan product at q=3 against a BFS of
+    the explicit tuples: the same orbits, each represented by its tuple_key
+    minimum, in ascending order of those minima."""
+    n, q = 2, 3
+    gens = kind(q, n)
+    for _, comps, _ in [e for e in CENSUS_PLAN if e[0] == n]:
+        spaces = [enumerate_chains(q, n, Composition(c)) for c in comps]
+        cen = census_product(spaces, gens, n, q)
+        block_of = {}
+        for t in itertools.product(*spaces):
+            if t not in block_of:
+                members, _ = orbit(t, gens, q)
+                block_of.update(dict.fromkeys(members, frozenset(members)))
+        blocks = set(block_of.values())
+        assert cen.total == len(block_of) == sum(cen.orbit_sizes)
+        assert cen.orbit_count == len(blocks)
+        assert {block_of[r] for r in cen.representatives} == blocks
+        for rep, size, sig in zip(cen.representatives, cen.orbit_sizes,
+                                  cen.signatures):
+            block = block_of[rep]
+            assert size == len(block)
+            assert tuple_key(rep) == min(map(tuple_key, block))
+            assert sig == signature(rep, n)
+        keys = [tuple_key(r) for r in cen.representatives]
+        assert keys == sorted(keys)
+
+
+def test_census_direct_needs_a_full_product():
+    n, q = 2, 3
+    gens = group_generators(q, n)
+    lines = enumerate_chains(q, n, Composition([1]))
+    tops = enumerate_chains(q, n, Composition([2]))
+    tuples = list(itertools.product(lines, tops))
+    full = census_direct(tuples, gens, n, q)
+    # the list order does not matter: orbits follow the smallest tuple_key
+    shuffled = tuples[::-1]
+    again = census_direct(shuffled, gens, n, q)
+    assert again.orbit_sizes == full.orbit_sizes
+    assert [tuple_key(r) for r in again.representatives] == \
+        [tuple_key(r) for r in full.representatives]
+    bad = [
+        tuples + tuples[:1],              # a duplicate
+        tuples[:-1] + tuples[:1],         # a duplicate in place of a tuple
+        tuples[:-1],                      # not a full product
+        [(ch,) for ch in tops] + [(tops[0],)],
+    ]
+    for case in bad:
+        with pytest.raises(ValueError):
+            census_direct(case, gens, n, q)
+
+
+def test_census_counts_match_b_invariants():
+    """The orbits of G on M_(alpha) x M_(beta) x M_(n) at q=3 are the
+    valid b-invariants of the thetas with those dimensions (the paper's
+    classification of triples by b)."""
+    counts = []
+    for n in (2, 3):
+        gens = group_generators(3, n)
+        for alpha in range(1, n + 1):
+            for beta in range(alpha, n + 1):
+                comps = [Composition([alpha]), Composition([beta]),
+                         Composition([n])]
+                want = sum(len(enumerate_valid_b(t))
+                           for t in enumerate_thetas(n)
+                           if t.alpha == alpha and t.beta == beta)
+                got = census_space(n, 3, comps, gens).orbit_count
+                assert got == want
+                counts.append(got)
+    assert counts == [10, 9, 11, 10, 19, 14, 40, 26, 24]
 
 
 def test_census_determinism():

@@ -62,6 +62,15 @@ def test_orbits_against_brute_force():
         assert sorted(x for o in got for x in o) == list(range(degree))
 
 
+def test_orbits_without_generators_and_on_a_sub_range():
+    assert orbits([], range(3)) == [[0], [1], [2]]
+    assert orbits([], [5, 2]) == [[5], [2]]
+    # (0 1)(3 4 5) on six points: the orbits of the invariant set {2..5}
+    gens = [(1, 0, 2, 4, 5, 3)]
+    assert orbits(gens, range(2, 6)) == [[2], [3, 4, 5]]
+    assert orbits(gens, [5, 0]) == [[5, 3, 4], [0, 1]]
+
+
 def check_schreier_vectors(chain, elements):
     """Every tree edge is labelled by a permutation that makes it, and the
     next label undoes that one; transversal(j, x) carries x to base[j] on
