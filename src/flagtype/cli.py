@@ -135,6 +135,9 @@ def cmd_classify(args):
                     if not line or line.startswith("#"):
                         continue
                     cells = line.split(";")
+                    if len(cells) > 2:
+                        raise UsageError("batch line %r has more than two "
+                                         "';' cells" % line)
                     sq = cells[1].strip() if len(cells) > 1 \
                         else args.square_classes
                     if sq not in SQUARE_CLASSES:

@@ -35,9 +35,11 @@ of an enumerated space there; ``action_points`` fills its vector part with
 the vector block's images.
 """
 
+from itertools import accumulate
+
 from .linalg import (Mat, identity, inverse, inverse_table, mat_mul,
-                     mat_vec, act_on_subspace, meet)
-from .geometry import (group_order, perp, coordinate_subspace,
+                     mat_vec, act_on_subspace, rank_rows)
+from .geometry import (group_order, coordinate_subspace,
                        classify_element, NOT_ORTHOGONAL, IN_SO)
 from . import flags as _flags
 from .flags import Infeasible
@@ -268,13 +270,48 @@ def schreier_descend(level, point, q, dim, budget=None,
 
 
 def signature(ft, n):
-    """G-invariant vector: dims of components, their perps, pairwise meets."""
+    """G-invariant vector of dimensions, from ranks.
+
+    The pool is the components S_1..S_m of ft in order, then their perps.
+    The entries are dim S_i, then dim S_i^perp = 2n - d_i, then
+    dim(P ∩ P') for each pair P before P' in the pool.  As the split form is
+    nondegenerate, each meet's dim is a rank:
+    dim(S_i ∩ S_j) = d_i + d_j - rank[S_i; S_j],
+    dim(S_i^perp ∩ S_j^perp) = 2n - rank[S_i; S_j], and
+    dim(S_i ∩ S_j^perp) = d_i - rank Gram(S_i, S_j), with Gram(S_i, S_j)
+    the d_i x d_j matrix of the form on their bases (i = j included); the
+    Gram matrices of (i, j) and (j, i) are transposes, so of one rank.
+    """
     subs = [s for ch in ft for s in ch]
-    pool = list(subs) + [perp(s, n) for s in subs]
-    sig = [s.dim for s in pool]
-    for i in range(len(pool)):
-        for j in range(i + 1, len(pool)):
-            sig.append(meet(pool[i], pool[j]).dim)
+    if not subs:
+        return ()
+    q, width = subs[0].q, 2 * n
+    for s in subs:
+        if s.ambient != width:
+            raise ValueError("ambient mismatch in signature")
+        if s.q != q:
+            raise ValueError("subspace field/ambient mismatch")
+    m = len(subs)
+    dims = [s.dim for s in subs]
+    offsets = [0, *accumulate(dims)]
+    rows = tuple(r for s in subs for r in s.rows)
+    # the form on all basis rows at once: (u, v) = u . reversed(v)
+    pairing = mat_mul(Mat.raw(q, rows),
+                      Mat.raw(q, tuple(zip(*[r[::-1] for r in rows])))).rows
+    gram = {}
+    for i in range(m):
+        for j in range(i, m):
+            block = [r[offsets[j]:offsets[j + 1]]
+                     for r in pairing[offsets[i]:offsets[i + 1]]]
+            gram[i, j] = gram[j, i] = rank_rows(block, q, dims[j])
+    joins = {(i, j): rank_rows(subs[i].rows + subs[j].rows, q, width)
+             for i in range(m) for j in range(i + 1, m)}
+    sig = dims + [width - d for d in dims]
+    for i in range(m):
+        sig += [dims[i] + dims[j] - joins[i, j] for j in range(i + 1, m)]
+        sig += [dims[i] - gram[i, j] for j in range(m)]
+    for i in range(m):
+        sig += [width - joins[i, j] for j in range(i + 1, m)]
     return tuple(sig)
 
 

@@ -236,14 +236,13 @@ def _rref_rational(rows, ncols):
     return [tuple(rw) for rw in rows[:r]], pivots
 
 
-def rref(m):
-    """RREF of a Mat; returns (Mat with zero rows dropped, pivot list)."""
-    rows, pivots = _rref_rows(m.rows, m.q, m.ncols)
-    return Mat(m.q, tuple(rows)), pivots
-
-
 def rank(m):
-    return len(rref(m)[1])
+    return rank_rows(m.rows, m.q, m.ncols)
+
+
+def rank_rows(rows, q, ncols):
+    """Rank of the matrix with these rows, whose entries are field values."""
+    return len(_rref_rows(rows, q, ncols)[1])
 
 
 def det(m):

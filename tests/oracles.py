@@ -8,8 +8,8 @@ perps are checked against sets of vectors listed one by one.
 
 import itertools
 
-from flagtype.linalg import canonicalize
-from flagtype.geometry import form
+from flagtype.linalg import canonicalize, meet
+from flagtype.geometry import form, perp
 
 
 def all_subspaces(q, ambient, dim):
@@ -61,3 +61,15 @@ def span_vectors(s):
 def vectors_where(q, ambient, pred):
     """Every vector of F_q^ambient that satisfies pred."""
     return {v for v in itertools.product(range(q), repeat=ambient) if pred(v)}
+
+
+def signature_by_meets(ft, n):
+    """``engine.signature`` the long way: the pool of the components and
+    their perps, and one Zassenhaus meet per pair of the pool."""
+    subs = [s for ch in ft for s in ch]
+    pool = list(subs) + [perp(s, n) for s in subs]
+    sig = [s.dim for s in pool]
+    for i in range(len(pool)):
+        for j in range(i + 1, len(pool)):
+            sig.append(meet(pool[i], pool[j]).dim)
+    return tuple(sig)

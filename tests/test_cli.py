@@ -140,6 +140,7 @@ BATCH_USAGE_ERRORS = [
     ("0", "(1)|(1)|(1)\n"),
     ("-1", "(1)|(1)|(1)\n"),
     ("2", "(1)|(1)|(2);sometimes\n"),
+    ("3", "(1)|(1)|(1);finite;extra\n"),
 ]
 
 

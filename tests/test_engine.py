@@ -2,13 +2,16 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from flagtype.linalg import Mat, identity, act_on_subspace, mat_vec, canonicalize
+from flagtype.linalg import (Mat, identity, act_on_subspace, mat_vec,
+                             canonicalize, mat_mul, RATIONAL)
 from flagtype.geometry import (standard_isotropic, group_generators,
                                so_generators, parabolic_generators,
                                group_order, random_group_element,
-                               coordinate_subspace, w_element,
-                               classify_element, IN_O_MINUS_SO, is_isotropic)
+                               coordinate_subspace, w_element, transvection,
+                               bar, classify_element, IN_O_MINUS_SO,
+                               is_isotropic)
 from flagtype import flags
 from flagtype.flags import Composition, enumerate_chains, act
 from flagtype.engine import (orbit, same_orbit, census_direct, census_space,
@@ -20,6 +23,8 @@ from flagtype.invariants import b_invariants
 from flagtype.canonical import enumerate_thetas, enumerate_valid_b
 from flagtype import engine, suites
 from flagtype.suites import CENSUS_PLAN
+
+from oracles import signature_by_meets
 
 
 def max_flags(q, n):
@@ -320,6 +325,67 @@ def test_signature_invariance_and_refinement():
         s2 = signature(((up2,), (um2,), (v2,)), n)
         if (b1, t1) == (b2, t2):
             assert s1 == s2
+
+
+@st.composite
+def chain_tuples(draw, fields=(3, 5, RATIONAL)):
+    """(q, n, ft): 1-3 nested chains in F^2n, 2 <= n <= 4, of dims in
+    0..2n, each either spanned by prefixes of random rows or isotropic
+    (prefixes of a basis of g.U_0, g a random word of transvections)."""
+    q = draw(st.sampled_from(fields))
+    n = draw(st.integers(2, 4))
+    entries = st.integers(0, q - 1) if q else st.integers(-2, 2)
+    ft = []
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            g = identity(q, 2 * n)
+            for _ in range(draw(st.integers(0, 6))):
+                r = draw(st.integers(1, 2 * n))
+                c = draw(st.integers(1, 2 * n).filter(
+                    lambda c, r=r: c not in (r, bar(r, n))))
+                g = mat_mul(g, transvection(q, n, r, c, draw(entries)))
+            rows = [mat_vec(g, e) for e in standard_isotropic(q, n, 0).rows]
+            top = n
+        else:
+            rows = draw(st.lists(st.lists(entries, min_size=2 * n,
+                                          max_size=2 * n),
+                                 min_size=2 * n, max_size=2 * n))
+            top = 2 * n
+        dims = sorted(draw(st.sets(st.integers(0, top), min_size=1,
+                                   max_size=3)))
+        ft.append(tuple(canonicalize(q, 2 * n, rows[:d]) for d in dims))
+    return q, n, tuple(ft)
+
+
+@settings(max_examples=150, deadline=None)
+@given(chain_tuples())
+def test_signature_matches_meets(case):
+    _, n, ft = case
+    assert signature(ft, n) == signature_by_meets(ft, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(chain_tuples(fields=(3, 5)), st.data())
+def test_signature_g_invariant(case, data):
+    q, n, ft = case
+    gens = group_generators(q, n)
+    g = identity(q, 2 * n)
+    for i in data.draw(st.lists(st.integers(0, len(gens) - 1), max_size=8)):
+        g = mat_mul(g, gens[i])
+    assert signature(act(g, ft), n) == signature(ft, n)
+
+
+def test_signature_edge_cases():
+    n, q = 2, 3
+    assert signature((), n) == ()
+    zero = canonicalize(q, 2 * n, [])
+    full = canonicalize(q, 2 * n, identity(q, 2 * n).rows)
+    for ft in [((zero,),), ((full,),), ((zero, full), (full,))]:
+        assert signature(ft, n) == signature_by_meets(ft, n)
+    with pytest.raises(ValueError):
+        signature(((coordinate_subspace(q, 2 * n + 2, [1]),),), n)
+    with pytest.raises(ValueError):
+        signature(((zero,), (canonicalize(5, 2 * n, []),)), n)
 
 
 def test_schreier_descend_exact():
