@@ -210,23 +210,6 @@ def gates_fired(n, comps):
     return fired
 
 
-def normalize_triple(comps):
-    """All six orientations annotated with normalization facts and shapes."""
-    if len(comps) != 3:
-        raise ValueError("normalize_triple needs exactly three compositions")
-    out = []
-    for perm in permutations(range(3)):
-        a, b, c = (comps[i] for i in perm)
-        notes = []
-        if len(a.parts) == 1:
-            notes.append("a-single")
-        if len(b.parts) <= len(c.parts):
-            notes.append("q<=r")
-        out.append({"perm": perm, "a": a.parts, "b": b.parts, "c": c.parts,
-                    "notes": notes})
-    return out
-
-
 _O6_INFINITE_SHAPES = [
     (((2,), (2,), (2,))),
     (((2,), (2,), (1, 2))),

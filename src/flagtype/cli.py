@@ -13,7 +13,7 @@ import json
 import os
 import sys
 
-from .linalg import canonicalize, check_field
+from .linalg import canonicalize, check_field, field_json
 from .geometry import (group_generators, so_generators, parabolic_generators,
                        is_isotropic)
 from .flags import Composition, Infeasible
@@ -188,6 +188,8 @@ def cmd_invariants(args):
 
 def cmd_canonical(args):
     n, q = args.n, args.q
+    if q:
+        check_finite_field(q)
     try:
         b = BInvariants([int(x) for x in args.b.split(",")])
         lay = IndexLayout(n, b)
@@ -207,7 +209,7 @@ def cmd_normalize(args):
     up = parse_subspace(args.u_plus, q, 2 * n, n, "--u-plus")
     um = parse_subspace(args.u_minus, q, 2 * n, n, "--u-minus")
     g = normalize_pair(up, um, n)
-    payload = {"g": [list(r) for r in g.rows],
+    payload = {"g": [[field_json(q, x) for x in r] for r in g.rows],
                "theta": theta(up, um, n).tuple5()}
     print(json.dumps(payload))
     _write_store(args, payload)
@@ -353,6 +355,8 @@ def cmd_verify(args):
 
 
 def cmd_generators(args):
+    check_n(args.n)
+    check_finite_field(args.q)
     gens = GENERATORS[args.group](args.q, args.n)
     payload = {"n": args.n, "q": args.q, "group": args.group,
                "generators": [[list(r) for r in g.rows] for g in gens]}

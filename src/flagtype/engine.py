@@ -12,8 +12,10 @@ builds a transversal element only when one is asked for, so its memory
 grows with the basic orbits, not with their product by the number of
 points.
 
-Censuses index the component chain spaces (``index_spaces``).  A small
-product gets the code census (``census_codes``): a tuple is the
+Censuses run on the component chain spaces as blocks of points, with the
+generator permutations that the enumeration found (``census_space``, from
+``flags.flag_spaces``); only explicit chain lists are indexed by acting on
+their spaces (``index_spaces``).  A small product gets the code census (``census_codes``): a tuple is the
 mixed-radix integer of its components' positions, in tuple_key order, each
 generator is a permutation of range(total) built from one weight list per
 component, and only the smallest code of each orbit is decoded into a
@@ -24,18 +26,11 @@ Same-orbit decisions and the witness classes index vectors and subspaces
 (``action_points``): the vectors make the action faithful, so the chain's
 order is bounded by |O_2n(q)|, or |SO_2n(q)| for generators of determinant
 1, and a permutation converts back to the connecting matrix.
-
-Subspace orbits (``flags.subspace_orbit``) key their members by their
-projective points: a generator moves each point once, a member's image is
-found by lookups, and only a member met for the first time is put in RREF.
-They share the action memo of ``flags.memo_act``, which holds the image of
-each (generator, subspace) and of each (generator, vector).  The census
-fills the memo during enumeration, and ``index_spaces`` finds every image
-of an enumerated space there; ``action_points`` fills its vector part with
-the vector block's images.
 """
 
+from bisect import bisect_left
 from itertools import accumulate
+from math import prod
 
 from .linalg import (Mat, identity, inverse, inverse_table, mat_mul,
                      mat_vec, act_on_subspace, rank_rows)
@@ -332,15 +327,11 @@ def action_points(gens, spaces):
     is the first block, index maps each space of the later blocks to its
     point, and images[gi] is generator gi as a permutation of all points.
 
-    Over GF(q) a generator's image of each projective point of the first
-    block costs one ``mat_vec``; the image of a multiple c·v is c times the
-    image of v.  Every vector image g·v of the first block goes into the
-    action memo of ``flags.memo_act`` that the subspace orbits then use, as
-    the block's own tuple, so the memo holds no second copy of it.  The
-    projective points of an isotropic subspace are isotropic vectors, which
-    (Witt) lie in the orbit of e_1 under O_2n, so under O_2n's generators a
-    subspace orbit does no matrix arithmetic: one RREF per member, and
-    lookups.
+    Over GF(q) a generator moves each projective point of the first block
+    by one ``mat_vec`` (c·v goes to c times the image of v), and the
+    subspace orbits reuse these images through one ``flags.PointTable``:
+    under O_2n's generators they do no matrix arithmetic, as isotropic
+    vectors lie in the orbit of e_1 (Witt).
     """
     budget = _flags.orbit_budget()
     m, q = gens[0].nrows, gens[0].q
@@ -348,7 +339,6 @@ def action_points(gens, spaces):
     vectors = [tuple(int(i == j) for j in range(m)) for i in range(m)]
     at = {v: i for i, v in enumerate(vectors)}
     images = [[] for _ in gens]
-    memo = {}
     point_images = {}  # projective point (leading entry 1) -> its images
     for v in vectors:
         lead = next(filter(None, v)) if q else 1
@@ -363,15 +353,15 @@ def action_points(gens, spaces):
             if p is None:
                 p = at[w] = len(vectors)
                 vectors.append(w)
-            memo[(g, v)] = vectors[p]
             img.append(p)
         if len(vectors) > budget:
             raise Infeasible.over_budget(len(vectors), budget)
     index = {}
+    table = _flags.PointTable(gens, point_images)
     for s in spaces:
         if s in index:
             continue
-        members, perms = _flags.subspace_orbit(s, gens, memo)
+        members, perms = _flags.subspace_orbit(s, table)
         offset = len(vectors) + len(index)
         index.update((t, offset + i) for i, t in enumerate(members))
         for img, p in zip(images, perms):
@@ -464,34 +454,27 @@ class OrbitCensus:
         }
 
 
-def index_spaces(spaces, gens, memo=None):
-    """Index chain spaces as the blocks of one integer point set.
+def index_spaces(spaces, gens):
+    """Index explicit chain lists as the blocks of one integer point set.
 
-    Each distinct space is one block of consecutive points, its chains
-    sorted by chain_key so that point order is key order; equal spaces
-    share a block, and the generator images are computed once per block.
-    Returns (blocks, slot, images): blocks[b] = (offset, chains, index) with
-    index mapping a chain to its point, slot[j] the block of spaces[j], and
-    images[gi] the permutation of all points by generator gi.  ``memo`` is
-    the action memo of ``flags.memo_act``, as the enumeration fills it.
+    Each distinct space is one block (offset, chains) of consecutive
+    points, its chains sorted by chain_key so that point order is key
+    order.  Returns (levels, images): levels[j] the block of spaces[j] and
+    images[gi] the permutation of all points by generator gi, found
+    through an action memo (``flags.memo_act``) local to the call.
     """
-    if memo is None:
-        memo = {}
-    blocks, slot, seen = [], [], {}
-    offset = 0
+    blocks, levels, memo, offset = {}, [], {}, 0
     for cs in spaces:
         chains = tuple(sorted(cs, key=chain_key))
-        b = seen.get(chains)
-        if b is None:
-            b = seen[chains] = len(blocks)
-            index = {ch: offset + i for i, ch in enumerate(chains)}
-            if len(index) != len(chains):
-                raise ValueError("census space contains duplicates")
-            blocks.append((offset, chains, index))
+        if chains not in blocks:
+            blocks[chains] = (offset, chains)
             offset += len(chains)
-        slot.append(b)
+        levels.append(blocks[chains])
     images = [[] for _ in gens]
-    for _, chains, index in blocks:
+    for offset, chains in blocks.values():
+        index = {ch: offset + i for i, ch in enumerate(chains)}
+        if len(index) != len(chains):
+            raise ValueError("census space contains duplicates")
         for g, img in zip(gens, images):
             for ch in chains:
                 j = index.get(tuple(_flags.memo_act(memo, g, s) for s in ch))
@@ -499,11 +482,12 @@ def index_spaces(spaces, gens, memo=None):
                     raise AssertionError("census space not closed under the "
                                          "action")
                 img.append(j)
-    return blocks, slot, [tuple(img) for img in images]
+    return levels, [tuple(img) for img in images]
 
 
-def census_codes(spaces, gens, n, q, descriptor="", memo=None):
-    """Orbit census of the product of the chain spaces `spaces` under <gens>.
+def census_codes(levels, images, n, q, descriptor=""):
+    """Orbit census of the product of the blocks `levels` (offset, chains)
+    under the point permutations `images`.
 
     A tuple is coded by the mixed-radix integer sum_j d_j * stride_j of its
     components' positions d_j in their chain_key order, component 0 most
@@ -513,16 +497,14 @@ def census_codes(spaces, gens, n, q, descriptor="", memo=None):
     tuple that represents it.  Orbits come in the order of their smallest
     code.
     """
-    blocks, slot, images = index_spaces(spaces, gens, memo)
-    levels = [blocks[b] for b in slot]
     strides, total = [], 1
-    for _, chains, _ in reversed(levels):
+    for _, chains in reversed(levels):
         strides.insert(0, total)
         total *= len(chains)
     moves = []
     for img in images:
         acc = [0]
-        for (offset, chains, _), stride in zip(levels, strides):
+        for (offset, chains), stride in zip(levels, strides):
             w = [(img[offset + x] - offset) * stride
                  for x in range(len(chains))]
             acc = [a + b for a in acc for b in w]
@@ -530,7 +512,7 @@ def census_codes(spaces, gens, n, q, descriptor="", memo=None):
     reps, sizes, sigs = [], [], []
     for members in orbits(moves, range(total)):
         code, rep = members[0], []
-        for _, chains, _ in reversed(levels):
+        for _, chains in reversed(levels):
             code, d = divmod(code, len(chains))
             rep.append(chains[d])
         rep = tuple(reversed(rep))
@@ -540,7 +522,7 @@ def census_codes(spaces, gens, n, q, descriptor="", memo=None):
     return OrbitCensus(descriptor, q, len(reps), sizes, reps, sigs, total)
 
 
-def census_direct(tuples, gens, n, q, descriptor="", memo=None):
+def census_direct(tuples, gens, n, q, descriptor=""):
     """Orbit census of an explicit FlagTuple list under the generators.
 
     The list must be the full product of its columns' distinct chains, each
@@ -551,16 +533,13 @@ def census_direct(tuples, gens, n, q, descriptor="", memo=None):
     if not tuples:
         return OrbitCensus(descriptor, q, 0, [], [], [], 0)
     columns = [{t[j] for t in tuples} for j in range(len(tuples[0]))]
-    total = 1
-    for col in columns:
-        total *= len(col)
-    if not len(tuples) == len(set(tuples)) == total:
+    if not len(tuples) == len(set(tuples)) == prod(map(len, columns)):
         raise ValueError("census tuples are not a full product of distinct "
                          "chains")
-    return census_codes(columns, gens, n, q, descriptor, memo)
+    return census_codes(*index_spaces(columns, gens), n, q, descriptor)
 
 
-def census_product(component_spaces, gens, n, q, descriptor="", memo=None):
+def census_product(component_spaces, gens, n, q, descriptor=""):
     """Census of a product of component chain-spaces under <gens>.
 
     Products of at most DIRECT_LIMIT tuples get the code census
@@ -569,24 +548,27 @@ def census_product(component_spaces, gens, n, q, descriptor="", memo=None):
     per representative with a nontrivial orbit.  Orbit sizes multiply along
     the descent, which is exact by orbit-stabilizer.
     """
-    total = 1
-    for cs in component_spaces:
-        total *= len(cs)
+    return _census(*index_spaces(component_spaces, gens), gens, n, q,
+                   descriptor)
+
+
+def _census(levels, images, gens, n, q, descriptor):
+    """``census_product`` on indexed blocks and point permutations."""
+    total = prod(len(chains) for _, chains in levels)
     if total <= DIRECT_LIMIT:
-        return census_codes(component_spaces, gens, n, q, descriptor, memo)
+        return census_codes(levels, images, n, q, descriptor)
     budget = _flags.orbit_budget()
     # fix big components first
-    perm = sorted(range(len(component_spaces)),
-                  key=lambda i: -max(s.dim for ch in component_spaces[i][:1]
+    perm = sorted(range(len(levels)),
+                  key=lambda i: -max(s.dim for ch in levels[i][1][:1]
                                      for s in ch))
-    spaces = [component_spaces[i] for i in perm]
-    blocks, slot, images = index_spaces(spaces, gens, memo)
-    levels = [blocks[b] for b in slot]
-    degree = blocks[-1][0] + len(blocks[-1][1])
-    _, chains0, index0 = levels[0]
-    std = index0.get(tuple(coordinate_subspace(q, 2 * n,
-                                               range(1, s.dim + 1))
-                           for s in chains0[0]))
+    levels = [levels[i] for i in perm]
+    degree = max(offset + len(chains) for offset, chains in levels)
+    offset0, chains0 = levels[0]
+    std = tuple(coordinate_subspace(q, 2 * n, range(1, s.dim + 1))
+                for s in chains0[0])
+    at = bisect_left(chains0, chain_key(std), key=chain_key)
+    std = offset0 + at if at < len(chains0) and chains0[at] == std else None
     # the group acts on spaces through <gens>/(<gens> ∩ {±I}), of order at
     # most |O_2n(q)|/2 (or |SO_2n(q)|/2): -I lies in both groups, so a
     # subgroup without it has index at least 2
@@ -601,7 +583,7 @@ def census_product(component_spaces, gens, n, q, descriptor="", memo=None):
         Representatives are the smallest point of their orbit, except at
         depth 0 where the standard chain `std` represents its own orbit.
         """
-        offset, chains, _ = levels[depth]
+        offset, chains = levels[depth]
         last = depth == len(levels) - 1
         for members in orbits(gens, range(offset, offset + len(chains))):
             if len(members) > budget:
@@ -637,16 +619,18 @@ def census_product(component_spaces, gens, n, q, descriptor="", memo=None):
 
 
 def census_space(n, q, comps, gens):
-    """Census of M_{c1} x ... x M_{ck} over GF(q) under <gens>.
-
-    The enumeration and the census share one action memo, so images under
-    generators that the enumeration used are computed once.
-    """
-    memo = {}
-    enumerated = {}
-    for c in comps:
-        if c not in enumerated:
-            enumerated[c] = _flags.enumerate_chains(q, n, c, memo=memo)
-    spaces = [enumerated[c] for c in comps]
+    """Census of M_{c1} x ... x M_{ck} over GF(q) under <gens>, on the
+    permutations that ``flags.flag_spaces`` finds while enumerating; a space
+    larger than ``flags.flag_count`` means a generator outside O_2n."""
+    blocks, images, offset = {}, [[] for _ in gens], 0
+    for c, (chains, perms) in _flags.flag_spaces(q, 2 * n, comps, n,
+                                                 gens).items():
+        if len(chains) != _flags.flag_count(q, n, c):
+            raise AssertionError("census space not closed under the action")
+        blocks[c] = (offset, chains)
+        for img, p in zip(images, perms):
+            img.extend([offset + x for x in p] if offset else p)
+        offset += len(chains)
     desc = "n=%d %s" % (n, "|".join(str(c.parts) for c in comps))
-    return census_product(spaces, gens, n, q, desc, memo)
+    return _census([blocks[c] for c in comps], [tuple(i) for i in images],
+                   gens, n, q, desc)

@@ -8,10 +8,11 @@ Enumeration works over GF(q) as an orbit: by Witt's theorem O_2n is
 transitive on the isotropic flags of one type, and GL_m on the flags of one
 type in F_q^m (``enumerate_chains_ambient`` without ``iso_n``, which is what
 the GL-flag spot checks of the appendix formula use), so M_comp is the orbit
-of the standard flag of initial coordinate spaces.  Each space of the
-standard flag is first replaced by its orbit (``subspace_orbit``), whose
-members are keyed by their projective points, so a generator moves each
-point once and each member costs one RREF.  The one budget of the
+of the standard flag of initial coordinate spaces.  ``flag_spaces``
+replaces each space of the standard flags by its orbit (``subspace_orbit``)
+over one table of projective points (``PointTable``), so a generator moves
+each point once and each member costs one RREF, and returns the flags with
+the requested generators as permutations of them.  The one budget of the
 package (FLAGTYPE_BUDGET, ``orbit_budget``, read once per public call)
 counts orbit members: here flags, and the spaces of each dimension on the
 way.  Every overrun raises ``Infeasible``, on which the CLI exits 3.
@@ -19,6 +20,7 @@ way.  Every overrun raises ``Infeasible``, on which the CLI exits 3.
 
 import os
 from itertools import product
+from operator import getitem
 
 from .linalg import (act_on_subspace, check_field, combination,
                      image_from_rows, inverse_table, mat_vec)
@@ -127,13 +129,9 @@ def act(g, ft):
 def memo_act(memo, g, s):
     """g·s through memo, equal to ``act_on_subspace(g, s)``.
 
-    memo is a dict of images under matrices: (g, subspace) -> g·s and
-    (g, vector tuple) -> g·v (a Subspace never equals a tuple, so both kinds
-    share one dict).  On a miss, the image of each row of s comes from the
-    memo or one ``mat_vec``, and only the RREF of the image rows is left to
-    do (``linalg.image_from_rows``); an image stored by another caller
-    (``subspace_orbit``, ``engine.action_points``) is used like one
-    computed here.
+    memo maps (g, subspace) -> g·s and (g, vector tuple) -> g·v (a Subspace
+    never equals a tuple), so on a miss each row image costs at most one
+    ``mat_vec`` and only the RREF of the image rows is left to do.
     """
     t = memo.get((g, s))
     if t is None:
@@ -156,51 +154,65 @@ def _projective_points(s):
             for coeffs in product(range(q), repeat=len(rows) - j - 1)]
 
 
-def subspace_orbit(start, gens, memo):
-    """Orbit of a subspace over GF(q), sorted by rows, with each generator
-    as a permutation of it.
+class PointTable:
+    """Projective points over GF(q) (leading entry 1), numbered as they are
+    met, with images[gi][p] the number of g_gi·points[p] scaled to leading
+    entry 1.  Subspace orbits over one table move each point once; `known`
+    maps a point to its images for a caller that has them already."""
 
-    A member is keyed by the frozenset of the ids of its projective points
-    (``_projective_points``).  Each point's image under each generator is
-    found once, from the (g, vector) entries of the action memo of
-    ``memo_act`` or by one ``mat_vec``, and scaled to leading entry 1; a
-    generator then maps a member's key to its image's key by lookups, and
-    only a member met for the first time is put in RREF.  Every image
-    g·s of a member goes into the memo as ``memo_act`` would store it.  The
-    search records the discovery index of each image, and the permutations
-    are those indices mapped through the ranks of the sort.
+    def __init__(self, gens, known=None):
+        self.gens, self.known = gens, known or {}
+        self.invs = inverse_table(gens[0].q)
+        self.points, self.at = [], {}
+        self.images = [[] for _ in gens]
+
+    def number(self, v):
+        p = self.at.get(v)
+        if p is None:
+            p = self.at[v] = len(self.points)
+            self.points.append(v)
+        return p
+
+    def extend(self, top):
+        """Find the images of the points numbered below top."""
+        q, invs = self.gens[0].q, self.invs
+        for v in self.points[len(self.images[0]):top]:
+            ws = self.known.get(v) or [mat_vec(g, v) for g in self.gens]
+            for w, img in zip(ws, self.images):
+                c = invs[next(filter(None, w))]
+                img.append(self.number(
+                    w if c == 1 else tuple([x * c % q for x in w])))
+
+
+def _sort_orbit(size, moves, key):
+    """The members of an orbit in the order of key, and each of moves (the
+    discovery index of each member's image) as a permutation of that order."""
+    order = sorted(range(size), key=key)
+    rank = [0] * size
+    for r, a in enumerate(order):
+        rank[a] = r
+    return order, [tuple([rank[mv[a]] for a in order]) for mv in moves]
+
+
+def subspace_orbit(start, table):
+    """Orbit of a subspace over GF(q) under the generators of a
+    ``PointTable``, sorted by rows, with each generator as a permutation.
+
+    A member is keyed by the frozenset of the numbers of its projective
+    points, a generator maps a key to its image's key by lookups, and only
+    a member met for the first time is put in RREF.
     """
-    q = start.q
-    if not q:
+    if not start.q:
         raise ValueError("subspace orbits need a finite field")
     budget = orbit_budget()
-    invs = inverse_table(q)
-    points = _projective_points(start)
-    at = {p: i for i, p in enumerate(points)}
-    images = [[] for _ in gens]
-    key = frozenset(range(len(points)))
+    points, at = table.points, table.at
+    key = frozenset(map(table.number, _projective_points(start)))
     members = {key: 0}  # key -> index in discovery order
     orbit, keys = [start], [key]
-    moves = [[] for _ in gens]  # moves[gi][a]: the index of g_gi·orbit[a]
-    done = 0  # the points whose images are known
+    moves = [[] for _ in table.gens]  # moves[gi][a]: the index of g_gi·orbit[a]
     for s, key in zip(orbit, keys):
-        top = max(key, default=-1) + 1
-        for v in points[done:top]:
-            for g, img in zip(gens, images):
-                w = memo.get((g, v))
-                if w is None:
-                    w = memo[(g, v)] = mat_vec(g, v)
-                lead = next(filter(None, w))
-                if lead != 1:
-                    lead = invs[lead]
-                    w = tuple([x * lead % q for x in w])
-                p = at.get(w)
-                if p is None:
-                    p = at[w] = len(points)
-                    points.append(w)
-                img.append(p)
-        done = max(done, top)
-        for g, img, mv in zip(gens, images, moves):
+        table.extend(max(key, default=-1) + 1)
+        for g, img, mv in zip(table.gens, table.images, moves):
             image = frozenset(map(img.__getitem__, key))
             a = members.get(image)
             if a is None:
@@ -208,67 +220,68 @@ def subspace_orbit(start, gens, memo):
                 orbit.append(image_from_rows(
                     g, s, [points[img[at[r]]] for r in s.rows]))
                 keys.append(image)
-            memo[(g, s)] = orbit[a]
             mv.append(a)
         if len(orbit) > budget:
             raise Infeasible.over_budget(len(orbit), budget)
-    order = sorted(range(len(orbit)), key=lambda a: orbit[a].rows)
-    rank = [0] * len(order)
-    for r, a in enumerate(order):
-        rank[a] = r
-    return ([orbit[a] for a in order],
-            [tuple([rank[mv[a]] for a in order]) for mv in moves])
+    order, perms = _sort_orbit(len(orbit), moves, lambda a: orbit[a].rows)
+    return [orbit[a] for a in order], perms
 
 
-def enumerate_chains(q, n, comp, memo=None):
-    """All flags of M_comp over GF(q), each exactly once, sorted by rows."""
-    return enumerate_chains_ambient(q, 2 * n, comp, n, memo)
+def flag_spaces(q, ambient, comps, iso_n=None, gens=()):
+    """{comp: (chains, perms)} for each distinct composition of comps: its
+    flags in F_q^ambient sorted by rows, and perms[i] mapping j to the
+    position of gens[i]·chains[j].
 
-
-def enumerate_chains_ambient(q, ambient, comp, iso_n=None, memo=None):
-    """Flag enumeration in F_q^ambient; isotropy enforced iff iso_n is set.
-
-    The flags are the orbit of the standard flag U_[d1] < ... < U_[dk] under
-    O_2n (Witt) or GL_ambient.  Each space U_[d] is first replaced by its
-    orbit, indexed in rows order, so the flag orbit runs on integer tuples
-    whose order is the rows order of the chains.  ``memo`` is the action
-    memo of ``memo_act`` (images of subspaces and of their rows); a caller
-    that acts on the flags with the same generators can pass its own dict
-    and reuse the images.
+    The flags are the orbit of the standard flag U_[d1] < ... < U_[dk]
+    under O_2n (Witt; isotropic iff iso_n is set) or GL_ambient and gens,
+    so a generator outside that group makes more flags than ``flag_count``.
+    It runs on the positions of the spaces in their orbits (all over one
+    ``PointTable``), whose tuple order is the rows order of the chains.
     """
     check_field(q)
     if not q:
         raise ValueError("flag enumeration needs a finite field")
     budget = orbit_budget()
-    if memo is None:
-        memo = {}
-    if iso_n is not None:
-        comp.check(iso_n)
-        gens = group_generators(q, iso_n)
-    else:
-        if comp.total() > ambient:
-            raise ValueError("composition exceeds ambient dimension")
-        gens = gl_generators(q, ambient)
-    standard = [coordinate_subspace(q, ambient, range(1, d + 1))
-                for d in comp.dims]
-    levels = [subspace_orbit(s, gens, memo) for s in standard]
-    spaces = [orbit for orbit, _ in levels]
-    moves = list(zip(*[perms for _, perms in levels]))
-    start = tuple(orbit.index(s) for orbit, s in zip(spaces, standard))
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for ch in frontier:
-            for perms in moves:
-                img = tuple(p[x] for p, x in zip(perms, ch))
-                if img not in seen:
-                    seen.add(img)
-                    nxt.append(img)
-        if len(seen) > budget:
-            raise Infeasible.over_budget(len(seen), budget)
-        frontier = nxt
-    return [tuple(sp[x] for sp, x in zip(spaces, ch)) for ch in sorted(seen)]
+    for comp in comps:
+        comp.check(ambient if iso_n is None else iso_n)
+    number = {g: i for i, g in enumerate(
+        group_generators(q, iso_n) if iso_n is not None
+        else gl_generators(q, ambient))}
+    for g in gens:
+        number.setdefault(g, len(number))
+    table, levels, out = PointTable(list(number)), {}, {}
+    for d in sorted({d for comp in comps for d in comp.dims}):
+        std = coordinate_subspace(q, ambient, range(1, d + 1))
+        spaces, perms = subspace_orbit(std, table)
+        levels[d] = spaces, perms, spaces.index(std)
+    for comp in dict.fromkeys(comps):
+        spaces, perms, start = zip(*[levels[d] for d in comp.dims])
+        moves = list(zip(*perms))
+        found, order, tracks = {start: 0}, [start], [[] for _ in moves]
+        for ch in order:
+            for mv, track in zip(moves, tracks):
+                img = tuple(map(getitem, mv, ch))
+                a = found.get(img)
+                if a is None:
+                    a = found[img] = len(order)
+                    order.append(img)
+                track.append(a)
+            if len(order) > budget:
+                raise Infeasible.over_budget(len(order), budget)
+        srt, perms = _sort_orbit(len(order), [tracks[number[g]] for g in gens],
+                                 order.__getitem__)
+        out[comp] = [tuple(map(getitem, spaces, order[a])) for a in srt], perms
+    return out
+
+
+def enumerate_chains(q, n, comp):
+    """All flags of M_comp over GF(q), each exactly once, sorted by rows."""
+    return enumerate_chains_ambient(q, 2 * n, comp, n)
+
+
+def enumerate_chains_ambient(q, ambient, comp, iso_n=None):
+    """``flag_spaces`` of one composition, without permutations."""
+    return flag_spaces(q, ambient, [comp], iso_n)[comp][0]
 
 
 def tuple_to_json(ft, n, q):

@@ -11,7 +11,7 @@ by the tests (orbit of U_0, Bruhat cell counts) rather than trusted.
 """
 
 from .linalg import (Mat, canonicalize, identity, mat_mul, inverse,
-                     transpose, det, meet, kernel, sc, sc_inv,
+                     transpose, det, meet, kernel, sc,
                      primitive_root, act_on_subspace, zero_space, full_space,
                      check_field, combination)
 
@@ -240,47 +240,6 @@ def standard_pair_spaces(q, n, a0, ap, am, a1):
     up = coordinate_subspace(q, 2 * n, pos["w0"] + pos["wp"] + pos["up"])
     um = coordinate_subspace(q, 2 * n, pos["w0"] + pos["wm"] + pos["um"])
     return up, um
-
-
-def pair_stabilizer_generators(q, n, a0, ap, am, a1):
-    """Generators of R = Stab(U+_std) ∩ Stab(U-_std).
-
-    Torus + every root element S_{r,c}(1) that fixes both spaces, plus the
-    non-SO swap inside the anisotropic-free block Z when it is nonempty.
-    Exactness is validated by brute-force materialization in the tests at
-    small sizes.
-    """
-    check_field(q)
-    up, um = standard_pair_spaces(q, n, a0, ap, am, a1)
-    g = primitive_root(q)
-    gens = []
-    for i in range(1, n + 1):
-        rows = [list(r) for r in identity(q, 2 * n).rows]
-        rows[i - 1][i - 1] = sc(q, g)
-        rows[bar(i, n) - 1][bar(i, n) - 1] = sc_inv(q, sc(q, g))
-        gens.append(Mat(q, rows))
-    for r in range(1, 2 * n + 1):
-        for c in range(1, 2 * n + 1):
-            if r == c or r == bar(c, n):
-                continue
-            t = transvection(q, n, r, c, 1)
-            if act_on_subspace(t, up) == up and act_on_subspace(t, um) == um:
-                gens.append(t)
-    pos = theta_positions(n, a0, ap, am, a1)
-    if pos["z"]:
-        z1 = pos["z"][0]
-        rows = [list(r) for r in identity(q, 2 * n).rows]
-        rows[z1 - 1][z1 - 1] = sc(q, 0)
-        rows[bar(z1, n) - 1][bar(z1, n) - 1] = sc(q, 0)
-        rows[z1 - 1][bar(z1, n) - 1] = sc(q, 1)
-        rows[bar(z1, n) - 1][z1 - 1] = sc(q, 1)
-        gens.append(Mat(q, rows))
-    for gmat in gens:
-        if classify_element(gmat, n) == NOT_ORTHOGONAL:
-            raise AssertionError("stabilizer generator is not orthogonal")
-        if act_on_subspace(gmat, up) != up or act_on_subspace(gmat, um) != um:
-            raise AssertionError("stabilizer generator moves the standard pair")
-    return gens
 
 
 # ---------------------------------------------------------------------------

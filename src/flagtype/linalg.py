@@ -317,17 +317,11 @@ class Subspace:
     def dim(self):
         return len(self.rows)
 
-    def basis(self):
-        return Mat(self.q, self.rows)
-
     def contains(self, v):
         return in_span(self.rows, self.pivots, v, self.q)
 
     def contains_space(self, other):
         return all(self.contains(r) for r in other.rows)
-
-    def key(self):
-        return (self.q, self.ambient, self.rows)
 
     def __eq__(self, other):
         return (isinstance(other, Subspace) and self.q == other.q
@@ -345,20 +339,16 @@ class Subspace:
 
     def to_json(self):
         qv = self.q if self.q else "rational"
-        basis = [[x if self.q else _frac_json(x) for x in r] for r in self.rows]
+        basis = [[field_json(self.q, x) for x in r] for r in self.rows]
         return {"ambient": self.ambient, "q": qv, "basis": basis}
 
 
-def _frac_json(x):
+def field_json(q, x):
+    """A field value for JSON: itself over GF(q), over Q an int or "a/b"."""
+    if q:
+        return x
     x = Fraction(x)
     return int(x) if x.denominator == 1 else "%d/%d" % (x.numerator, x.denominator)
-
-
-def subspace_from_json(obj):
-    q = 0 if obj["q"] == "rational" else obj["q"]
-    rows = [[Fraction(x) if q == 0 and isinstance(x, str) else x for x in r]
-            for r in obj["basis"]]
-    return canonicalize(q, obj["ambient"], rows)
 
 
 def in_span(rows, pivots, v, q):

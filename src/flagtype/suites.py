@@ -8,9 +8,9 @@ The CLI command `flagtype verify --suite NAME` runs one of them and exits
 import math
 import random
 
-from .linalg import Mat, act_on_subspace, identity, mat_mul, meet
+from .linalg import Mat, act_on_subspace, identity, mat_mul
 from .geometry import (group_generators, so_generators, parabolic_generators,
-                       standard_isotropic, random_isotropic,
+                       bruhat_cell, random_isotropic,
                        random_group_element, group_order, sp_order,
                        w_element, classify_element, IN_SO, IN_O_MINUS_SO,
                        primitive_root)
@@ -209,16 +209,12 @@ def suite_bruhat(ns=(2, 3), qs=(3, 5)):
                            "%d spaces, formula %d" % (len(maxiso), want)))
             d_of = {}
             for ch in maxiso:
-                d_of.setdefault(n - _dim_meet_u0(ch[0], n), 0)
-                d_of[n - _dim_meet_u0(ch[0], n)] += 1
+                d = bruhat_cell(ch[0], n)
+                d_of[d] = d_of.get(d, 0) + 1
             checks.append(("cells indexed by d n=%d q=%d" % (n, q),
                            sorted(d_of) == list(range(n + 1)),
                            repr(sorted(d_of.items()))))
     return _suite("bruhat", checks)
-
-
-def _dim_meet_u0(v, n):
-    return meet(v, standard_isotropic(v.q, n, 0)).dim
 
 
 def suite_r_classes(q=3):
@@ -431,7 +427,7 @@ def suite_cor87():
 
 def _census_linear(tuples, gens):
     """Orbit count for a GL-type action (no bilinear form involved)."""
-    _, _, images = index_spaces([[ch for (ch,) in tuples]], gens)
+    _, images = index_spaces([[ch for (ch,) in tuples]], gens)
     return len(orbits(images, range(len(tuples))))
 
 

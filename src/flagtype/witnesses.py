@@ -257,10 +257,6 @@ def build(family_id, n, lam, q):
     return ft
 
 
-def compositions(family_id):
-    return FAMILIES[family_id].comps
-
-
 # ---------------------------------------------------------------------------
 # equivariance certificates (square-class families)
 

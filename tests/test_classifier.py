@@ -3,8 +3,8 @@ import itertools
 import pytest
 
 from flagtype.flags import Composition, flag_count
-from flagtype.classifier import (classify, theorem17_match, normalize_triple,
-                                 gates_fired, sq_free_cover, FINITE, INFINITE,
+from flagtype.classifier import (classify, theorem17_match, gates_fired,
+                                 sq_free_cover, FINITE, INFINITE,
                                  IFF_SQ, EMPIRICAL, Verdict)
 
 
@@ -40,13 +40,6 @@ def test_theorem17_match_examples():
     assert theorem17_match(8, C(8), C(4), C(1, 1, 1, 5)) == "III-4"
     assert theorem17_match(8, C(8), C(5), C(2, 2)) == "III-2"
     assert theorem17_match(8, C(8), C(5), C(7,)) == "III-1"
-
-
-def test_normalize_triple():
-    anns = normalize_triple([C(1), C(3), C(2, 2)])
-    assert len(anns) == 6
-    singles = [a for a in anns if a["a"] == (1,)]
-    assert singles and all("a-single" in a["notes"] for a in singles)
 
 
 def test_gates():

@@ -1,9 +1,13 @@
 import json
 import os
+from fractions import Fraction
 
 import pytest
 
 from flagtype.cli import main
+from flagtype.geometry import (classify_element, standard_pair_spaces,
+                               NOT_ORTHOGONAL)
+from flagtype.linalg import Mat, act_on_subspace, canonicalize
 
 
 def run(capsys, *argv):
@@ -53,6 +57,10 @@ def test_canonical_command(capsys):
     data = json.loads(out)
     assert data["representative"]["basis"] == [[1, 0, 1, 0], [0, 1, 0, 2]]
     assert data["layout"]["I"]["15"] == [1, 2]
+    # the rationals stay a field here: q=0 is no usage error
+    code, out, _ = run(capsys, "canonical", "--n", "2", "--q", "0",
+                       "--b", "0,0,0,0,0,0,0,0,0,0,0,0,0,0,2")
+    assert code == 0 and json.loads(out)["representative"]["q"] == "rational"
 
 
 def test_normalize_command(capsys):
@@ -61,6 +69,22 @@ def test_normalize_command(capsys):
                        "--u-minus", "[[0,0,1,0],[0,0,0,1]]")
     assert code == 0
     assert json.loads(out)["theta"] == [0, 0, 0, 2, 0]
+
+
+def test_normalize_rational(capsys):
+    """Over Q (--q 0) the entries of g print as Subspace.to_json prints
+    them, and g carries the pair to the standard pair of its theta."""
+    up, um = [[1, 2, 0, 0]], [[0, 0, 3, 1]]
+    code, out, _ = run(capsys, "normalize", "--n", "2", "--q", "0",
+                       "--u-plus", json.dumps(up), "--u-minus", json.dumps(um))
+    assert code == 0
+    data = json.loads(out)
+    assert "1/7" in data["g"][0]
+    g = Mat(0, [[Fraction(x) for x in r] for r in data["g"]])
+    assert classify_element(g, 2) != NOT_ORTHOGONAL
+    su, sm = standard_pair_spaces(0, 2, *data["theta"][:4])
+    assert act_on_subspace(g, canonicalize(0, 4, up)) == su
+    assert act_on_subspace(g, canonicalize(0, 4, um)) == sm
 
 
 def test_census_command(capsys):
@@ -132,6 +156,14 @@ USAGE_ERRORS = [
     ["classify", "--n", "2", "--triple", "(1)|(1,1)|(1,1,1)"],
     ["classify", "--n", "0", "--triple", "(1)|(1)|(1)"],
     ["classify", "--n", "-1", "--triple", "(1)|(1)|(1)"],
+    ["generators", "--n", "2", "--q", "4"],
+    ["generators", "--n", "2", "--q", "9"],
+    ["generators", "--n", "2", "--q", "0"],
+    ["generators", "--n", "0", "--q", "3"],
+    ["canonical", "--n", "2", "--q", "4", "--b",
+     "0,0,0,0,0,0,0,0,0,0,0,0,0,2,0"],
+    ["canonical", "--n", "2", "--q", "9", "--b",
+     "0,0,0,0,0,0,0,0,0,0,0,0,0,2,0"],
 ]
 
 BATCH_USAGE_ERRORS = [

@@ -137,8 +137,8 @@ def test_same_orbit_checks_generators_and_budget(monkeypatch):
 def test_action_points_blocks(kind):
     """Each generator permutes the vector block as mat_vec and each subspace
     block as act_on_subspace; under O_2n every row of an indexed isotropic
-    subspace is a point of the vector block (Witt), so the memo that
-    action_points seeds holds every row image the subspace orbits need."""
+    subspace is a point of the vector block (Witt), so the point table the
+    subspace orbits share knows every row image they need."""
     n, q = 3, 3
     gens = kind(q, n)
     m = 2 * n
@@ -276,6 +276,33 @@ def test_census_determinism():
     assert a.orbit_sizes == b.orbit_sizes
     assert [tuple_key(r) for r in a.representatives] == \
         [tuple_key(r) for r in b.representatives]
+
+
+@pytest.mark.parametrize("kind", [parabolic_generators, so_generators,
+                                  group_generators])
+def test_census_space_matches_census_product(kind):
+    """census_space, on the permutations of the enumeration, against
+    census_product on the enumerated lists (the memo_act path), for every
+    CENSUS_PLAN shape at q=3."""
+    q = 3
+    for n, comps, _ in CENSUS_PLAN:
+        cs = [Composition(c) for c in comps]
+        gens = kind(q, n)
+        got = census_space(n, q, cs, gens)
+        want = census_product([enumerate_chains(q, n, c) for c in cs], gens,
+                              n, q, got.descriptor)
+        assert got.to_json(n) == want.to_json(n)
+
+
+def test_census_space_rejects_a_generator_outside_o2n():
+    """diag(2, 1, 1, 1) is not orthogonal and moves isotropic lines off
+    M_(1), so the enumerated space outgrows flag_count."""
+    n, q = 2, 3
+    scale = Mat(q, [[2 if i == j == 0 else int(i == j) for j in range(4)]
+                    for i in range(4)])
+    for gens in (group_generators(q, n), parabolic_generators(q, n)):
+        with pytest.raises(AssertionError, match="not closed under the"):
+            census_space(n, q, [Composition([1])], gens + [scale])
 
 
 def test_orbit_stabilizer_consistency():

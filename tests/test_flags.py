@@ -11,12 +11,13 @@ from flagtype.linalg import (Mat, identity, inverse, det, canonicalize,
                              act_on_subspace, mat_vec, _rref_rows)
 from flagtype.geometry import (standard_isotropic, coordinate_subspace,
                                group_generators, gl_generators,
+                               so_generators, parabolic_generators,
                                random_group_element, random_isotropic,
                                w_element, bruhat_cell)
 from flagtype.flags import (Composition, validate, validate_tuple, act,
                             enumerate_chains, enumerate_chains_ambient,
                             Infeasible, tuple_to_json, flag_count, memo_act,
-                            subspace_orbit)
+                            subspace_orbit, PointTable, flag_spaces)
 from flagtype.engine import action_points
 
 from oracles import isotropic_subspaces
@@ -199,8 +200,8 @@ def _random_invertible(q, m, rng):
 
 @functools.lru_cache(maxsize=None)
 def _seeded_memo(q, n):
-    """The row memo that action_points fills for O_2n's generators: the
-    image of every vector of its first block."""
+    """A row memo for O_2n's generators holding the image of every vector
+    of the first block of action_points."""
     gens = group_generators(q, n)
     vectors, _, _ = action_points(gens, [])
     return {(g, v): mat_vec(g, v) for g in gens for v in vectors}
@@ -234,8 +235,8 @@ def test_memo_act_matches_act_on_subspace(seed, q, n, dim, isotropic):
     assert all((g, r) in filled for g in mats for r in s.rows)
     for g in mats:
         assert memo_act(filled, g, s) == act_on_subspace(g, s)
-    # the memo action_points seeds: for an isotropic s every row image under
-    # O_2n's generators is already there
+    # a memo seeded with the first block of action_points: for an isotropic
+    # s every row image under O_2n's generators is already there
     seeded = dict(_seeded_memo(q, n))
     if isotropic:
         assert all((g, r) in seeded for g in gens for r in s.rows)
@@ -294,25 +295,49 @@ def test_subspace_orbit_matches_plain_bfs(case, seed):
     rng = random.Random(seed)
     # a random member as the start: the result does not depend on it
     start = want[0][rng.randrange(len(want[0]))]
-    assert subspace_orbit(start, gens, {}) == want
-    # a memo filled beforehand (point and member images) by the orbit of the
-    # coordinate space of complementary dimension, then, on a second call,
-    # by the first
-    memo = {}
+    assert subspace_orbit(start, PointTable(gens)) == want
+    # a point table filled beforehand by the orbit of the coordinate space
+    # of complementary dimension, then, on a second call, by the first
+    table = PointTable(gens)
     top = m // 2 if kind == "O" else m - 1
-    subspace_orbit(coordinate_subspace(q, m, range(1, top + 2 - dim)), gens,
-                   memo)
-    assert subspace_orbit(start, gens, memo) == want
-    assert subspace_orbit(start, gens, memo) == want
-    members, perms = want
-    for g, perm in zip(gens, perms):
-        assert [memo[(g, s)] for s in members] == [members[i] for i in perm]
+    subspace_orbit(coordinate_subspace(q, m, range(1, top + 2 - dim)), table)
+    assert subspace_orbit(start, table) == want
+    assert subspace_orbit(start, table) == want
+
+
+@pytest.mark.parametrize("kind", [group_generators, so_generators,
+                                  parabolic_generators])
+@pytest.mark.parametrize("n,q", [(2, 3), (2, 5), (3, 3), (3, 5)])
+def test_flag_spaces_permutations(kind, n, q):
+    """Each permutation that flag_spaces returns maps flag i to the position
+    of g·flag_i (``act``, through act_on_subspace); on a space of more than
+    3000 flags, a seeded sample of 300 flags is checked."""
+    gens = kind(q, n)
+    comps = [Composition([1]), Composition([1, 1]), Composition([n])]
+    spaces = flag_spaces(q, 2 * n, comps + comps[:1], n, gens)
+    assert list(spaces) == comps
+    rng = random.Random(10 * n + q)
+    for comp, (chains, perms) in spaces.items():
+        assert len(chains) == flag_count(q, n, comp)
+        keys = [tuple(s.rows for s in ch) for ch in chains]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+        assert len(perms) == len(gens)
+        pos = {ch: i for i, ch in enumerate(chains)}
+        sample = (range(len(chains)) if len(chains) <= 3000
+                  else rng.sample(range(len(chains)), 300))
+        for g, perm in zip(gens, perms):
+            # len(chains) distinct values in 0..len(chains)-1: a permutation
+            assert len(set(perm)) == len(chains)
+            assert min(perm) == 0 and max(perm) == len(chains) - 1
+            wrong = [i for i in sample
+                     if perm[i] != pos[act(g, (chains[i],))[0]]]
+            assert not wrong, wrong[:5]
 
 
 def test_subspace_orbit_rejects_rationals():
     s = coordinate_subspace(0, 4, [1])
     with pytest.raises(ValueError, match="finite field"):
-        subspace_orbit(s, [identity(0, 4)], {})
+        subspace_orbit(s, PointTable([identity(0, 4)]))
 
 
 def _load_gfp():

@@ -10,8 +10,7 @@ from flagtype.geometry import (form, perp, classify_element, IN_SO,
                                parabolic_generators, group_order, sp_order,
                                unipotent_radical_basis, random_isotropic,
                                random_group_element, coordinate_subspace,
-                               pair_stabilizer_generators,
-                               standard_pair_spaces, is_isotropic)
+                               is_isotropic)
 from flagtype.engine import close_group
 
 from oracles import isotropic_subspaces
@@ -150,21 +149,6 @@ def test_group_order_formula_vs_materialization():
     assert len(grp) == 1152 == group_order(3, 2)
     assert group_order(3, 1) == 4  # O_2^+(F_3) = {diag, antidiag} x {t, 1/t}
     assert sp_order(3, 2) == 51840
-
-
-def test_pair_stabilizer_pool_membership():
-    rng = random.Random(4)
-    for _ in range(30):
-        n, q = rng.choice([(2, 3), (3, 3), (3, 5)])
-        a0 = rng.randrange(n + 1)
-        ap = rng.randrange(n - a0 + 1)
-        am = rng.randrange(n - a0 - ap + 1)
-        a1 = rng.randrange(n - a0 - ap - am + 1)
-        up, um = standard_pair_spaces(q, n, a0, ap, am, a1)
-        for g in pair_stabilizer_generators(q, n, a0, ap, am, a1):
-            assert act_on_subspace(g, up) == up
-            assert act_on_subspace(g, um) == um
-            assert classify_element(g, n) != NOT_ORTHOGONAL
 
 
 def test_random_isotropic_is_isotropic():

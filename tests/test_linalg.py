@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from flagtype.linalg import (Mat, canonicalize, meet, join, kernel, rank,
                              identity, inverse, mat_mul, det, solve,
-                             zero_space, full_space, subspace_from_json,
+                             zero_space, full_space,
                              complement_basis, check_field, sc,
                              act_on_subspace, _span)
 from flagtype.geometry import form, perp
@@ -143,13 +143,6 @@ def test_rational_field():
     s = canonicalize(0, 3, [[2, 4, 0], [1, 2, 1]])
     assert s.rows == ((1, 2, 0), (0, 0, 1))
     assert sc(5, Fraction(1, 2)) == 3  # 1/2 = 3 in GF(5)
-
-
-def test_subspace_json_roundtrip():
-    s = canonicalize(3, 4, [[1, 2, 0, 1], [0, 0, 1, 2]])
-    assert subspace_from_json(s.to_json()) == s
-    r = canonicalize(0, 3, [[1, Fraction(1, 2), 0]])
-    assert subspace_from_json(r.to_json()) == r
 
 
 def test_complement_basis():

@@ -186,7 +186,7 @@ def test_chain_order_matches_sympy(n, q):
         members, _ = orbit(start, gens, q)
         chains = [m[0] for m in members]
         for name, kind in GROUPS.items():
-            _, _, images = index_spaces([chains], kind(q, n))
+            _, images = index_spaces([chains], kind(q, n))
             order = StabChain(images, len(chains)).order()
             assert order == sympy_group(images).order(), (name, d)
             if name == "G" and d == 1:

@@ -6,8 +6,8 @@ from flagtype.linalg import canonicalize, identity
 from flagtype.geometry import group_generators
 from flagtype.flags import validate_tuple, act
 from flagtype.engine import orbit, tuple_key
-from flagtype.witnesses import (FAMILIES, build, compositions,
-                                equivariance_check, separation_check,
+from flagtype.witnesses import (FAMILIES, build, equivariance_check,
+                                separation_check,
                                 family_classes)
 
 
@@ -53,7 +53,7 @@ def test_o5_embedding_preserves_form():
 def test_padding_at_larger_n():
     # O6_L32p at n = 4 pads each factor with U_[l]
     ft = build("O6_L32p", 4, 1, 3)
-    comps = compositions("O6_L32p")
+    comps = FAMILIES["O6_L32p"].comps
     assert validate_tuple(ft, comps, 4) is None
     # padded spaces contain e_1 up to the pad length... the first factor
     # has dim 2 and no padding is needed; dims already enforced by validate
