@@ -15,12 +15,17 @@ points.
 Censuses run on the component chain spaces as blocks of points, with the
 generator permutations that the enumeration found (``census_space``, from
 ``flags.flag_spaces``); only explicit chain lists are indexed by acting on
-their spaces (``index_spaces``).  A small product gets the code census (``census_codes``): a tuple is the
-mixed-radix integer of its components' positions, in tuple_key order, each
-generator is a permutation of range(total) built from one weight list per
-component, and only the smallest code of each orbit is decoded into a
-tuple.  A larger one gets the descent, which takes each stabilizer from a
-chain based at the representative, so no group order is assumed.
+their spaces (``index_spaces``).  A small product gets the code census
+(``census_codes``), which works on the stabilizer of the first component:
+the orbits on the product are those of the stabilizer of a point r of
+block 0 on the other blocks, for r the smallest point of each orbit on
+block 0.  There a tuple of the other components is the mixed-radix
+integer of their positions, in tuple_key order; each stabilizer generator
+is a permutation of those codes built from one weight list per component,
+and only the smallest code of each sub-orbit is decoded into a tuple,
+headed by r's chain.  A larger product gets the descent, which takes each
+stabilizer from a chain based at the representative, so no group order is
+assumed.
 
 Same-orbit decisions and the witness classes index vectors and subspaces
 (``action_points``): the vectors make the action faithful, so the chain's
@@ -487,39 +492,60 @@ def index_spaces(spaces, gens):
 
 def census_codes(levels, images, n, q, descriptor=""):
     """Orbit census of the product of the blocks `levels` (offset, chains)
-    under the point permutations `images`.
+    under the point permutations `images`, on the stabilizer of the first
+    component.
 
-    A tuple is coded by the mixed-radix integer sum_j d_j * stride_j of its
-    components' positions d_j in their chain_key order, component 0 most
-    significant, so code order is tuple_key order.  A generator moves the
-    codes through one weight list per component, the orbits run on
-    range(total), and only each orbit's smallest code is decoded into the
-    tuple that represents it.  Orbits come in the order of their smallest
-    code.
+    The orbits of <images> on the product are in bijection with the orbits
+    of the stabilizer of one point r of block 0 on the product of the other
+    blocks, for r running over representatives of the orbits on block 0.
+    Each orbit of block 0 is taken with r its smallest point, and r's
+    stabilizer comes from a Schreier-Sims chain based at r.  A tuple of the
+    other components is coded by the mixed-radix integer sum_j d_j *
+    stride_j of their positions d_j in chain_key order, component 1 most
+    significant; a stabilizer generator moves the codes through one weight
+    list per component, and only each sub-orbit's smallest code is decoded.
+    That tuple, headed by chains0[r], is the tuple_key minimum of its whole
+    orbit: the minimum's first component is the smallest of its block-0
+    orbit, and the orbit's tuples with that first component form one
+    orbit of the stabilizer.  An orbit's size is the size of its block-0
+    orbit times that of the sub-orbit.  Orbits come in the order of their
+    smallest tuple_key.
     """
-    strides, total = [], 1
-    for _, chains in reversed(levels):
-        strides.insert(0, total)
-        total *= len(chains)
-    moves = []
-    for img in images:
-        acc = [0]
-        for (offset, chains), stride in zip(levels, strides):
-            w = [(img[offset + x] - offset) * stride
-                 for x in range(len(chains))]
-            acc = [a + b for a in acc for b in w]
-        moves.append(acc)
+    if not levels:  # the empty product: one tuple, ()
+        return OrbitCensus(descriptor, q, 1, [1], [()], [()], 1)
+    (offset0, chains0), rest = levels[0], levels[1:]
+    strides, sub_total = [], 1
+    for _, chains in reversed(rest):
+        strides.insert(0, sub_total)
+        sub_total *= len(chains)
+    degree = max(offset + len(chains) for offset, chains in levels)
     reps, sizes, sigs = [], [], []
-    for members in orbits(moves, range(total)):
-        code, rep = members[0], []
-        for _, chains in reversed(levels):
-            code, d = divmod(code, len(chains))
-            rep.append(chains[d])
-        rep = tuple(reversed(rep))
-        reps.append(rep)
-        sizes.append(len(members))
-        sigs.append(signature(rep, n))
-    return OrbitCensus(descriptor, q, len(reps), sizes, reps, sigs, total)
+    for orbit0 in orbits(images, range(offset0, offset0 + len(chains0))):
+        r, stab = orbit0[0], images
+        if rest and len(orbit0) > 1:
+            chain = StabChain(images, degree, base=(r,))
+            if len(chain.orbit[0]) != len(orbit0):
+                raise AssertionError("basic orbit differs from the orbit")
+            stab = chain.stabilizer()
+        moves = []
+        for img in stab:
+            acc = [0]
+            for (offset, chains), stride in zip(rest, strides):
+                w = [(img[offset + x] - offset) * stride
+                     for x in range(len(chains))]
+                acc = [a + b for a in acc for b in w]
+            moves.append(acc)
+        for members in orbits(moves, range(sub_total)):
+            code, rep = members[0], []
+            for _, chains in reversed(rest):
+                code, d = divmod(code, len(chains))
+                rep.append(chains[d])
+            rep = (chains0[r - offset0],) + tuple(reversed(rep))
+            reps.append(rep)
+            sizes.append(len(orbit0) * len(members))
+            sigs.append(signature(rep, n))
+    return OrbitCensus(descriptor, q, len(reps), sizes, reps, sigs,
+                       len(chains0) * sub_total)
 
 
 def census_direct(tuples, gens, n, q, descriptor=""):

@@ -10,6 +10,8 @@ O/SO membership verdict.  Generator sets are explicit and machine-validated
 by the tests (orbit of U_0, Bruhat cell counts) rather than trusted.
 """
 
+from functools import lru_cache
+
 from .linalg import (Mat, canonicalize, identity, mat_mul, inverse,
                      transpose, det, meet, kernel, sc,
                      primitive_root, act_on_subspace, zero_space, full_space,
@@ -171,8 +173,11 @@ def unipotent_radical_basis(q, n):
     return gens
 
 
-def parabolic_generators(q, n):
-    """Generators of P = Stab_G(U_0) = L N (all are checked to fix U_0)."""
+@lru_cache(maxsize=None)
+def _generators(q, n, extra):
+    """P's generators (each checked to fix U_0 and to be orthogonal), then
+    w_d for each d in `extra`; built once per (q, n, extra), as a tuple so
+    that no caller can change the cached set."""
     check_field(q)
     gens = [ell(a, n) for a in gl_generators(q, n)]
     gens.extend(unipotent_radical_basis(q, n))
@@ -182,21 +187,22 @@ def parabolic_generators(q, n):
             raise AssertionError("parabolic generator does not fix U_0")
         if classify_element(g, n) == NOT_ORTHOGONAL:
             raise AssertionError("parabolic generator is not orthogonal")
-    return gens
+    return tuple(gens + [w_element(q, n, d) for d in extra])
+
+
+def parabolic_generators(q, n):
+    """Generators of P = Stab_G(U_0) = L N (all are checked to fix U_0)."""
+    return list(_generators(q, n, ()))
 
 
 def so_generators(q, n):
     """Generators of SO_2n = <P, w_2> (n >= 2)."""
-    gens = parabolic_generators(q, n)
-    if n >= 2:
-        gens = gens + [w_element(q, n, 2)]
-    return gens
+    return list(_generators(q, n, (2,) if n >= 2 else ()))
 
 
 def group_generators(q, n):
     """Generators of the full O_2n = <P, w_1>."""
-    gens = parabolic_generators(q, n) + [w_element(q, n, 1)]
-    return gens
+    return list(_generators(q, n, (1,)))
 
 
 def group_order(q, n):

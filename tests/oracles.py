@@ -10,6 +10,8 @@ import itertools
 
 from flagtype.linalg import canonicalize, meet
 from flagtype.geometry import form, perp
+from flagtype.engine import OrbitCensus, signature
+from flagtype.perm import orbits
 
 
 def all_subspaces(q, ambient, dim):
@@ -73,3 +75,35 @@ def signature_by_meets(ft, n):
         for j in range(i + 1, len(pool)):
             sig.append(meet(pool[i], pool[j]).dim)
     return tuple(sig)
+
+
+def census_full_product(levels, images, n, q, descriptor=""):
+    """``engine.census_codes`` without the stabilizer of the first
+    component: one BFS over the codes of the whole product.
+
+    A tuple is the mixed-radix integer of its components' positions,
+    component 0 most significant; every generator moves all the codes, and
+    each orbit is represented by its smallest code."""
+    strides, total = [], 1
+    for _, chains in reversed(levels):
+        strides.insert(0, total)
+        total *= len(chains)
+    moves = []
+    for img in images:
+        acc = [0]
+        for (offset, chains), stride in zip(levels, strides):
+            w = [(img[offset + x] - offset) * stride
+                 for x in range(len(chains))]
+            acc = [a + b for a in acc for b in w]
+        moves.append(acc)
+    reps, sizes, sigs = [], [], []
+    for members in orbits(moves, range(total)):
+        code, rep = members[0], []
+        for _, chains in reversed(levels):
+            code, d = divmod(code, len(chains))
+            rep.append(chains[d])
+        rep = tuple(reversed(rep))
+        reps.append(rep)
+        sizes.append(len(members))
+        sigs.append(signature(rep, n))
+    return OrbitCensus(descriptor, q, len(reps), sizes, reps, sigs, total)

@@ -18,13 +18,13 @@ from flagtype.engine import (orbit, same_orbit, census_direct, census_space,
                              census_product, signature, path_element,
                              close_group, schreier_descend, StabLevel,
                              Infeasible, tuple_key, SAME, DIFFERENT,
-                             order_bound, action_points)
+                             order_bound, action_points, index_spaces)
 from flagtype.invariants import b_invariants
 from flagtype.canonical import enumerate_thetas, enumerate_valid_b
 from flagtype import engine, suites
 from flagtype.suites import CENSUS_PLAN
 
-from oracles import signature_by_meets
+from oracles import census_full_product, signature_by_meets
 
 
 def max_flags(q, n):
@@ -292,6 +292,51 @@ def test_census_space_matches_census_product(kind):
         want = census_product([enumerate_chains(q, n, c) for c in cs], gens,
                               n, q, got.descriptor)
         assert got.to_json(n) == want.to_json(n)
+
+
+# the n=2 plan shapes, then shapes whose first component splits into
+# several orbits under P or SO, or comes back later, and one- and
+# four-component spaces
+FIRST_COMPONENT_SHAPES = [c for m, c, _ in CENSUS_PLAN if m == 2] + [
+    [(1,), (1,), (1,)], [(1, 1), (1,), (2,)], [(2,), (1, 1), (1,)],
+    [(2,)], [(1,)], [(2,), (2,), (1,), (2,)]]
+
+
+@pytest.mark.parametrize("q", [3, 5])
+@pytest.mark.parametrize("kind", [parabolic_generators, so_generators,
+                                  group_generators])
+def test_code_census_on_the_first_stabilizer_matches_full_product(kind, q):
+    """The code census runs on the stabilizer of a point of the first
+    component; the census of the whole product's codes gives the same
+    JSON: counts, sizes, representatives and their order, signatures."""
+    n = 2
+    gens = kind(q, n)
+    for comps in FIRST_COMPONENT_SHAPES:
+        cs = [Composition(c) for c in comps]
+        spaces = [enumerate_chains(q, n, c) for c in cs]
+        got = census_space(n, q, cs, gens)
+        want = census_full_product(*index_spaces(spaces, gens), n, q,
+                                   got.descriptor)
+        assert got.to_json(n) == want.to_json(n)
+        assert census_product(spaces, gens, n, q, got.descriptor).to_json(
+            n) == want.to_json(n)
+
+
+def test_census_without_generators_has_singleton_orbits():
+    n, q = 2, 3
+    lines = enumerate_chains(q, n, Composition([1]))
+    tops = enumerate_chains(q, n, Composition([2]))
+    cen = census_direct(list(itertools.product(lines, tops)), [], n, q)
+    assert cen.orbit_count == cen.total == 128
+    assert cen.orbit_sizes == [1] * 128
+    assert cen.representatives == sorted(itertools.product(lines, tops),
+                                         key=tuple_key)
+    cen = census_space(n, q, [Composition([1])], ())
+    assert cen.orbit_count == cen.total == 16
+    assert [r for (r,) in cen.representatives] == lines
+    # the empty product has one tuple, ()
+    cen = census_space(n, q, [], group_generators(q, n))
+    assert cen.representatives == [()] and cen.orbit_sizes == [1]
 
 
 def test_census_space_rejects_a_generator_outside_o2n():

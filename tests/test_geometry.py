@@ -138,6 +138,21 @@ def test_so_split_and_parabolic_cells():
         assert len(cells) == n + 1
 
 
+def test_generator_sets_are_built_once_and_returned_fresh():
+    """Each set is built once per (q, n); a caller that changes the list it
+    got changes neither the cached set nor the next caller's list."""
+    for kind in (parabolic_generators, so_generators, group_generators):
+        first = kind(3, 2)
+        want = list(first)
+        first.append(identity(3, 4))
+        first[0] = w_element(3, 2, 0)
+        again = kind(3, 2)
+        assert again == want and again is not first
+        assert all(a is b for a, b in zip(again, kind(3, 2)))
+    assert group_generators(3, 2)[:-1] == parabolic_generators(3, 2)
+    assert so_generators(3, 2)[-1] == w_element(3, 2, 2)
+
+
 def test_unipotent_radical_dimension():
     for n in (2, 3, 4):
         assert len(unipotent_radical_basis(3, n)) == n * (n - 1) // 2
