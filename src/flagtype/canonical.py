@@ -244,10 +244,9 @@ def enumerate_thetas(n):
 
 def _pairing_solve(q, n, placed, targets):
     """A vector v with (w, v) = targets[pos] for every placed (pos, w)."""
-    rows = [tuple(reversed(w)) for _, w in placed]
+    rows = tuple(tuple(reversed(w)) for _, w in placed)
     rhs = [targets.get(pos, 0) for pos, _ in placed]
-    m = Mat(q, rows)
-    v = solve(m, rhs)
+    v = solve(Mat.raw(q, rows), rhs)
     if v is None:
         raise AssertionError("pairing system unsolvable; normalize_pair bug")
     return v

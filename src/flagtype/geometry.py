@@ -11,6 +11,7 @@ by the tests (orbit of U_0, Bruhat cell counts) rather than trusted.
 """
 
 from functools import lru_cache
+from operator import mul
 
 from .linalg import (Mat, canonicalize, identity, mat_mul, inverse,
                      transpose, det, meet, kernel, sc,
@@ -23,15 +24,9 @@ def bar(i, n):
     return 2 * n + 1 - i
 
 
-def gram(q, n):
-    z, o = sc(q, 0), sc(q, 1)
-    return Mat(q, tuple(tuple(o if j == 2 * n - 1 - i else z for j in range(2 * n))
-                        for i in range(2 * n)))
-
-
 def form(q, n, u, v):
     """(u, v) = sum_i u_i v_{2n+1-i}."""
-    s = sum(u[i] * v[2 * n - 1 - i] for i in range(2 * n))
+    s = sum(map(mul, u, v[::-1]))
     return s % q if q else s
 
 
@@ -51,14 +46,28 @@ IN_O_MINUS_SO = "InOMinusSO"
 
 
 def classify_element(m, n):
-    """Exact membership verdict for a 2n x 2n matrix."""
+    """Exact membership verdict for a 2n x 2n matrix.
+
+    m is orthogonal iff m^T J m = J, whose (i, j) entry is the form of
+    columns i and j: form(col_i, col_j) = J_ij for i <= j (both sides are
+    symmetric).  That form is zero unless the support of col_i meets the
+    reversed support of col_j, so only such pairs and J's antidiagonal are
+    summed: over Q a Fraction product costs far more than a zero test, and
+    the group elements met there are sparse.  det decides SO only for an
+    orthogonal m."""
     if m.nrows != 2 * n or m.ncols != 2 * n:
         raise ValueError("expected a %dx%d matrix" % (2 * n, 2 * n))
-    j = gram(m.q, n)
-    if mat_mul(mat_mul(transpose(m), j), m) != j:
-        return NOT_ORTHOGONAL
-    d = det(m)
-    return IN_SO if d == sc(m.q, 1) else IN_O_MINUS_SO
+    q, width = m.q, 2 * n
+    cols = list(zip(*m.rows))
+    supp = [{k for k, x in enumerate(c) if x} for c in cols]
+    rsupp = [{width - 1 - k for k in s} for s in supp]
+    for i, u in enumerate(cols):
+        for j in range(i, width):
+            want = 1 if i + j == width - 1 else 0
+            if ((want or not supp[i].isdisjoint(rsupp[j]))
+                    and form(q, n, u, cols[j]) != want):
+                return NOT_ORTHOGONAL
+    return IN_SO if det(m) == sc(q, 1) else IN_O_MINUS_SO
 
 
 def w_element(q, n, d):

@@ -1,14 +1,25 @@
 """Relative-position invariants of a pair (U+, U-) and a triple (U+, U-, V).
 
 theta = (a0, a+, a-, a1, a2, d, d') describes a pair of isotropic
-subspaces; b1..b15 describe a triple with V maximally isotropic.  All
-fifteen values are computed from ranks of meets, joins and perps, plus the
-filtration X0 ⊆ X1 ⊆ X = (U+ + U-) ∩ V whose middle term needs an explicit
-splitting of each X-vector into a (U+ + W-)-part and a (W+ + U-)-part.
+subspaces; b1..b15 describe a triple with V maximally isotropic.  Each is
+the dimension of a space read off the pair and V:
+
+  * W0 = U+ ∩ U- is one Zassenhaus meet; W+ = U+ ∩ U-^perp and
+    W- = U- ∩ U+^perp come from Gram kernels.  For subspaces A and B,
+    A ∩ B^perp is the span of the combinations sum c_i a_i of A's basis
+    with c in the kernel of the dim B x dim A Gram matrix (form(a_i, b_j)),
+    so no perp is built.
+  * V is maximal isotropic, so V = V^perp and A ∩ V = A ∩ V^perp: the
+    spaces X = (U+ + U-) ∩ V, (U+ + W-) ∩ V and (W+ + U-) ∩ V come from
+    the same Gram kernel, and a dimension dim(A ∩ V) that no later step
+    needs as a space is dim A - rank Gram(A, V).
+  * X0 ⊆ X1 ⊆ X: the middle term needs an explicit splitting of each
+    X-vector into a (U+ + W-)-part and a (W+ + U-)-part.
 """
 
-from .linalg import Mat, canonicalize, meet, join, solve, kernel, combination
-from .geometry import perp, is_isotropic, form
+from .linalg import (Mat, canonicalize, meet, join, solve, kernel,
+                     combination, rank_rows)
+from .geometry import is_isotropic, form
 
 
 class ThetaInvariants:
@@ -72,14 +83,35 @@ class BInvariants:
         return list(self.b)
 
 
+def _gram(a, b):
+    """The dim B x dim A Gram matrix: row j holds form(a_i, b_j) over i."""
+    q, n = a.q, a.ambient // 2
+    return tuple(tuple(form(q, n, ar, br) for ar in a.rows) for br in b.rows)
+
+
+def _gram_rank(a, v):
+    """rank Gram(A, V); dim(A ∩ V) = dim A - this when V = V^perp."""
+    return rank_rows(_gram(a, v), a.q, a.dim)
+
+
+def _meet_perp(a, b):
+    """A ∩ B^perp: the combinations of A's rows by the Gram kernel."""
+    if not a.dim or not b.dim:
+        return a
+    q, width = a.q, a.ambient
+    ker = kernel(Mat.raw(q, _gram(a, b)))
+    return canonicalize(q, width, [combination(q, c, a.rows, width)
+                                   for c in ker.rows])
+
+
 def theta_and_w(u_plus, u_minus, n):
     """theta of two isotropic subspaces of F^{2n}, with the spaces it is read
     from: W0 = U+ ∩ U-, W+ = U+ ∩ U-^perp and W- = U- ∩ U+^perp."""
     if not is_isotropic(u_plus, n) or not is_isotropic(u_minus, n):
         raise ValueError("U+ and U- must be isotropic")
     w0 = meet(u_plus, u_minus)
-    wp = meet(u_plus, perp(u_minus, n))
-    wm = meet(u_minus, perp(u_plus, n))
+    wp = _meet_perp(u_plus, u_minus)
+    wm = _meet_perp(u_minus, u_plus)
     a0 = w0.dim
     a_plus = wp.dim - a0
     a_minus = wm.dim - a0
@@ -115,9 +147,10 @@ def _x_filtration(u_plus, u_minus, v, n, wp, wm):
     """(X, X0, X1, W, (U+ + W-) ∩ V, (W+ + U-) ∩ V), W = W+ + W-."""
     q = v.q
     w = join(wp, wm)
-    x = meet(join(u_plus, u_minus), v)
+    # V = V^perp, so each meet with V is a meet with V^perp
+    x = _meet_perp(join(u_plus, u_minus), v)
     left, right = join(u_plus, wm), join(wp, u_minus)   # U+ + W-, W+ + U-
-    left_v, right_v = meet(left, v), meet(right, v)
+    left_v, right_v = _meet_perp(left, v), _meet_perp(right, v)
     x0 = join(left_v, right_v)
     # (W, X) = 0 makes the v+ choice immaterial; assert it before using it
     for wrow in w.rows:
@@ -153,13 +186,14 @@ def b_invariants(u_plus, u_minus, v, n):
     t, w0, wp, wm = theta_and_w(u_plus, u_minus, n)
     x, x0, x1, w, left_v, right_v = _x_filtration(u_plus, u_minus, v, n,
                                                    wp, wm)
-    b1 = meet(w0, v).dim
+    # dim(A ∩ V) = dim A - rank Gram(A, V), V = V^perp
+    b1 = w0.dim - _gram_rank(w0, v)
     b2 = t.a0 - b1
-    b3 = meet(wp, v).dim - b1
-    b4 = meet(wm, v).dim - b1
-    b5 = meet(u_plus, v).dim - b1 - b3
-    b6 = meet(u_minus, v).dim - b1 - b4
-    dim_wv = meet(w, v).dim
+    b3 = wp.dim - _gram_rank(wp, v) - b1
+    b4 = wm.dim - _gram_rank(wm, v) - b1
+    b5 = u_plus.dim - _gram_rank(u_plus, v) - b1 - b3
+    b6 = u_minus.dim - _gram_rank(u_minus, v) - b1 - b4
+    dim_wv = w.dim - _gram_rank(w, v)
     b7 = dim_wv - b1 - b3 - b4
     b8 = right_v.dim - dim_wv - b6
     b9 = left_v.dim - dim_wv - b5
@@ -172,10 +206,11 @@ def b_invariants(u_plus, u_minus, v, n):
     b13 = t.a1 - dim_pi_x - b12
     b14 = t.a2 - b12 - b13
     bb = BInvariants((b1, b2, b3, b4, b5, b6, b7, b8, b9, b10, b11, b12, b13, b14, b15))
-    # independent recomputation of b14 = dim pi(Z ∩ V), Z = (U+ + U-)^perp
-    z = perp(join(u_plus, u_minus), n)
-    zv = meet(z, v)
-    if b14 != zv.dim - meet(zv, w).dim:
+    # independent recomputation of b14 = dim pi(Z ∩ V), Z = (U+ + U-)^perp:
+    # Z ∩ V = V ∩ (U+ + U-)^perp, and dim(Z ∩ V ∩ W) from one join rank
+    zv = _meet_perp(v, join(u_plus, u_minus))
+    dim_zvw = zv.dim + w.dim - rank_rows(zv.rows + w.rows, v.q, 2 * n)
+    if b14 != zv.dim - dim_zvw:
         raise AssertionError("b14 disagrees with dim pi(Z ∩ V)")
     viol = verify_relations(bb, t)
     if viol:

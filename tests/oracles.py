@@ -8,8 +8,11 @@ perps are checked against sets of vectors listed one by one.
 
 import itertools
 
-from flagtype.linalg import canonicalize, meet
-from flagtype.geometry import form, perp
+from flagtype.linalg import (Mat, RATIONAL, canonicalize, meet, join, kernel,
+                             combination)
+from flagtype.geometry import (form, perp, ell, unipotent_radical_basis,
+                               w_element)
+from flagtype.invariants import ThetaInvariants, BInvariants, _plus_part_map
 from flagtype.engine import OrbitCensus, signature
 from flagtype.perm import orbits
 
@@ -65,6 +68,23 @@ def vectors_where(q, ambient, pred):
     return {v for v in itertools.product(range(q), repeat=ambient) if pred(v)}
 
 
+def rational_group_generators(n):
+    """``geometry.group_generators`` over Q, where F^x has no generator:
+    l(A) for the elementary E_ij(1) and the torus diag(2, 1, .., 1), the
+    unipotent radical basis, then w_1.  They lie in O_2n(Q)."""
+    q = RATIONAL
+    gl = []
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                gl.append([[int(r == c or (r, c) == (i, j)) for c in range(n)]
+                           for r in range(n)])
+    gl.append([[(2 if r == 0 else 1) * int(r == c) for c in range(n)]
+               for r in range(n)])
+    return ([ell(Mat(q, a), n) for a in gl] + unipotent_radical_basis(q, n)
+            + [w_element(q, n, 1)])
+
+
 def signature_by_meets(ft, n):
     """``engine.signature`` the long way: the pool of the components and
     their perps, and one Zassenhaus meet per pair of the pool."""
@@ -75,6 +95,50 @@ def signature_by_meets(ft, n):
         for j in range(i + 1, len(pool)):
             sig.append(meet(pool[i], pool[j]).dim)
     return tuple(sig)
+
+
+def b_invariants_by_meets(u_plus, u_minus, v, n):
+    """``invariants.b_invariants`` the long way: every space is a perp or a
+    Zassenhaus meet, and every b-value is the dimension of a built space.
+
+    Returns theta, W0, W+, W-, X, X0, X1 and the fifteen b by name."""
+    q = v.q
+    w0 = meet(u_plus, u_minus)
+    wp = meet(u_plus, perp(u_minus, n))
+    wm = meet(u_minus, perp(u_plus, n))
+    a0 = w0.dim
+    t = ThetaInvariants(n, a0, wp.dim - a0, wm.dim - a0,
+                        u_plus.dim - wp.dim)
+    w = join(wp, wm)
+    x = meet(join(u_plus, u_minus), v)
+    left, right = join(u_plus, wm), join(wp, u_minus)
+    left_v, right_v = meet(left, v), meet(right, v)
+    x0 = join(left_v, right_v)
+    if x.dim:
+        pair_rows = [tuple(form(q, n, vp, xr) for xr in x.rows)
+                     for vp in _plus_part_map(left, right, x)]
+        ker = kernel(Mat.raw(q, tuple(zip(*pair_rows))))
+        x1 = canonicalize(q, x.ambient, [combination(q, c, x.rows, x.ambient)
+                                         for c in ker.rows])
+    else:
+        x1 = x
+    b1 = meet(w0, v).dim
+    b3 = meet(wp, v).dim - b1
+    b4 = meet(wm, v).dim - b1
+    b5 = meet(u_plus, v).dim - b1 - b3
+    b6 = meet(u_minus, v).dim - b1 - b4
+    dim_wv = meet(w, v).dim
+    b7 = dim_wv - b1 - b3 - b4
+    b8 = right_v.dim - dim_wv - b6
+    b9 = left_v.dim - dim_wv - b5
+    b12 = x1.dim - x0.dim
+    b13 = t.a1 - (x.dim - dim_wv) - b12
+    zv = meet(perp(join(u_plus, u_minus), n), v)
+    b = BInvariants((b1, t.a0 - b1, b3, b4, b5, b6, b7, b8, b9,
+                     t.a_plus - b3 - b7 - b8, t.a_minus - b4 - b7 - b9,
+                     b12, b13, zv.dim - meet(zv, w).dim, x.dim - x1.dim))
+    return {"theta": t, "w0": w0, "wp": wp, "wm": wm, "x": x, "x0": x0,
+            "x1": x1, "b": b}
 
 
 def census_full_product(levels, images, n, q, descriptor=""):

@@ -248,23 +248,29 @@ def test_census_direct_needs_a_full_product():
 
 
 def test_census_counts_match_b_invariants():
-    """The orbits of G on M_(alpha) x M_(beta) x M_(n) at q=3 are the
-    valid b-invariants of the thetas with those dimensions (the paper's
-    classification of triples by b)."""
+    """The orbits of G on M_(alpha) x M_(beta) x M_(n) are the valid
+    b-invariants of the thetas with those dimensions (the paper's
+    classification of triples by b), point by point: the (theta, b) of the
+    census representatives are pairwise distinct and are exactly the
+    valid pairs.  The census uses no b-invariants, so this is an
+    independent route.  n = 2, 3 at q=3, and n = 2 at q=5."""
     counts = []
-    for n in (2, 3):
-        gens = group_generators(3, n)
+    for n, q in ((2, 3), (3, 3), (2, 5)):
+        gens = group_generators(q, n)
         for alpha in range(1, n + 1):
             for beta in range(alpha, n + 1):
                 comps = [Composition([alpha]), Composition([beta]),
                          Composition([n])]
-                want = sum(len(enumerate_valid_b(t))
-                           for t in enumerate_thetas(n)
-                           if t.alpha == alpha and t.beta == beta)
-                got = census_space(n, 3, comps, gens).orbit_count
-                assert got == want
-                counts.append(got)
-    assert counts == [10, 9, 11, 10, 19, 14, 40, 26, 24]
+                want = {(t, b) for t in enumerate_thetas(n)
+                        if t.alpha == alpha and t.beta == beta
+                        for b in enumerate_valid_b(t)}
+                census = census_space(n, q, comps, gens)
+                got = [b_invariants(up, um, v, n)[::-1]
+                       for (up,), (um,), (v,) in census.representatives]
+                assert len(set(got)) == len(got) == census.orbit_count
+                assert set(got) == want
+                counts.append(census.orbit_count)
+    assert counts == [10, 9, 11, 10, 19, 14, 40, 26, 24, 10, 9, 11]
 
 
 def test_census_determinism():

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from flagtype.linalg import Mat, canonicalize, identity, act_on_subspace
+from flagtype.linalg import (Mat, canonicalize, identity, act_on_subspace,
+                             mat_mul, transpose, det, sc, RATIONAL)
 from flagtype.geometry import (form, perp, classify_element, IN_SO,
                                IN_O_MINUS_SO, NOT_ORTHOGONAL, w_element, ell,
                                standard_isotropic, bruhat_cell,
@@ -13,7 +14,7 @@ from flagtype.geometry import (form, perp, classify_element, IN_SO,
                                is_isotropic)
 from flagtype.engine import close_group
 
-from oracles import isotropic_subspaces
+from oracles import isotropic_subspaces, rational_group_generators
 
 
 def orbit_of(s, gens):
@@ -73,6 +74,43 @@ def test_classify_element():
             if det(a) != 0:
                 break
         assert classify_element(ell(a, n), n) == IN_SO
+
+
+def _verdict_by_matrices(m, n):
+    """classify_element's verdict from m^T J m == J and det."""
+    q = m.q
+    j = Mat(q, [[int(a + b == 2 * n - 1) for b in range(2 * n)]
+                for a in range(2 * n)])
+    if mat_mul(mat_mul(transpose(m), j), m) != j:
+        return NOT_ORTHOGONAL
+    return IN_SO if det(m) == sc(q, 1) else IN_O_MINUS_SO
+
+
+@pytest.mark.parametrize("q", [3, 5, RATIONAL])
+def test_classify_element_matches_matrix_route(q):
+    """The column-form check against m^T J m == J: random group elements,
+    w_d of both parities, and each of them with one entry changed (never
+    orthogonal: the change adds c times a row of the invertible J m to
+    m^T J m)."""
+    rng = random.Random(q)
+    for n in (2, 3, 4):
+        gens = group_generators(q, n) if q else rational_group_generators(n)
+        elements = [w_element(q, n, d) for d in range(n + 1)]
+        elements += [random_group_element(q, n, rng, gens=gens)
+                     for _ in range(6)]
+        for m in elements:
+            verdict = classify_element(m, n)
+            assert verdict != NOT_ORTHOGONAL
+            assert verdict == _verdict_by_matrices(m, n)
+            for _ in range(4):
+                rows = [list(r) for r in m.rows]
+                a, b = rng.randrange(2 * n), rng.randrange(2 * n)
+                rows[a][b] += rng.randrange(1, q) if q else rng.choice((-1, 2))
+                bad = Mat(q, rows)
+                assert classify_element(bad, n) == NOT_ORTHOGONAL
+                assert _verdict_by_matrices(bad, n) == NOT_ORTHOGONAL
+        assert {classify_element(w_element(q, n, d), n)
+                for d in (0, 1)} == {IN_SO, IN_O_MINUS_SO}
 
 
 def test_w_parity_up_to_n5():

@@ -1,13 +1,18 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from flagtype.linalg import canonicalize, act_on_subspace
+from flagtype.linalg import (canonicalize, act_on_subspace, identity, mat_mul,
+                             mat_vec, RATIONAL)
 from flagtype.geometry import (standard_isotropic, coordinate_subspace,
-                               random_isotropic, random_group_element, form)
-from flagtype.invariants import (theta, b_invariants, x_filtration,
-                                 verify_relations, BInvariants,
+                               random_isotropic, random_group_element, form,
+                               group_generators, transvection, w_element, bar)
+from flagtype.invariants import (theta, theta_and_w, b_invariants,
+                                 x_filtration, verify_relations, BInvariants,
                                  ThetaInvariants, theta_of_b)
+
+from oracles import b_invariants_by_meets, rational_group_generators
 
 
 def test_theta_trivial_cases():
@@ -150,3 +155,67 @@ def test_public_functions_validate_their_input():
         for f in (x_filtration, b_invariants):
             with pytest.raises(ValueError):
                 f(u0, u0, v, n)
+
+
+@st.composite
+def isotropic_triples(draw):
+    """(q, n, U+, U-, V), 2 <= n <= 4: each space is g.U_0 (V) or spanned by
+    a prefix of its basis (U+, U-), g a word of 0, 2 or 12 factors, each a
+    transvection times some w_d: short words stay near standard position,
+    long ones are generic, in either family of maximal isotropics.  U-
+    reuses U+'s g a quarter of the time, so that W0 is often large.  The
+    words come from a seeded Random; with each letter drawn by hypothesis,
+    b8, b12, b13 and b15 were rarely nonzero."""
+    q = draw(st.sampled_from((3, 5, RATIONAL)))
+    n = draw(st.integers(2, 4))
+    rng = draw(st.randoms(use_true_random=True))
+    u0 = standard_isotropic(q, n, 0)
+
+    def word():
+        g = identity(q, 2 * n)
+        for _ in range(rng.choice((0, 2, 12, 12))):
+            r = rng.randrange(1, 2 * n + 1)
+            c = rng.choice([c for c in range(1, 2 * n + 1)
+                            if c not in (r, bar(r, n))])
+            mu = rng.randrange(q) if q else rng.randrange(-2, 3)
+            g = mat_mul(mat_mul(g, transvection(q, n, r, c, mu)),
+                        w_element(q, n, rng.randrange(n + 1)))
+        return [mat_vec(g, e) for e in u0.rows]
+
+    plus = word()
+    minus = plus if rng.randrange(4) == 0 else word()
+    up = canonicalize(q, 2 * n, plus[:rng.randrange(n + 1)])
+    um = canonicalize(q, 2 * n, minus[:rng.randrange(n + 1)])
+    return q, n, up, um, canonicalize(q, 2 * n, word())
+
+
+@settings(max_examples=300, deadline=None)
+@given(isotropic_triples())
+def test_b_invariants_match_meets(case):
+    """The Gram-kernel and Gram-rank route against perps and Zassenhaus
+    meets: theta, W0, W+, W-, X, X0, X1 and all fifteen b."""
+    _, n, up, um, v = case
+    want = b_invariants_by_meets(up, um, v, n)
+    t, w0, wp, wm = theta_and_w(up, um, n)
+    x, x0, x1 = x_filtration(up, um, v, n)
+    b, tb = b_invariants(up, um, v, n)
+    assert t == tb == want["theta"]
+    assert (w0, wp, wm) == (want["w0"], want["wp"], want["wm"])
+    assert (x, x0, x1) == (want["x"], want["x0"], want["x1"])
+    assert b == want["b"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(isotropic_triples(), st.data())
+def test_theta_and_b_are_g_invariant(case, data):
+    """theta and b do not change under a random word in group_generators
+    (over Q, where no primitive root exists, in their rational analogue)."""
+    q, n, up, um, v = case
+    gens = group_generators(q, n) if q else rational_group_generators(n)
+    g = identity(q, 2 * n)
+    for k in data.draw(st.lists(st.integers(0, len(gens) - 1), min_size=1,
+                                max_size=8)):
+        g = mat_mul(g, gens[k])
+    moved = [act_on_subspace(g, s) for s in (up, um, v)]
+    assert b_invariants(*moved, n) == b_invariants(up, um, v, n)
+    assert theta(moved[0], moved[1], n) == theta(up, um, n)
