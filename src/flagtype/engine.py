@@ -1,5 +1,5 @@
-"""Exact orbit computation over GF(q): BFS orbits with word recovery,
-same-orbit decisions with connecting elements, and orbit censuses.
+"""Exact orbit computation over GF(q): BFS orbits, same-orbit decisions
+with connecting elements, and orbit censuses.
 
 Everything here is exact; large jobs either finish or raise Infeasible
 (``flags.Infeasible``, re-exported here), whose budget each public call
@@ -15,17 +15,17 @@ points.
 Censuses run on the component chain spaces as blocks of points, with the
 generator permutations that the enumeration found (``census_space``, from
 ``flags.flag_spaces``); only explicit chain lists are indexed by acting on
-their spaces (``index_spaces``).  A small product gets the code census
-(``census_codes``), which works on the stabilizer of the first component:
-the orbits on the product are those of the stabilizer of a point r of
-block 0 on the other blocks, for r the smallest point of each orbit on
-block 0.  There a tuple of the other components is the mixed-radix
-integer of their positions, in tuple_key order; each stabilizer generator
-is a permutation of those codes built from one weight list per component,
-and only the smallest code of each sub-orbit is decoded into a tuple,
-headed by r's chain.  A larger product gets the descent, which takes each
-stabilizer from a chain based at the representative, so no group order is
-assumed.
+their spaces (``index_spaces``).  One recursion (``_census``) serves every
+census.  Each depth takes the orbits of the current group on its block and,
+for each orbit's representative, the stabilizer from a Schreier-Sims chain
+based at it, run on the blocks still to search; then it goes one depth
+deeper or hands the blocks left to a code tail.  There a tuple of them is
+the mixed-radix integer of their positions, in tuple_key order; each
+generator is a permutation of those codes built from one weight list per
+block, and only the smallest code of each orbit of codes is decoded.  A
+small product is coded from depth 1 on, a larger one searched down to its
+last depth.  The chains telescope their orders from a bound on the top
+one, so no group order is assumed.
 
 Same-orbit decisions and the witness classes index vectors and subspaces
 (``action_points``): the vectors make the action faithful, so the chain's
@@ -34,6 +34,7 @@ order is bounded by |O_2n(q)|, or |SO_2n(q)| for generators of determinant
 """
 
 from bisect import bisect_left
+from functools import cache
 from itertools import accumulate
 from math import prod
 
@@ -109,20 +110,6 @@ def orbit_with_tree(start, gens, act_fn, budget=None, stop_at=None):
                         return order, tree
         frontier = nxt
     return order, tree
-
-
-def path_element(member, tree, gens, q, dim):
-    """Group element carrying the orbit root to `member` along the tree."""
-    steps = []
-    x = member
-    while tree[x] is not None:
-        parent, gi = tree[x]
-        steps.append(gi)
-        x = parent
-    g = identity(q, dim)
-    for gi in reversed(steps):
-        g = mat_mul(gens[gi], g)
-    return g
 
 
 def subspace_orbit_with_transversal(start, gens, q, dim, budget=None):
@@ -315,12 +302,6 @@ def signature(ft, n):
     return tuple(sig)
 
 
-def orbit(start, gens, q):
-    """Orbit of a FlagTuple with a spanning tree of generator words."""
-    cache = ActionCache(gens)
-    return orbit_with_tree(start, gens, cache.tuple)
-
-
 def action_points(gens, spaces):
     """Integer points for the action of the matrix group <gens>.
 
@@ -490,71 +471,12 @@ def index_spaces(spaces, gens):
     return levels, [tuple(img) for img in images]
 
 
-def census_codes(levels, images, n, q, descriptor=""):
-    """Orbit census of the product of the blocks `levels` (offset, chains)
-    under the point permutations `images`, on the stabilizer of the first
-    component.
-
-    The orbits of <images> on the product are in bijection with the orbits
-    of the stabilizer of one point r of block 0 on the product of the other
-    blocks, for r running over representatives of the orbits on block 0.
-    Each orbit of block 0 is taken with r its smallest point, and r's
-    stabilizer comes from a Schreier-Sims chain based at r.  A tuple of the
-    other components is coded by the mixed-radix integer sum_j d_j *
-    stride_j of their positions d_j in chain_key order, component 1 most
-    significant; a stabilizer generator moves the codes through one weight
-    list per component, and only each sub-orbit's smallest code is decoded.
-    That tuple, headed by chains0[r], is the tuple_key minimum of its whole
-    orbit: the minimum's first component is the smallest of its block-0
-    orbit, and the orbit's tuples with that first component form one
-    orbit of the stabilizer.  An orbit's size is the size of its block-0
-    orbit times that of the sub-orbit.  Orbits come in the order of their
-    smallest tuple_key.
-    """
-    if not levels:  # the empty product: one tuple, ()
-        return OrbitCensus(descriptor, q, 1, [1], [()], [()], 1)
-    (offset0, chains0), rest = levels[0], levels[1:]
-    strides, sub_total = [], 1
-    for _, chains in reversed(rest):
-        strides.insert(0, sub_total)
-        sub_total *= len(chains)
-    degree = max(offset + len(chains) for offset, chains in levels)
-    reps, sizes, sigs = [], [], []
-    for orbit0 in orbits(images, range(offset0, offset0 + len(chains0))):
-        r, stab = orbit0[0], images
-        if rest and len(orbit0) > 1:
-            chain = StabChain(images, degree, base=(r,))
-            if len(chain.orbit[0]) != len(orbit0):
-                raise AssertionError("basic orbit differs from the orbit")
-            stab = chain.stabilizer()
-        moves = []
-        for img in stab:
-            acc = [0]
-            for (offset, chains), stride in zip(rest, strides):
-                w = [(img[offset + x] - offset) * stride
-                     for x in range(len(chains))]
-                acc = [a + b for a in acc for b in w]
-            moves.append(acc)
-        for members in orbits(moves, range(sub_total)):
-            code, rep = members[0], []
-            for _, chains in reversed(rest):
-                code, d = divmod(code, len(chains))
-                rep.append(chains[d])
-            rep = (chains0[r - offset0],) + tuple(reversed(rep))
-            reps.append(rep)
-            sizes.append(len(orbit0) * len(members))
-            sigs.append(signature(rep, n))
-    return OrbitCensus(descriptor, q, len(reps), sizes, reps, sigs,
-                       len(chains0) * sub_total)
-
-
 def census_direct(tuples, gens, n, q, descriptor=""):
     """Orbit census of an explicit FlagTuple list under the generators.
 
     The list must be the full product of its columns' distinct chains, each
-    tuple once (ValueError otherwise); the census is that of the product
-    (``census_codes``), so orbits come in the order of their smallest
-    tuple_key, whatever the order of the list.
+    tuple once (ValueError otherwise); the census is that of the product,
+    whatever the order of the list.
     """
     if not tuples:
         return OrbitCensus(descriptor, q, 0, [], [], [], 0)
@@ -562,82 +484,145 @@ def census_direct(tuples, gens, n, q, descriptor=""):
     if not len(tuples) == len(set(tuples)) == prod(map(len, columns)):
         raise ValueError("census tuples are not a full product of distinct "
                          "chains")
-    return census_codes(*index_spaces(columns, gens), n, q, descriptor)
+    return _census(*index_spaces(columns, gens), gens, n, q, descriptor)
 
 
 def census_product(component_spaces, gens, n, q, descriptor=""):
-    """Census of a product of component chain-spaces under <gens>.
-
-    Products of at most DIRECT_LIMIT tuples get the code census
-    (``census_codes``), which never builds the product's tuples; larger
-    ones descend through the components, one Schreier-Sims stabilizer chain
-    per representative with a nontrivial orbit.  Orbit sizes multiply along
-    the descent, which is exact by orbit-stabilizer.
-    """
+    """Census of a product of component chain-spaces under <gens>: the
+    census recursion (``_census``) on the spaces indexed as blocks."""
     return _census(*index_spaces(component_spaces, gens), gens, n, q,
                    descriptor)
 
 
+def _whole(chains, q, n):
+    """Whether a chain list is all of its flag space M_c, by its length."""
+    dims = [0] + [s.dim for s in chains[0]]
+    parts = [b - a for a, b in zip(dims, dims[1:])]
+    return (min(parts, default=0) > 0 and sum(parts) <= n and len(chains)
+            == _flags.flag_count(q, n, _flags.Composition(parts)))
+
+
 def _census(levels, images, gens, n, q, descriptor):
-    """``census_product`` on indexed blocks and point permutations."""
+    """Orbit census of the product of the blocks `levels` (offset, chains),
+    numbered from 0 in the order of their offsets, under `images`, the
+    permutations of their points by `gens`.
+
+    Depth d takes the orbits of the current group on block d, represented
+    by their smallest points, except at depth 0 of the descent, where the
+    standard chain `std` represents its own orbit; the stabilizer of the
+    representative, from a Schreier-Sims chain based at it, goes on to
+    depth d + 1.  At depth `tail` the blocks left are coded: a tuple is the
+    mixed-radix integer of their positions in chain_key order, each
+    generator moves the codes through one weight list per block, and only
+    the smallest code of each orbit of codes is decoded.  Orbit sizes
+    multiply along the way (orbit-stabilizer).  A product of at most
+    DIRECT_LIMIT tuples is coded from depth 1 on, in its given component
+    order; a larger one descends to its last depth, big components first.
+    Orbits come in the order of the tuple_key of their representatives,
+    each the depth-by-depth minimum of its orbit, `std` aside.
+
+    Depth d searches the blocks of levels[d:] only: a block no later level
+    uses is dropped and the rest renumbered.  The group acts on spaces
+    through <gens>/(<gens> ∩ {±I}), of order at most ``order_bound`` / 2
+    (-I lies in O_2n and SO_2n, so a subgroup without it has index at least
+    2); the first chain of a depth finds the order, which telescopes down.
+    Dropping a block keeps the order while every block left is a whole
+    flag space M_c, as O_2n's kernel on M_c is {±I}, which fixes every
+    point; else a chain gets no order until one of its depth has found it.
+    """
     total = prod(len(chains) for _, chains in levels)
-    if total <= DIRECT_LIMIT:
-        return census_codes(levels, images, n, q, descriptor)
+    if not total:
+        return OrbitCensus(descriptor, q, 0, [], [], [], 0)
     budget = _flags.orbit_budget()
-    # fix big components first
-    perm = sorted(range(len(levels)),
-                  key=lambda i: -max(s.dim for ch in levels[i][1][:1]
-                                     for s in ch))
+    perm, std = list(range(len(levels))), None
+    if total <= DIRECT_LIMIT:
+        tail = min(1, len(levels))
+    else:
+        tail = len(levels)
+        # fix big components first
+        perm.sort(key=lambda i: -max(s.dim for s in levels[i][1][0]))
+        offset0, chains0 = levels[perm[0]]
+        std = tuple(coordinate_subspace(q, 2 * n, range(1, s.dim + 1))
+                    for s in chains0[0])
+        at = bisect_left(chains0, chain_key(std), key=chain_key)
+        std = offset0 + at if at < len(chains0) and chains0[at] == std \
+            else None
     levels = [levels[i] for i in perm]
-    degree = max(offset + len(chains) for offset, chains in levels)
-    offset0, chains0 = levels[0]
-    std = tuple(coordinate_subspace(q, 2 * n, range(1, s.dim + 1))
-                for s in chains0[0])
-    at = bisect_left(chains0, chain_key(std), key=chain_key)
-    std = offset0 + at if at < len(chains0) and chains0[at] == std else None
-    # the group acts on spaces through <gens>/(<gens> ∩ {±I}), of order at
-    # most |O_2n(q)|/2 (or |SO_2n(q)|/2): -I lies in both groups, so a
-    # subgroup without it has index at least 2
-    root_bound = order_bound(gens, n) // 2
+    # places[d][offset]: where a block of levels[d:] starts at depth d;
+    # renums[d] maps the points kept from depth d - 1, if any moved
+    places, renums = [], []
+    for d in range(len(levels) + 1):
+        lengths = dict(sorted((o, len(c)) for o, c in levels[d:]))
+        place = dict(zip(lengths, accumulate(lengths.values(), initial=0)))
+        old = places[-1] if d else place
+        renums.append(place != old and {old[o] + x: place[o] + x
+                                        for o in lengths
+                                        for x in range(lengths[o])})
+        places.append(place)
+    whole = [all(_whole(chains, q, n) for _, chains in levels[d:])
+             for d in range(len(levels) + 1)]
+    top = cache(lambda: order_bound(gens, n) // 2)
+    strides, sub_total = [], 1
+    for _, chains in reversed(levels[tail:]):
+        strides.insert(0, sub_total)
+        sub_total *= len(chains)
     leaves = []
 
-    def descend(gens, order, depth, prefix, size_acc):
-        """Orbits of <gens> (of the given order, None if not yet telescoped
-        from a chain above) on the points of levels[depth], recursing into
-        the stabilizer of each representative.
-
-        Representatives are the smallest point of their orbit, except at
-        depth 0 where the standard chain `std` represents its own orbit.
-        """
+    def search(perms, order, depth, prefix, size):
+        """The orbits of <perms> on levels[depth:], whose order on the
+        points of that depth is `order` (None when not known)."""
+        place = places[depth]
+        if depth == tail:
+            moves = []
+            for img in perms:
+                acc = [0]
+                for (offset, chains), stride in zip(levels[tail:], strides):
+                    start = place[offset]
+                    w = [(y - start) * stride
+                         for y in img[start:start + len(chains)]]
+                    acc = [a + b for a in acc for b in w]
+                moves.append(acc)
+            for members in orbits(moves, range(sub_total)):
+                code, rep = members[0], []
+                for _, chains in reversed(levels[tail:]):
+                    code, d = divmod(code, len(chains))
+                    rep.append(chains[d])
+                leaves.append((prefix + tuple(reversed(rep)),
+                               size * len(members)))
+            return
         offset, chains = levels[depth]
-        last = depth == len(levels) - 1
-        for members in orbits(gens, range(offset, offset + len(chains))):
+        start = place[offset]
+        for members in orbits(perms, range(start, start + len(chains))):
             if len(members) > budget:
                 raise Infeasible.over_budget(len(members), budget)
-            rep = std if depth == 0 and std in members else min(members)
-            here = prefix + (chains[rep - offset],)
-            size = size_acc * len(members)
-            if last:
-                leaves.append((here, size))
-                continue
-            sub_gens, sub_order = gens, order
-            if len(members) > 1:
-                chain = StabChain(gens, degree, base=(rep,),
-                                  order=root_bound if order is None else order)
+            rep = std if depth == 0 and std in members else members[0]
+            sub, sub_order = perms, order
+            if len(members) > 1 and depth + 1 < len(levels):
+                chain = StabChain(perms, len(perms[0]), base=(rep,),
+                                  order=order or (top() if whole[depth]
+                                                  else None))
                 if len(chain.orbit[0]) != len(members):
                     raise AssertionError("basic orbit differs from the orbit")
                 if order is not None and chain.order() != order:
                     raise AssertionError("stabilizer chain does not reach "
                                          "the telescoped order")
                 order = chain.order()
-                sub_gens, sub_order = chain.stabilizer(), order // len(members)
-            descend(sub_gens, sub_order, depth + 1, here, size)
+                sub, sub_order = chain.stabilizer(), order // len(members)
+                del chain  # free its levels before the depths below
+            renum = renums[depth + 1]
+            if renum:
+                keep = tuple(renum)
+                sub = [tuple(map(renum.__getitem__, mul(keep, p)))
+                       for p in sub]
+                sub_order = sub_order if whole[depth + 1] else None
+            search(sub, sub_order, depth + 1, prefix + (chains[rep - start],),
+                   size * len(members))
 
-    descend(images, None, 0, (), 1)
-    inv = [perm.index(i) for i in range(len(perm))]
+    search(images, None, 0, (), 1)
+    back = [perm.index(i) for i in range(len(perm))]
     reps, sizes, sigs = [], [], []
     for rep, size in sorted(leaves, key=lambda t: tuple_key(t[0])):
-        rep = tuple(rep[inv[i]] for i in range(len(inv)))
+        rep = tuple(rep[i] for i in back)
         reps.append(rep)
         sizes.append(size)
         sigs.append(signature(rep, n))

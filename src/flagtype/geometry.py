@@ -145,7 +145,11 @@ def transvection(q, n, r, c, mu):
 
 
 def gl_generators(q, m):
-    """Generators of GL_m(F_q): elementary E_ij(1) and one primitive torus."""
+    """Generators of GL_m(F_q): elementary E_ij(1) and one primitive torus.
+    GF(p) only, as are those of P, SO_2n and O_2n built on them."""
+    if not q:
+        raise ValueError("group generators need an odd prime q: the "
+                         "rationals (q = 0) have no primitive root")
     gens = []
     for i in range(m):
         for j in range(m):

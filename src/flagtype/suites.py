@@ -336,7 +336,8 @@ CENSUS_PLAN = [
 
 
 def suite_censuses(plan=None):
-    """Classifier verdicts against exact orbit counts at n = 2, 3."""
+    """Classifier verdicts against exact orbit counts at n = 2, 3, and the
+    counts of shape (alpha)|(beta)|(n) against their b-counts."""
     checks = []
     results = {}
     for n, comps, qs in (plan or CENSUS_PLAN):
@@ -355,6 +356,12 @@ def suite_censuses(plan=None):
         ok = verdict == FINITE and totals_ok and len(set(counts.values())) == 1
         checks.append((label, ok,
                        "counts %r, classifier %s" % (counts, verdict)))
+        if [len(c) for c in comps] == [1, 1, 1] and comps[2] == (n,):
+            # one G-orbit per valid (theta, b) of those dims (the paper)
+            want = sum(len(enumerate_valid_b(t)) for t in enumerate_thetas(n)
+                       if (t.alpha, t.beta) == (comps[0][0], comps[1][0]))
+            checks.append((label + " b-count", set(counts.values()) == {want},
+                           "counts %r, b-count %d" % (counts, want)))
     growth, _ = family_classes("O6_L32p", 3)
     growth5, _ = family_classes("O6_L32p", 5)
     checks.append(("infinite shapes realize growth (O6 (2)|(2)|(2))",

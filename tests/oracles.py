@@ -9,11 +9,12 @@ perps are checked against sets of vectors listed one by one.
 import itertools
 
 from flagtype.linalg import (Mat, RATIONAL, canonicalize, meet, join, kernel,
-                             combination)
+                             combination, identity, mat_mul)
 from flagtype.geometry import (form, perp, ell, unipotent_radical_basis,
                                w_element)
 from flagtype.invariants import ThetaInvariants, BInvariants, _plus_part_map
-from flagtype.engine import OrbitCensus, signature
+from flagtype.engine import (ActionCache, OrbitCensus, orbit_with_tree,
+                             signature)
 from flagtype.perm import orbits
 
 
@@ -85,6 +86,27 @@ def rational_group_generators(n):
             + [w_element(q, n, 1)])
 
 
+def orbit(start, gens, q):
+    """Orbit of a FlagTuple by BFS, with a spanning tree of generator
+    words."""
+    cache = ActionCache(gens)
+    return orbit_with_tree(start, gens, cache.tuple)
+
+
+def path_element(member, tree, gens, q, dim):
+    """Group element carrying the orbit root to `member` along the tree."""
+    steps = []
+    x = member
+    while tree[x] is not None:
+        parent, gi = tree[x]
+        steps.append(gi)
+        x = parent
+    g = identity(q, dim)
+    for gi in reversed(steps):
+        g = mat_mul(gens[gi], g)
+    return g
+
+
 def signature_by_meets(ft, n):
     """``engine.signature`` the long way: the pool of the components and
     their perps, and one Zassenhaus meet per pair of the pool."""
@@ -142,8 +164,8 @@ def b_invariants_by_meets(u_plus, u_minus, v, n):
 
 
 def census_full_product(levels, images, n, q, descriptor=""):
-    """``engine.census_codes`` without the stabilizer of the first
-    component: one BFS over the codes of the whole product.
+    """The engine's census without any stabilizer: one BFS over the codes
+    of the whole product.
 
     A tuple is the mixed-radix integer of its components' positions,
     component 0 most significant; every generator moves all the codes, and

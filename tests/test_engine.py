@@ -14,17 +14,18 @@ from flagtype.geometry import (standard_isotropic, group_generators,
                                is_isotropic)
 from flagtype import flags
 from flagtype.flags import Composition, enumerate_chains, act
-from flagtype.engine import (orbit, same_orbit, census_direct, census_space,
-                             census_product, signature, path_element,
-                             close_group, schreier_descend, StabLevel,
-                             Infeasible, tuple_key, SAME, DIFFERENT,
-                             order_bound, action_points, index_spaces)
+from flagtype.engine import (same_orbit, census_direct, census_space,
+                             census_product, signature, close_group,
+                             schreier_descend, StabLevel, Infeasible,
+                             tuple_key, SAME, DIFFERENT, order_bound,
+                             action_points, index_spaces)
 from flagtype.invariants import b_invariants
 from flagtype.canonical import enumerate_thetas, enumerate_valid_b
 from flagtype import engine, suites
 from flagtype.suites import CENSUS_PLAN
 
-from oracles import census_full_product, signature_by_meets
+from oracles import (census_full_product, orbit, path_element,
+                     signature_by_meets)
 
 
 def max_flags(q, n):
@@ -253,24 +254,26 @@ def test_census_counts_match_b_invariants():
     classification of triples by b), point by point: the (theta, b) of the
     census representatives are pairwise distinct and are exactly the
     valid pairs.  The census uses no b-invariants, so this is an
-    independent route.  n = 2, 3 at q=3, and n = 2 at q=5."""
+    independent route.  Every alpha <= beta at n = 2, 3 (q=3) and n = 2
+    (q=5); at n = 4, q=3, three cells that take the descent, through a
+    block shared by two levels and through one dropped after depth 0."""
+    cells = [(n, q, alpha, beta) for n, q in ((2, 3), (3, 3), (2, 5))
+             for alpha in range(1, n + 1) for beta in range(alpha, n + 1)]
+    cells += [(4, 3, 1, 1), (4, 3, 1, 4), (4, 3, 4, 4)]
     counts = []
-    for n, q in ((2, 3), (3, 3), (2, 5)):
-        gens = group_generators(q, n)
-        for alpha in range(1, n + 1):
-            for beta in range(alpha, n + 1):
-                comps = [Composition([alpha]), Composition([beta]),
-                         Composition([n])]
-                want = {(t, b) for t in enumerate_thetas(n)
-                        if t.alpha == alpha and t.beta == beta
-                        for b in enumerate_valid_b(t)}
-                census = census_space(n, q, comps, gens)
-                got = [b_invariants(up, um, v, n)[::-1]
-                       for (up,), (um,), (v,) in census.representatives]
-                assert len(set(got)) == len(got) == census.orbit_count
-                assert set(got) == want
-                counts.append(census.orbit_count)
-    assert counts == [10, 9, 11, 10, 19, 14, 40, 26, 24, 10, 9, 11]
+    for n, q, alpha, beta in cells:
+        comps = [Composition([alpha]), Composition([beta]), Composition([n])]
+        want = {(t, b) for t in enumerate_thetas(n)
+                if t.alpha == alpha and t.beta == beta
+                for b in enumerate_valid_b(t)}
+        census = census_space(n, q, comps, group_generators(q, n))
+        got = [b_invariants(up, um, v, n)[::-1]
+               for (up,), (um,), (v,) in census.representatives]
+        assert len(set(got)) == len(got) == census.orbit_count
+        assert set(got) == want
+        counts.append(census.orbit_count)
+    assert counts == [10, 9, 11, 10, 19, 14, 40, 26, 24, 10, 9, 11,
+                      10, 19, 46]
 
 
 def test_census_determinism():
@@ -503,11 +506,23 @@ def sizes_by_signature(cen):
 def test_descent_matches_direct_census(kind, monkeypatch):
     """The stabilizer-chain descent against the direct census, under P, SO
     and G; representatives may differ, so orbits are compared by size and
-    signature."""
+    signature.
+
+    Under P one more input has later blocks that are not whole flag
+    spaces: the lines of U_0, which P keeps but acts on with a kernel, so
+    the chains on them get no order from the chains above."""
     n, q = 2, 3
     gens = kind(q, n)
-    for _, comps, _ in [e for e in CENSUS_PLAN if e[0] == n]:
-        spaces = [enumerate_chains(q, n, Composition(c)) for c in comps]
+    inputs = [[enumerate_chains(q, n, Composition(c)) for c in comps]
+              for m, comps, _ in CENSUS_PLAN if m == n]
+    if kind is parabolic_generators:
+        u0 = standard_isotropic(q, n, 0)
+        lines = [ch for ch in enumerate_chains(q, n, Composition([1]))
+                 if u0.contains_space(ch[0])]
+        assert len(lines) == q + 1
+        inputs.append([enumerate_chains(q, n, Composition([2])), lines,
+                       lines])
+    for spaces in inputs:
         direct = census_product(spaces, gens, n, q)
         with monkeypatch.context() as m:
             m.setattr(engine, "DIRECT_LIMIT", 0)
@@ -539,10 +554,18 @@ def test_so_and_p_censuses_of_three_lines():
 
 def test_census_suite_checks_single_q_entries(monkeypatch):
     """A census entry run at one q passes only if its point total is the
-    closed-form product of the flag counts and the classifier says Finite."""
+    closed-form product of the flag counts and the classifier says Finite;
+    one of shape (alpha)|(beta)|(n) also needs its count to be the number
+    of valid (theta, b)."""
     monkeypatch.setattr(suites, "family_classes", lambda name, q: ([], None))
     finite = [(2, [(1,), (1,), (2,)], (3,))]
-    assert suites.suite_censuses(finite)["checks"][0][1]
+    checks = suites.suite_censuses(finite)["checks"]
+    assert checks[0][1]
+    assert checks[1] == ("census n=2 (1,)|(1,)|(2,) b-count", True,
+                         "counts {3: 10}, b-count 10")
+    with monkeypatch.context() as m:
+        m.setattr(suites, "enumerate_valid_b", lambda t: [None])
+        assert not suites.suite_censuses(finite)["checks"][1][1]
     assert not suites.suite_censuses([(2, [(1,), (1,), (1,)], (3,))]
                                      )["checks"][0][1]
     monkeypatch.setattr(suites, "flag_count", lambda q, n, comp: 1)

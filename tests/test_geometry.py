@@ -11,10 +11,20 @@ from flagtype.geometry import (form, perp, classify_element, IN_SO,
                                parabolic_generators, group_order, sp_order,
                                unipotent_radical_basis, random_isotropic,
                                random_group_element, coordinate_subspace,
-                               is_isotropic)
+                               is_isotropic, gl_generators)
 from flagtype.engine import close_group
 
 from oracles import isotropic_subspaces, rational_group_generators
+
+
+@pytest.mark.parametrize("kind", [gl_generators, parabolic_generators,
+                                  so_generators, group_generators])
+def test_generators_need_an_odd_prime(kind):
+    """The generator sets are GF(p)-only: over Q there is no primitive root
+    for the torus, and the error says so."""
+    with pytest.raises(ValueError, match="group generators need an odd "
+                       "prime q: the rationals"):
+        kind(RATIONAL, 2)
 
 
 def orbit_of(s, gens):

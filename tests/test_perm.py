@@ -6,11 +6,13 @@ import random
 import pytest
 from sympy.combinatorics import Permutation, PermutationGroup
 
-from flagtype.engine import action_points, index_spaces, orbit, order_bound
+from flagtype.engine import action_points, index_spaces, order_bound
 from flagtype.geometry import (coordinate_subspace, group_generators,
                                group_order, parabolic_generators,
                                so_generators)
 from flagtype.perm import StabChain, inv, mul, orbits
+
+from oracles import orbit
 
 
 def sympy_group(images):
