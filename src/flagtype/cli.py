@@ -171,6 +171,7 @@ def cmd_classify(args):
 
 
 def cmd_invariants(args):
+    check_n(args.n)
     n, q = args.n, args.q
     up = parse_subspace(args.u_plus, q, 2 * n, n, "--u-plus")
     um = parse_subspace(args.u_minus, q, 2 * n, n, "--u-minus")
@@ -187,6 +188,7 @@ def cmd_invariants(args):
 
 
 def cmd_canonical(args):
+    check_n(args.n)
     n, q = args.n, args.q
     if q:
         check_finite_field(q)
@@ -205,6 +207,7 @@ def cmd_canonical(args):
 
 
 def cmd_normalize(args):
+    check_n(args.n)
     n, q = args.n, args.q
     up = parse_subspace(args.u_plus, q, 2 * n, n, "--u-plus")
     um = parse_subspace(args.u_minus, q, 2 * n, n, "--u-minus")

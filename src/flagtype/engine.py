@@ -27,10 +27,12 @@ small product is coded from depth 1 on, a larger one searched down to its
 last depth.  The chains telescope their orders from a bound on the top
 one, so no group order is assumed.
 
-Same-orbit decisions and the witness classes index vectors and subspaces
+Same-orbit decisions and stabilizer orbits index vectors and subspaces
 (``action_points``): the vectors make the action faithful, so the chain's
 order is bounded by |O_2n(q)|, or |SO_2n(q)| for generators of determinant
 1, and a permutation converts back to the connecting matrix.
+``stabilizer_orbits`` gives the orbits of the stabilizer of some subspaces
+on others, for the witness classes and the R-classes alike.
 """
 
 from bisect import bisect_left
@@ -137,7 +139,9 @@ def subspace_orbit_with_transversal(start, gens, q, dim, budget=None):
 
 
 def close_group(gens, cap):
-    """Materialize <gens> by BFS; raises Infeasible beyond cap."""
+    """Materialize <gens> by BFS; raises Infeasible beyond cap.  The
+    package calls it nowhere: the tests use it as an oracle, and the
+    perfbench tracer wraps it."""
     q = gens[0].q
     dim = gens[0].nrows
     ident = identity(q, dim)
@@ -371,6 +375,28 @@ def order_bound(gens, n):
     if NOT_ORTHOGONAL in verdicts:
         raise ValueError("generator is not orthogonal")
     return group_order(gens[0].q, n) // (2 if verdicts == {IN_SO} else 1)
+
+
+def stabilizer_orbits(gens, n, fixed, spaces):
+    """The orbits on `spaces` of the stabilizer in <gens> of every subspace
+    in `fixed`, as lists of positions in `spaces`, each ascending, in the
+    order of their first positions.
+
+    The spaces are points of ``action_points``.  The stabilizer is the
+    level after the points of `fixed` in one chain based at them, bounded
+    by ``order_bound``."""
+    _, index, images = action_points(gens, fixed + spaces)
+    base = list(dict.fromkeys(index[s] for s in fixed))
+    chain = StabChain(images, len(images[0]), base=base,
+                      order=order_bound(gens, n))
+    stab = chain.gens[len(base)] if len(base) < len(chain.gens) else []
+    orbit_of = {}
+    for k, orb in enumerate(orbits(stab, [index[s] for s in spaces])):
+        orbit_of.update(dict.fromkeys(orb, k))
+    classes = {}
+    for i, s in enumerate(spaces):
+        classes.setdefault(orbit_of[index[s]], []).append(i)
+    return list(classes.values())
 
 
 def same_orbit(x, y, gens, n, q):

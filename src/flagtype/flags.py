@@ -6,9 +6,9 @@ orbit engine keys on.
 
 Enumeration works over GF(q) as an orbit: by Witt's theorem O_2n is
 transitive on the isotropic flags of one type, and GL_m on the flags of one
-type in F_q^m (``enumerate_chains_ambient`` without ``iso_n``, which is what
-the GL-flag spot checks of the appendix formula use), so M_comp is the orbit
-of the standard flag of initial coordinate spaces.  ``flag_spaces``
+type in F_q^m (without ``iso_n``, as the GL-flag spot checks of the appendix
+formula use it), so M_comp is the orbit of the standard flag of initial
+coordinate spaces.  ``flag_spaces``
 replaces each space of the standard flags by its orbit (``subspace_orbit``)
 over one table of projective points (``PointTable``), so a generator moves
 each point once and each member costs one RREF, and returns the flags with

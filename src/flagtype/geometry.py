@@ -138,9 +138,9 @@ def transvection(q, n, r, c, mu):
         raise ValueError("degenerate transvection indices")
     rows = [list(rw) for rw in identity(q, 2 * n).rows]
     mu = sc(q, mu)
-    rows[r - 1][c - 1] = (rows[r - 1][c - 1] + mu) % q if q else rows[r - 1][c - 1] + mu
+    rows[r - 1][c - 1] += mu
     br, bc = bar(r, n), bar(c, n)
-    rows[bc - 1][br - 1] = (rows[bc - 1][br - 1] - mu) % q if q else rows[bc - 1][br - 1] - mu
+    rows[bc - 1][br - 1] -= mu
     return Mat(q, rows)
 
 

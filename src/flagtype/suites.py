@@ -2,11 +2,16 @@
 
 Each suite returns {"ok": bool, "name": ..., "checks": [(label, ok, detail)]}.
 The CLI command `flagtype verify --suite NAME` runs one of them and exits
-0/1/3; the acceptance tests assert them directly.
+0/1/3; each acceptance criterion runs the suite of the same content and
+asserts its checks.  Orbits come from the engine: censuses, and
+``stabilizer_orbits`` for the R-orbits of `r-classes` and the witness
+classes; `cor87` counts GL-flag orbits on the permutations that
+``flags.flag_spaces`` returns.
 """
 
 import math
 import random
+from collections import Counter
 
 from .linalg import Mat, act_on_subspace, identity, mat_mul
 from .geometry import (group_generators, so_generators, parabolic_generators,
@@ -14,16 +19,15 @@ from .geometry import (group_generators, so_generators, parabolic_generators,
                        random_group_element, group_order, sp_order,
                        w_element, classify_element, IN_SO, IN_O_MINUS_SO,
                        primitive_root)
-from .flags import (Composition, enumerate_chains, enumerate_chains_ambient,
-                    flag_count)
+from .flags import Composition, enumerate_chains, flag_count, flag_spaces
 from .invariants import BInvariants, b_invariants, verify_relations
 from .canonical import (enumerate_thetas, enumerate_valid_b, standard_pair,
                         representative, IndexLayout, rv_generator,
                         sp_prime_generators, in_sp_prime, eliminate,
                         check_rv_membership, PLUS_BLOCKS, EXCLUDED_PAIRS,
                         COMPENSATED_PAIRS, block_precedes, normalize_pair)
-from .engine import (action_points, census_direct, census_space, close_group,
-                     index_spaces)
+from .engine import (INFEASIBLE, action_points, census_direct, census_space,
+                     stabilizer_orbits)
 from .perm import StabChain, orbits
 from .witnesses import (FAMILIES, build, family_classes, equivariance_check,
                         separation_check)
@@ -189,73 +193,68 @@ def suite_bruhat(ns=(2, 3), qs=(3, 5)):
         for q in qs:
             maxiso = enumerate_chains(q, n, Composition([n]))
             tuples = [(ch,) for ch in maxiso]
-            cp = census_direct(tuples, parabolic_generators(q, n), n, q)
-            cs = census_direct(tuples, so_generators(q, n), n, q)
-            cg = census_direct(tuples, group_generators(q, n), n, q)
+            cp, cs, cg = (census_direct(tuples, kind(q, n), n, q) for kind in
+                          (parabolic_generators, so_generators,
+                           group_generators))
+            d_of = Counter(bruhat_cell(ch[0], n) for ch in maxiso)
             checks.append(("P cells n=%d q=%d" % (n, q),
                            cp.orbit_count == n + 1,
                            "%d cells over %d spaces" % (cp.orbit_count,
                                                         len(maxiso))))
             checks.append(("SO orbits n=%d q=%d" % (n, q),
                            cs.orbit_count == 2, str(cs.orbit_count)))
+            # the two SO-orbits are the cells of even and of odd d
+            split = sorted((bruhat_cell(rep[0][0], n) % 2, size)
+                           for rep, size in zip(cs.representatives,
+                                                cs.orbit_sizes))
+            parity = [sum(c for d, c in d_of.items() if d % 2 == p)
+                      for p in (0, 1)]
+            checks.append(("SO orbits split by cell parity n=%d q=%d" % (n, q),
+                           split == list(enumerate(parity)),
+                           "(parity, size) %r, cells %r" % (split, parity)))
             checks.append(("G transitive n=%d q=%d" % (n, q),
                            cg.orbit_count == 1, str(cg.orbit_count)))
             # M_(n) is enumerated as one G-orbit, so count it independently
-            want = 1
-            for i in range(n):
-                want *= q ** i + 1
+            want = math.prod(q ** i + 1 for i in range(n))
             checks.append(("|M_(n)| = prod(q^i + 1) n=%d q=%d" % (n, q),
                            len(maxiso) == want,
                            "%d spaces, formula %d" % (len(maxiso), want)))
-            d_of = {}
-            for ch in maxiso:
-                d = bruhat_cell(ch[0], n)
-                d_of[d] = d_of.get(d, 0) + 1
             checks.append(("cells indexed by d n=%d q=%d" % (n, q),
                            sorted(d_of) == list(range(n + 1)),
                            repr(sorted(d_of.items()))))
     return _suite("bruhat", checks)
 
 
-def suite_r_classes(q=3):
-    """Desk-scale completeness at n=2: R-orbits against b-tuples."""
-    n = 2
+R_CLASS_CELLS = ((2, 3), (2, 5), (3, 3))
+
+
+def suite_r_classes():
+    """Completeness at each (n, q) of R_CLASS_CELLS: for every theta, the
+    orbits of R = Stab(U+, U-) on M_(n) are the b-classes, one per valid b;
+    and |O_2n(q)| from a stabilizer chain on the faithful vector action."""
     checks = []
-    gens = group_generators(q, n)
-    group = close_group(gens, group_order(q, n) + 8)
-    checks.append(("|O_4(F_%d)| by materialization" % q,
-                   len(group) == group_order(q, n),
-                   "%d = %d" % (len(group), group_order(q, n))))
-    maxiso = [ch[0] for ch in enumerate_chains(q, n, Composition([n]))]
-    agree = True
-    detail = []
-    for t in enumerate_thetas(n):
-        su, sm = standard_pair(t, q)
-        r = [g for g in group if act_on_subspace(g, su) == su
-             and act_on_subspace(g, sm) == sm]
-        orbits = []
-        rest = set(maxiso)
-        while rest:
-            v = min(rest, key=lambda s: s.rows)
-            orb = {act_on_subspace(g, v) for g in r}
-            orbits.append(orb)
-            rest -= orb
-        bvals = {}
-        for v in maxiso:
-            b, _ = b_invariants(su, sm, v, n)
-            bvals.setdefault(b, set()).add(v)
-        n_valid = len(enumerate_valid_b(t))
-        same_partition = {frozenset(o) for o in orbits} == \
-            {frozenset(s) for s in bvals.values()}
-        orbit_stab_ok = all(len(o) * (len(r) // len(o)) == len(r) and
-                            len(r) % len(o) == 0 for o in orbits)
-        if not (len(orbits) == len(bvals) == n_valid and same_partition
-                and orbit_stab_ok):
-            agree = False
-        detail.append("theta=%s: %d R-orbits, %d b-values, %d valid b" %
-                      (t.tuple5(), len(orbits), len(bvals), n_valid))
-    checks.append(("b-classes coincide with R-orbits (all thetas)", agree,
-                   "; ".join(detail)))
+    for n, q in R_CLASS_CELLS:
+        gens = group_generators(q, n)
+        vectors, _, images = action_points(gens, [])
+        order = StabChain(images, len(vectors)).order()
+        checks.append(("|O_%d(F_%d)| by stabilizer chain" % (2 * n, q),
+                       order == group_order(q, n),
+                       "%d = %d" % (order, group_order(q, n))))
+        maxiso = [ch[0] for ch in enumerate_chains(q, n, Composition([n]))]
+        agree, detail = True, []
+        for t in enumerate_thetas(n):
+            su, sm = standard_pair(t, q)
+            r_orbits = stabilizer_orbits(gens, n, [su, sm], maxiso)
+            bvals = {}
+            for i, v in enumerate(maxiso):
+                bvals.setdefault(b_invariants(su, sm, v, n)[0], []).append(i)
+            n_valid = len(enumerate_valid_b(t))
+            agree &= len(r_orbits) == n_valid and \
+                sorted(r_orbits) == sorted(bvals.values())
+            detail.append("theta=%s: %d R-orbits, %d b-values, %d valid b" %
+                          (t.tuple5(), len(r_orbits), len(bvals), n_valid))
+        checks.append(("b-classes = R-orbits n=%d q=%d (all thetas)" % (n, q),
+                       agree, "; ".join(detail)))
     return _suite("r-classes", checks)
 
 
@@ -274,7 +273,7 @@ WITNESS_PLAN = {
 }
 
 
-def suite_witnesses(include_q5_squareclass=True):
+def suite_witnesses():
     checks = []
     for fid, fam in FAMILIES.items():
         lam = fam.lambda_domain(3, fam.n_min)[0]
@@ -298,27 +297,25 @@ def suite_witnesses(include_q5_squareclass=True):
                 ok = count >= want
                 msg = "%d classes (needs >= %d): %r" % (count, want, classes)
             checks.append(("separation %s q=%d" % (fid, q), ok, msg))
-    qs_sq = (3, 5) if include_q5_squareclass else (3,)
-    for q in qs_sq:
+    for q in (3, 5):
         classes, _ = family_classes("O6_L322_sq", q)
         checks.append(("O6_L322_sq exactly 2 classes q=%d" % q,
                        len(classes) == 2, repr(classes)))
-        nonsq = next(c for c in range(2, q) if pow(c, (q - 1) // 2, q) != 1)
-        cert = equivariance_check("O6_L322_sq", nonsq, q - 1, q)
-        checks.append(("O6_L322_sq equivariance certificate q=%d" % q,
-                       bool(cert["ok"]), "lam=%d -> %s" % (nonsq,
-                                                           cert.get("target"))))
+    for fid, n in (("O6_L322_sq", 3), ("O10_L323_sq", 5)):
+        for q in (3, 5):
+            pairs = [(lam, c) for lam in FAMILIES[fid].lambda_domain(q, n)
+                     for c in range(2, q)]
+            bad = [(lam, c) for lam, c in pairs
+                   if not equivariance_check(fid, lam, c, q)["ok"]]
+            checks.append(("%s equivariance certificates q=%d" % (fid, q),
+                           not bad, "%d (lam, c), failing %r"
+                           % (len(pairs), bad)))
     for q in (3, 5):
-        certs_ok = True
-        for lam in FAMILIES["O10_L323_sq"].lambda_domain(q, 5):
-            for c in range(2, q):
-                cert = equivariance_check("O10_L323_sq", lam, c, q)
-                if not cert["ok"]:
-                    certs_ok = False
-        checks.append(("O10_L323_sq equivariance certificates q=%d" % q,
-                       certs_ok, "separation Infeasible by design"))
+        v, _ = separation_check("O10_L323_sq", 1, 2, q)
+        checks.append(("O10_L323_sq separation Infeasible q=%d" % q,
+                       v == INFEASIBLE, v))
     v, _ = separation_check("O8_L32_i", 1, 2, 3)
-    checks.append(("O8 separation marked Infeasible", v == "Infeasible", v))
+    checks.append(("O8 separation marked Infeasible", v == INFEASIBLE, v))
     return _suite("witnesses", checks)
 
 
@@ -373,54 +370,38 @@ def suite_censuses(plan=None):
 
 
 def _gl_parabolic_gens(q, blocks):
-    """Block upper-triangular parabolic of GL_m over GF(q)."""
-    m = sum(blocks)
-    gens = []
-    starts = []
-    s = 0
-    for b in blocks:
-        starts.append(s)
-        s += b
-    rows_upper = []
-    for bi, b in enumerate(blocks):
-        base = starts[bi]
-        for i in range(b):
-            for j in range(b):
-                if i != j:
-                    rows_upper.append((base + i, base + j))
-    for bi in range(len(blocks)):
-        for bj in range(bi + 1, len(blocks)):
-            for i in range(blocks[bi]):
-                for j in range(blocks[bj]):
-                    rows_upper.append((starts[bi] + i, starts[bj] + j))
-    for (i, j) in rows_upper:
-        mat = [[1 if a == b else 0 for b in range(m)] for a in range(m)]
-        mat[i][j] = 1
-        gens.append(Mat(q, mat))
-    g = primitive_root(q)
-    for i in range(m):
-        mat = [[1 if a == b else 0 for b in range(m)] for a in range(m)]
-        mat[i][i] = g
-        gens.append(Mat(q, mat))
-    return gens
+    """Block upper-triangular parabolic of GL_m over GF(q): E_ij(1) for
+    block(i) <= block(j), and the primitive torus at each index."""
+    block = [b for b, size in enumerate(blocks) for _ in range(size)]
+    m, g = len(block), primitive_root(q)
+
+    def elementary(i, j, x):
+        return Mat(q, [[x if (a, b) == (i, j) else int(a == b)
+                        for b in range(m)] for a in range(m)])
+
+    return [elementary(i, j, 1) for i in range(m) for j in range(m)
+            if i != j and block[i] <= block[j]] + \
+        [elementary(i, i, g) for i in range(m)]
+
+
+def _gl_orbit_count(q, comp, gens):
+    """Orbits of <gens> < GL_m on the flags of type comp in F_q^m, m the
+    size of the matrices, from the permutations ``flag_spaces`` returns."""
+    chains, perms = flag_spaces(q, gens[0].nrows, [comp], None, gens)[comp]
+    return len(orbits(perms, range(len(chains))))
 
 
 def suite_cor87():
     """Appendix counting formula spot checks on full GL flags."""
     checks = []
     for q in (3, 5):
-        flags_3 = enumerate_chains_ambient(q, 3, Composition([1, 1, 1]))
-        tuples = [(ch,) for ch in flags_3]
-        gens = _gl_parabolic_gens(q, (2, 1))
-        cen = _census_linear(tuples, gens)
+        cen = _gl_orbit_count(q, Composition([1, 1, 1]),
+                              _gl_parabolic_gens(q, (2, 1)))
         checks.append(("parabolic (2,1) on full flags of F_%d^3" % q,
                        cen == 3, "%d orbits = 3!/2!" % cen))
-    sp_counts = {}
-    for q in (3, 5):
-        gens = sp_prime_generators(q, 2)
-        flags_4 = enumerate_chains_ambient(q, 4, Composition([1, 1, 1, 1]))
-        tuples = [(ch,) for ch in flags_4]
-        sp_counts[q] = _census_linear(tuples, gens)
+    sp_counts = {q: _gl_orbit_count(q, Composition([1, 1, 1, 1]),
+                                    sp_prime_generators(q, 2))
+                 for q in (3, 5)}
     checks.append(("Sp'_4 orbit count on full flags is q-stable",
                    sp_counts[3] == sp_counts[5], repr(sp_counts)))
     # the order of the faithful action on the 80 nonzero vectors of F_3^4
@@ -430,12 +411,6 @@ def suite_cor87():
                    order == sp_order(3, 2),
                    "%d = %d" % (order, sp_order(3, 2))))
     return _suite("cor87", checks)
-
-
-def _census_linear(tuples, gens):
-    """Orbit count for a GL-type action (no bilinear form involved)."""
-    _, images = index_spaces([[ch for (ch,) in tuples]], gens)
-    return len(orbits(images, range(len(tuples))))
 
 
 def suite_normalize(trials=120, seed=9):

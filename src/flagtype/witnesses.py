@@ -7,8 +7,8 @@ coefficient) and padded by initial coordinate spaces U_[l] so every chain
 member reaches the dimension its composition demands.
 
 Finite-field checks: `family_classes` partitions {m_lambda} into exact
-orbit classes with one stabilizer chain of O_2n based at the
-lambda-independent components: the orbits of their stabilizer class the
+orbit classes: the orbits of the stabilizer in O_2n of the
+lambda-independent components (``engine.stabilizer_orbits``) class the
 moving component.  `equivariance_check` produces verified certificates
 g m_lambda = m_{lambda/c^2} for the square-class families.
 """
@@ -18,8 +18,7 @@ from fractions import Fraction
 from .linalg import Mat, canonicalize, sc, sc_inv
 from .geometry import group_generators, ell, classify_element, NOT_ORTHOGONAL
 from .flags import Composition, Infeasible, validate_tuple, act
-from .engine import action_points, order_bound, INFEASIBLE, SAME, same_orbit
-from .perm import StabChain, orbits
+from .engine import INFEASIBLE, SAME, same_orbit, stabilizer_orbits
 
 
 def _sp(*idxs):
@@ -90,8 +89,7 @@ def _phi_o5(q, n, vec):
     for i, c in enumerate(vec, start=1):
         if c:
             for pos, w in targets[i]:
-                out[pos - 1] = (out[pos - 1] + c * w) % q if q \
-                    else out[pos - 1] + c * w
+                out[pos - 1] += c * w
     return out
 
 
@@ -320,9 +318,9 @@ def separation_check(family_id, lam, mu, q, n=None):
 def family_classes(family_id, q, n=None, lambdas=None):
     """Exact orbit classes among {m_lambda}.
 
-    The lambda-independent components are the base of one stabilizer chain
-    of O_2n; the one moving component of each m_lambda is then classed by
-    the orbits of the next level, the stabilizer of those components.
+    The one moving component of each m_lambda is classed by the orbits of
+    the stabilizer in O_2n of the lambda-independent components, largest
+    first (``engine.stabilizer_orbits``).
     Returns (classes, None), where classes is a list of lists of lambda
     values; the second item is always None.
     """
@@ -346,16 +344,5 @@ def family_classes(family_id, q, n=None, lambdas=None):
                          % (family_id, len(moving)))
     fixed = [ref[i] for i in sorted(shared, key=lambda i: (-ref[i].dim, i))]
     points = [flat[lam][moving[0]] for lam in lambdas]
-    gens = group_generators(q, n)
-    _, index, images = action_points(gens, fixed + points)
-    base = list(dict.fromkeys(index[s] for s in fixed))
-    chain = StabChain(images, len(images[0]), base=base,
-                      order=order_bound(gens, n))
-    stab = chain.gens[len(base)] if len(base) < len(chain.gens) else []
-    orbit_of = {}
-    for k, orb in enumerate(orbits(stab, [index[p] for p in points])):
-        orbit_of.update(dict.fromkeys(orb, k))
-    classes = {}
-    for lam, p in zip(lambdas, points):
-        classes.setdefault(orbit_of[index[p]], []).append(lam)
-    return list(classes.values()), None
+    return [[lambdas[i] for i in orb] for orb in stabilizer_orbits(
+        group_generators(q, n), n, fixed, points)], None

@@ -1,22 +1,23 @@
 """Acceptance suite: one test per criterion, exact tolerances, one
-PASS/FAIL line each (run with -s to see them)."""
+PASS/FAIL line each (run with -s to see them).  Each criterion runs the
+``flagtype verify`` suite of the same content, so every check has one
+implementation."""
 
 import time
+from functools import cache
 
-from flagtype.geometry import (group_generators, so_generators,
-                               parabolic_generators, bruhat_cell)
-from flagtype.flags import Composition, enumerate_chains
-from flagtype.engine import census_direct, census_space
-from flagtype.witnesses import (FAMILIES, build, family_classes,
-                                equivariance_check, separation_check)
-from flagtype.classifier import classify, FINITE
 from flagtype import suites
 
 
-def report(num, label, ok, detail=""):
-    line = "[%s] criterion %-2d %s" % ("PASS" if ok else "FAIL", num, label)
-    if detail:
-        line += "  -- " + detail
+def report(num, label, checks, t0, detail=""):
+    """Assert that `checks` (suite check triples) is nonempty and all pass;
+    the line names the failing ones."""
+    ok = bool(checks) and all(c[1] for c in checks)
+    parts = [detail] if detail else []
+    parts += ["FAILED %s: %s" % (c[0], c[2]) for c in checks if not c[1]]
+    parts.append("%.0fs" % (time.time() - t0))
+    line = "[%s] criterion %-2d %s  -- %s" % ("PASS" if ok else "FAIL", num,
+                                              label, "; ".join(parts))
     print(line)
     assert ok, line
 
@@ -24,154 +25,73 @@ def report(num, label, ok, detail=""):
 def test_criterion_1_prop58_identities():
     t0 = time.time()
     res = suites.suite_prop58(ns=(2, 3, 4), qs=(3, 5), trials=1000)
-    report(1, "b-invariant relation identities (1000 triples per n,q)", res["ok"],
-           "%.0fs" % (time.time() - t0))
+    report(1, "b-invariant relation identities (1000 triples per n,q)",
+           res["checks"], t0)
 
 
 def test_criterion_2_g_invariance():
     t0 = time.time()
     res = suites.suite_ginvariance(ns=(2, 3, 4), qs=(3, 5), trials=200)
-    report(2, "b-invariants are G-invariant (200 random words)", res["ok"],
-           "%.0fs" % (time.time() - t0))
+    report(2, "b-invariants are G-invariant (200 random words)",
+           res["checks"], t0)
 
 
 def test_criterion_3_representative_roundtrip():
     t0 = time.time()
     res = suites.suite_roundtrip(n_max=4)
-    report(3, "representative roundtrip, exhaustive b at n <= 4", res["ok"],
-           "%.0fs" % (time.time() - t0))
+    report(3, "representative roundtrip, exhaustive b at n <= 4",
+           res["checks"], t0)
 
 
 def test_criterion_4_rv_generator_battery():
     t0 = time.time()
     res = suites.suite_rv_generators(q=5)
     report(4, "R_V generator battery over GF(5), all blocks populated",
-           res["ok"], "%.0fs" % (time.time() - t0))
+           res["checks"], t0)
 
 
 def test_criterion_5_bruhat_censuses():
     t0 = time.time()
-    ok = True
-    details = []
-    for n in (2, 3):
-        for q in (3, 5):
-            maxiso = enumerate_chains(q, n, Composition([n]))
-            tuples = [(ch,) for ch in maxiso]
-            cp = census_direct(tuples, parabolic_generators(q, n), n, q)
-            cs = census_direct(tuples, so_generators(q, n), n, q)
-            cg = census_direct(tuples, group_generators(q, n), n, q)
-            # SO-orbits split by the parity of the Bruhat cell d
-            parity_ok = True
-            for rep, size in zip(cs.representatives, cs.orbit_sizes):
-                d = bruhat_cell(rep[0][0], n)
-                members = [t for t in tuples
-                           if bruhat_cell(t[0][0], n) % 2 == d % 2]
-                if len(members) != size:
-                    parity_ok = False
-            here = (cp.orbit_count == n + 1 and cs.orbit_count == 2
-                    and cg.orbit_count == 1 and parity_ok)
-            ok = ok and here
-            details.append("n=%d q=%d: P=%d SO=%d G=%d |M|=%d" %
-                           (n, q, cp.orbit_count, cs.orbit_count,
-                            cg.orbit_count, len(maxiso)))
-    report(5, "Bruhat censuses (P: n+1 cells, SO: parity split, G: 1)", ok,
-           "; ".join(details) + " %.0fs" % (time.time() - t0))
+    res = suites.suite_bruhat(ns=(2, 3), qs=(3, 5))
+    report(5, "Bruhat censuses (P: n+1 cells, SO: parity split, G: 1)",
+           res["checks"], t0)
 
 
 def test_criterion_6_desk_scale_completeness():
     t0 = time.time()
-    res = suites.suite_r_classes(q=3)
-    order_check = res["checks"][0]
-    partition_check = res["checks"][1]
-    report(6, "n=2 q=3: |O_4|=1152 and b-classes = R-orbits for every theta",
-           res["ok"], "%s; %.0fs" % (order_check[2].split(";")[0],
-                                     time.time() - t0))
+    res = suites.suite_r_classes()
+    report(6, "(n, q) in %r: |O_2n| exact, b-classes = R-orbits for every "
+           "theta" % (suites.R_CLASS_CELLS,), res["checks"], t0)
+
+
+@cache
+def witness_checks():
+    """The witnesses suite's checks: those of the square-class families
+    (labels with "_sq") back criterion 8, the others criterion 7."""
+    return suites.suite_witnesses()["checks"]
 
 
 def test_criterion_7_witness_separation():
     t0 = time.time()
-    ok = True
-    details = []
-    for i in range(5):
-        fid = "O4_L31_%d" % i
-        classes, _ = family_classes(fid, 5)
-        good = len(classes) == 5
-        ok = ok and good
-        details.append("%s: %d/5 distinct" % (fid, len(classes)))
-    c3, _ = family_classes("O6_L32p", 3)
-    c5, _ = family_classes("O6_L32p", 5)
-    ok = ok and len(c3) >= 2 and len(c5) >= 3
-    details.append("O6_L32p classes: q3=%d(>=2) q5=%d(>=3)" %
-                   (len(c3), len(c5)))
-    for fid in ("O6_L31p_i", "O6_L31p_ii", "O6_L31p_iii", "O5emb_L33p"):
-        classes, _ = family_classes(fid, 3)
-        dom = len(FAMILIES[fid].lambda_domain(3, FAMILIES[fid].n_min))
-        good = len(classes) == dom
-        ok = ok and good
-        details.append("%s: %d/%d" % (fid, len(classes), dom))
-    report(7, "witness separations (O4 q=5; O6 families q=3/5)", ok,
-           "; ".join(details) + " %.0fs" % (time.time() - t0))
+    report(7, "witness separations (O4 q=5; O6 families q=3/5)",
+           [c for c in witness_checks() if "_sq" not in c[0]], t0)
 
 
 def test_criterion_8_square_class_witnesses():
     t0 = time.time()
-    ok = True
-    details = []
-    for q in (3, 5):
-        classes, _ = family_classes("O6_L322_sq", q)
-        good = len(classes) == 2
-        ok = ok and good
-        details.append("O6_L322 q=%d: %d classes" % (q, len(classes)))
-        for lam in FAMILIES["O6_L322_sq"].lambda_domain(q, 3):
-            for c in range(2, q):
-                cert = equivariance_check("O6_L322_sq", lam, c, q)
-                ok = ok and cert["ok"]
-    for q in (3, 5):
-        lam0 = FAMILIES["O10_L323_sq"].lambda_domain(q, 5)[0]
-        build("O10_L323_sq", 5, lam0, q)
-        for lam in FAMILIES["O10_L323_sq"].lambda_domain(q, 5):
-            for c in range(2, q):
-                cert = equivariance_check("O10_L323_sq", lam, c, q)
-                ok = ok and cert["ok"]
-        v, _ = separation_check("O10_L323_sq", 1, 2, q)
-        ok = ok and v == "Infeasible"
-        details.append("O10_L323 q=%d certificates ok, separation Infeasible"
-                       % q)
     report(8, "square-class witnesses (exactly 2 classes; certificates)",
-           ok, "; ".join(details) + " %.0fs" % (time.time() - t0))
+           [c for c in witness_checks() if "_sq" in c[0]], t0)
 
 
 def test_criterion_9_classifier_vs_census():
     t0 = time.time()
-    ok = True
-    details = []
-    for n, comps, qs in suites.CENSUS_PLAN:
-        counts = {}
-        for q in qs:
-            cen = census_space(n, q, [Composition(c) for c in comps],
-                               group_generators(q, n))
-            counts[q] = cen.orbit_count
-        verdict = classify(n, comps).status
-        if verdict == FINITE and len(counts) == 2:
-            good = counts[3] == counts[5]
-        else:
-            good = True
-        ok = ok and good and verdict == FINITE
-        details.append("%s n=%d: %r %s" % ("|".join(map(str, comps)), n,
-                                           counts, verdict))
-    g3, _ = family_classes("O6_L32p", 3)
-    g5, _ = family_classes("O6_L32p", 5)
-    growth = len(g5) > len(g3)
-    ok = ok and growth
-    details.append("infinite shape (2)|(2)|(2): classes grow %d -> %d"
-                   % (len(g3), len(g5)))
-    report(9, "classifier vs census (q-stable counts iff finite)", ok,
-           "; ".join(details) + " %.0fs" % (time.time() - t0))
+    res = suites.suite_censuses()
+    report(9, "classifier vs census (q-stable counts iff finite)",
+           res["checks"], t0)
 
 
 def test_criterion_10_cor87_spot_checks():
     t0 = time.time()
     res = suites.suite_cor87()
-    report(10, "appendix counting formula spot checks", res["ok"],
-           "; ".join("%s: %s" % (c[0], c[2]) for c in res["checks"]) +
-           " %.0fs" % (time.time() - t0))
+    report(10, "appendix counting formula spot checks", res["checks"], t0,
+           "; ".join("%s: %s" % (c[0], c[2]) for c in res["checks"]))

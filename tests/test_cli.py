@@ -164,7 +164,10 @@ USAGE_ERRORS = [
      "0,0,0,0,0,0,0,0,0,0,0,0,0,2,0"],
     ["canonical", "--n", "2", "--q", "9", "--b",
      "0,0,0,0,0,0,0,0,0,0,0,0,0,2,0"],
-]
+] + [[cmd, "--n", n, "--q", "3", *rest] for n in ("0", "-1")
+     for cmd, *rest in (["invariants", "--u-plus", "[]", "--u-minus", "[]"],
+                        ["normalize", "--u-plus", "[]", "--u-minus", "[]"],
+                        ["canonical", "--b", "0,0,0,0,0,0,0,0,0,0,0,0,0,0,0"])]
 
 BATCH_USAGE_ERRORS = [
     ("2", "(3)|(1)|(1)\n"),

@@ -570,3 +570,15 @@ def test_census_suite_checks_single_q_entries(monkeypatch):
                                      )["checks"][0][1]
     monkeypatch.setattr(suites, "flag_count", lambda q, n, comp: 1)
     assert not suites.suite_censuses(finite)["checks"][0][1]
+
+
+def test_r_class_suite_fails_on_a_smaller_group(monkeypatch):
+    """Run on the parabolic P < O_2n, the r-classes suite fails every
+    check: the chain order is |P|, and R ∩ P has more orbits than b-classes."""
+    monkeypatch.setattr(suites, "group_generators", parabolic_generators)
+    res = suites.suite_r_classes()
+    assert not res["ok"]
+    orders = [c for c in res["checks"] if c[0].startswith("|O_")]
+    partitions = [c for c in res["checks"] if c[0].startswith("b-classes")]
+    assert len(orders) == len(partitions) == len(suites.R_CLASS_CELLS)
+    assert not any(c[1] for c in orders + partitions)
