@@ -32,7 +32,8 @@ Same-orbit decisions and stabilizer orbits index vectors and subspaces
 order is bounded by |O_2n(q)|, or |SO_2n(q)| for generators of determinant
 1, and a permutation converts back to the connecting matrix.
 ``stabilizer_orbits`` gives the orbits of the stabilizer of some subspaces
-on others, for the witness classes and the R-classes alike.
+on others, for the witness classes and the R-classes alike; its chain must
+reach that bound, which certifies the generating set it is given.
 """
 
 from bisect import bisect_left
@@ -382,13 +383,21 @@ def stabilizer_orbits(gens, n, fixed, spaces):
     in `fixed`, as lists of positions in `spaces`, each ascending, in the
     order of their first positions.
 
-    The spaces are points of ``action_points``.  The stabilizer is the
-    level after the points of `fixed` in one chain based at them, bounded
-    by ``order_bound``."""
+    `gens` must generate O_2n, or SO_2n if all have determinant 1, and
+    may be any such set: ``geometry.small_generators`` keeps every orbit
+    and Schreier tree to four images per point.  The spaces are points of
+    ``action_points``.  The stabilizer is the level after the points of
+    `fixed` in one chain based at them, bounded by ``order_bound``.  That
+    chain, on a faithful action, must reach the bound, which certifies the
+    set; AssertionError otherwise."""
     _, index, images = action_points(gens, fixed + spaces)
     base = list(dict.fromkeys(index[s] for s in fixed))
-    chain = StabChain(images, len(images[0]), base=base,
-                      order=order_bound(gens, n))
+    bound = order_bound(gens, n)
+    chain = StabChain(images, len(images[0]), base=base, order=bound)
+    if chain.order() != bound:
+        raise AssertionError("the generators do not generate O_2n or SO_2n: "
+                             "chain order %d, expected %d"
+                             % (chain.order(), bound))
     stab = chain.gens[len(base)] if len(base) < len(chain.gens) else []
     orbit_of = {}
     for k, orb in enumerate(orbits(stab, [index[s] for s in spaces])):
@@ -585,8 +594,9 @@ def _census(levels, images, gens, n, q, descriptor):
                                         for o in lengths
                                         for x in range(lengths[o])})
         places.append(place)
-    whole = [all(_whole(chains, q, n) for _, chains in levels[d:])
-             for d in range(len(levels) + 1)]
+    # asked only where a chain is built or points are renumbered
+    whole = cache(lambda d: all(_whole(chains, q, n)
+                                for _, chains in levels[d:]))
     top = cache(lambda: order_bound(gens, n) // 2)
     strides, sub_total = [], 1
     for _, chains in reversed(levels[tail:]):
@@ -625,7 +635,7 @@ def _census(levels, images, gens, n, q, descriptor):
             sub, sub_order = perms, order
             if len(members) > 1 and depth + 1 < len(levels):
                 chain = StabChain(perms, len(perms[0]), base=(rep,),
-                                  order=order or (top() if whole[depth]
+                                  order=order or (top() if whole(depth)
                                                   else None))
                 if len(chain.orbit[0]) != len(members):
                     raise AssertionError("basic orbit differs from the orbit")
@@ -640,7 +650,7 @@ def _census(levels, images, gens, n, q, descriptor):
                 keep = tuple(renum)
                 sub = [tuple(map(renum.__getitem__, mul(keep, p)))
                        for p in sub]
-                sub_order = sub_order if whole[depth + 1] else None
+                sub_order = sub_order if whole(depth + 1) else None
             search(sub, sub_order, depth + 1, prefix + (chains[rep - start],),
                    size * len(members))
 

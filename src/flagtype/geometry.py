@@ -144,12 +144,16 @@ def transvection(q, n, r, c, mu):
     return Mat(q, rows)
 
 
-def gl_generators(q, m):
-    """Generators of GL_m(F_q): elementary E_ij(1) and one primitive torus.
-    GF(p) only, as are those of P, SO_2n and O_2n built on them."""
+def _need_prime(q):
     if not q:
         raise ValueError("group generators need an odd prime q: the "
                          "rationals (q = 0) have no primitive root")
+
+
+def gl_generators(q, m):
+    """Generators of GL_m(F_q): elementary E_ij(1) and one primitive torus.
+    GF(p) only, as are those of P, SO_2n and O_2n built on them."""
+    _need_prime(q)
     gens = []
     for i in range(m):
         for j in range(m):
@@ -216,6 +220,36 @@ def so_generators(q, n):
 def group_generators(q, n):
     """Generators of the full O_2n = <P, w_1>."""
     return list(_generators(q, n, (1,)))
+
+
+@lru_cache(maxsize=None)
+def _small_generators(q, n):
+    """The set of ``small_generators``, built once per (q, n) as a tuple."""
+    if n == 1:
+        return _generators(q, 1, (1,))
+    check_field(q)
+    _need_prime(q)
+    one = sc(q, 1)
+    # the n-cycle e_i -> e_{i+1}, e_n -> omega (-1)^(n-1) e_1: det omega
+    cycle = [[sc(q, 0)] * n for _ in range(n)]
+    for i in range(n - 1):
+        cycle[i + 1][i] = one
+    cycle[0][n - 1] = sc(q, (-1) ** (n - 1) * primitive_root(q))
+    elementary = [list(r) for r in identity(q, n).rows]
+    elementary[0][1] = one
+    return (ell(Mat(q, cycle), n), ell(Mat(q, elementary), n),
+            unipotent_radical_basis(q, n)[0], w_element(q, n, 1))
+
+
+def small_generators(q, n):
+    """Four generators of O_2n for n >= 2: l(C), with C the n-cycle of
+    determinant omega (the primitive root), l(I + E_12), the first
+    unipotent radical element and w_1 (Steinberg, *Canad. J. Math.* 14,
+    1962, for why a few suffice).  At n = 1 it is ``group_generators``.
+    Nothing here proves that they generate: a chain on the vector action
+    reaching |O_2n(q)| does, in the tests and at every use in
+    ``engine.stabilizer_orbits``."""
+    return list(_small_generators(q, n))
 
 
 def group_order(q, n):

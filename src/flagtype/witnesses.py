@@ -16,7 +16,8 @@ g m_lambda = m_{lambda/c^2} for the square-class families.
 from fractions import Fraction
 
 from .linalg import Mat, canonicalize, sc, sc_inv
-from .geometry import group_generators, ell, classify_element, NOT_ORTHOGONAL
+from .geometry import (group_generators, small_generators, ell,
+                       classify_element, NOT_ORTHOGONAL)
 from .flags import Composition, Infeasible, validate_tuple, act
 from .engine import INFEASIBLE, SAME, same_orbit, stabilizer_orbits
 
@@ -320,7 +321,7 @@ def family_classes(family_id, q, n=None, lambdas=None):
 
     The one moving component of each m_lambda is classed by the orbits of
     the stabilizer in O_2n of the lambda-independent components, largest
-    first (``engine.stabilizer_orbits``).
+    first (``engine.stabilizer_orbits``, on ``geometry.small_generators``).
     Returns (classes, None), where classes is a list of lists of lambda
     values; the second item is always None.
     """
@@ -345,4 +346,4 @@ def family_classes(family_id, q, n=None, lambdas=None):
     fixed = [ref[i] for i in sorted(shared, key=lambda i: (-ref[i].dim, i))]
     points = [flat[lam][moving[0]] for lam in lambdas]
     return [[lambdas[i] for i in orb] for orb in stabilizer_orbits(
-        group_generators(q, n), n, fixed, points)], None
+        small_generators(q, n), n, fixed, points)], None

@@ -11,14 +11,14 @@ from flagtype.geometry import (standard_isotropic, group_generators,
                                group_order, random_group_element,
                                coordinate_subspace, w_element, transvection,
                                bar, classify_element, IN_O_MINUS_SO,
-                               is_isotropic)
+                               is_isotropic, small_generators)
 from flagtype import flags
 from flagtype.flags import Composition, enumerate_chains, act
 from flagtype.engine import (same_orbit, census_direct, census_space,
                              census_product, signature, close_group,
                              schreier_descend, StabLevel, Infeasible,
                              tuple_key, SAME, DIFFERENT, order_bound,
-                             action_points, index_spaces)
+                             action_points, index_spaces, stabilizer_orbits)
 from flagtype.invariants import b_invariants
 from flagtype.canonical import enumerate_thetas, enumerate_valid_b
 from flagtype import engine, suites
@@ -572,13 +572,33 @@ def test_census_suite_checks_single_q_entries(monkeypatch):
     assert not suites.suite_censuses(finite)["checks"][0][1]
 
 
+def test_stabilizer_orbits_refuses_a_set_that_does_not_generate():
+    """P = Stab(U_0) has determinant-1 generators, so the bound is
+    |SO_4(3)|; its chain stops at |P| < |SO_4(3)| and the call raises
+    instead of returning the orbits of a smaller stabilizer."""
+    q, n = 3, 2
+    lines = [ch[0] for ch in enumerate_chains(q, n, Composition([1]))]
+    fixed = [standard_isotropic(q, n, 1)]
+    with pytest.raises(AssertionError, match="do not generate"):
+        stabilizer_orbits(parabolic_generators(q, n), n, fixed, lines)
+    for gens in (so_generators(q, n), group_generators(q, n),
+                 small_generators(q, n)):
+        assert sum(map(len, stabilizer_orbits(gens, n, fixed, lines))) \
+            == len(lines)
+
+
 def test_r_class_suite_fails_on_a_smaller_group(monkeypatch):
     """Run on the parabolic P < O_2n, the r-classes suite fails every
-    check: the chain order is |P|, and R ∩ P has more orbits than b-classes."""
+    check: both chain orders are |P|, and ``stabilizer_orbits`` refuses a
+    set whose chain stops below |SO_2n(q)|."""
     monkeypatch.setattr(suites, "group_generators", parabolic_generators)
+    monkeypatch.setattr(suites, "small_generators", parabolic_generators)
     res = suites.suite_r_classes()
     assert not res["ok"]
     orders = [c for c in res["checks"] if c[0].startswith("|O_")]
+    small = [c for c in res["checks"] if c[0].startswith("small set: |O_")]
     partitions = [c for c in res["checks"] if c[0].startswith("b-classes")]
-    assert len(orders) == len(partitions) == len(suites.R_CLASS_CELLS)
-    assert not any(c[1] for c in orders + partitions)
+    assert len(orders) == len(small) == len(partitions) == \
+        len(suites.R_CLASS_CELLS)
+    assert not any(c[1] for c in orders + small + partitions)
+    assert all("do not generate" in c[2] for c in partitions)

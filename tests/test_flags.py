@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from flagtype.linalg import (Mat, identity, inverse, det, canonicalize,
-                             act_on_subspace, mat_vec, _rref_rows)
+                             act_on_subspace, mat_mul, mat_vec, _rref_rows)
 from flagtype.geometry import (standard_isotropic, coordinate_subspace,
                                group_generators, gl_generators,
                                so_generators, parabolic_generators,
@@ -196,6 +196,28 @@ def _random_invertible(q, m, rng):
         g = Mat(q, [[rng.randrange(q) for _ in range(m)] for _ in range(m)])
         if det(g) != 0:
             return g
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 6), st.sampled_from([3, 5]), st.sampled_from([2, 3]),
+       st.booleans())
+def test_act_is_an_action(seed, q, n, orthogonal):
+    """g·(h·x) = (gh)·x on flag tuples, for group elements and for any
+    invertible matrices."""
+    rng = random.Random(seed)
+    if orthogonal:
+        g, h = (random_group_element(q, n, rng) for _ in range(2))
+    else:
+        g, h = (_random_invertible(q, 2 * n, rng) for _ in range(2))
+
+    def space():
+        if orthogonal:
+            return random_isotropic(q, n, rng.randrange(n + 1), rng)
+        return _random_space(q, n, rng.randrange(2 * n + 1), False, rng)
+
+    x = tuple(tuple(space() for _ in range(rng.randrange(1, 3)))
+              for _ in range(rng.randrange(1, 4)))
+    assert act(g, act(h, x)) == act(mat_mul(g, h), x)
 
 
 @functools.lru_cache(maxsize=None)

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flagtype.linalg import (Mat, canonicalize, identity, act_on_subspace,
                              mat_mul, transpose, det, sc, RATIONAL)
@@ -11,14 +12,17 @@ from flagtype.geometry import (form, perp, classify_element, IN_SO,
                                parabolic_generators, group_order, sp_order,
                                unipotent_radical_basis, random_isotropic,
                                random_group_element, coordinate_subspace,
-                               is_isotropic, gl_generators)
-from flagtype.engine import close_group
+                               is_isotropic, gl_generators,
+                               small_generators)
+from flagtype.engine import action_points, close_group
+from flagtype.perm import StabChain
 
 from oracles import isotropic_subspaces, rational_group_generators
 
 
 @pytest.mark.parametrize("kind", [gl_generators, parabolic_generators,
-                                  so_generators, group_generators])
+                                  so_generators, group_generators,
+                                  small_generators])
 def test_generators_need_an_odd_prime(kind):
     """The generator sets are GF(p)-only: over Q there is no primitive root
     for the torus, and the error says so."""
@@ -67,6 +71,20 @@ def test_perp_double_and_reversing():
         b = random_isotropic(q, n, 2, rng)
         if b.contains_space(a):
             assert perp(a, n).contains_space(perp(b, n))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([3, 5]), st.integers(1, 3), st.data())
+def test_perp_properties(q, n, data):
+    """dim S + dim S^perp = 2n, (S^perp)^perp = S, and S^perp pairs to zero
+    with S, for any subspace S of F_q^{2n}."""
+    rows = data.draw(st.lists(st.lists(st.integers(0, q - 1), min_size=2 * n,
+                                       max_size=2 * n), max_size=2 * n))
+    s = canonicalize(q, 2 * n, rows)
+    p = perp(s, n)
+    assert s.dim + p.dim == 2 * n
+    assert perp(p, n) == s
+    assert all(form(q, n, u, v) == 0 for u in p.rows for v in s.rows)
 
 
 def test_classify_element():
@@ -159,15 +177,48 @@ def test_bruhat_cell():
 
 
 def test_generator_validation_against_bruteforce():
-    # G-orbit of U_0 is the full set of maximal isotropics (oracle-checked)
-    for n, q in [(2, 3), (2, 5)]:
-        gens = group_generators(q, n)
-        orb = orbit_of(standard_isotropic(q, n, 0), gens)
-        oracle = set(isotropic_subspaces(q, n, n))
-        assert orb == oracle
-    # and the n=3, q=3 count matches the frozen brute-force value 80
-    orb = orbit_of(standard_isotropic(3, 3, 0), group_generators(3, 3))
-    assert len(orb) == 80
+    for kind in (group_generators, small_generators):
+        # G-orbit of U_0 is the full set of maximal isotropics (oracle-checked)
+        for n, q in [(2, 3), (2, 5)]:
+            gens = kind(q, n)
+            orb = orbit_of(standard_isotropic(q, n, 0), gens)
+            oracle = set(isotropic_subspaces(q, n, n))
+            assert orb == oracle
+        # and the n=3, q=3 count matches the frozen brute-force value 80
+        orb = orbit_of(standard_isotropic(3, 3, 0), kind(3, 3))
+        assert len(orb) == 80
+
+
+def _bounded_chain_order(gens, bound):
+    """The order of a chain of <gens> on the faithful vector action, stopped
+    at `bound` if it gets there; it reaches the bound only if <gens> does."""
+    vectors, _, images = action_points(gens, [])
+    return StabChain(images, len(vectors), order=bound).order()
+
+
+@pytest.mark.parametrize("n,q", [(2, 3), (2, 5), (2, 7), (3, 3), (3, 5),
+                                 (3, 7), (4, 3)])
+def test_small_generators_certified_by_chain_order(n, q):
+    """The four elements are orthogonal, w_1 has determinant -1, and a chain
+    of their group bounded by |O_2n(q)| reaches it: a chain's order, the
+    product of its basic orbit lengths, never exceeds the group's."""
+    gens = small_generators(q, n)
+    assert len(gens) == 4 and gens[-1] == w_element(q, n, 1)
+    verdicts = [classify_element(g, n) for g in gens]
+    assert verdicts == [IN_SO, IN_SO, IN_SO, IN_O_MINUS_SO]
+    assert _bounded_chain_order(gens, group_order(q, n)) == group_order(q, n)
+
+
+@pytest.mark.parametrize("n,q", [(2, 3), (3, 3)])
+def test_small_generators_without_w1_fail_certification(n, q):
+    """The other three fix U_0, so their chain stops below the bound."""
+    gens = small_generators(q, n)[:-1]
+    assert _bounded_chain_order(gens, group_order(q, n)) < group_order(q, n)
+
+
+def test_small_generators_at_n1_are_the_full_set():
+    for q in (3, 5, 7):
+        assert small_generators(q, 1) == group_generators(q, 1)
 
 
 def test_so_split_and_parabolic_cells():
@@ -189,7 +240,8 @@ def test_so_split_and_parabolic_cells():
 def test_generator_sets_are_built_once_and_returned_fresh():
     """Each set is built once per (q, n); a caller that changes the list it
     got changes neither the cached set nor the next caller's list."""
-    for kind in (parabolic_generators, so_generators, group_generators):
+    for kind in (parabolic_generators, so_generators, group_generators,
+                 small_generators):
         first = kind(3, 2)
         want = list(first)
         first.append(identity(3, 4))

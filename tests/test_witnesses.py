@@ -3,6 +3,7 @@ import tracemalloc
 import pytest
 
 from flagtype.linalg import canonicalize, identity
+from flagtype import witnesses
 from flagtype.geometry import group_generators
 from flagtype.flags import validate_tuple, act
 from flagtype.engine import tuple_key
@@ -126,6 +127,17 @@ def test_family_classes_match_tuple_bfs(q):
     for i in range(5):
         fid = "O4_L31_%d" % i
         assert family_classes(fid, q)[0] == tuple_bfs_classes(fid, q)
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_family_classes_same_on_the_full_generating_set(q, monkeypatch):
+    """The four-element set gives the same classes, in the same order, as
+    all of ``group_generators`` for every family separable at n_min."""
+    fids = [fid for fid, fam in FAMILIES.items() if fam.separable_at(fam.n_min)]
+    assert len(fids) == 11
+    small = {fid: family_classes(fid, q) for fid in fids}
+    monkeypatch.setattr(witnesses, "small_generators", group_generators)
+    assert {fid: family_classes(fid, q) for fid in fids} == small
 
 
 def test_square_class_partition_q3():
