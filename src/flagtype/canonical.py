@@ -2,7 +2,9 @@
 and the explicit stabilizer elements of the triple (U+, U-, V(b)).
 
 The index bookkeeping lives in IndexLayout: fifteen index lists I_(j),
-the maps eta_7/8/9/13, kappa, lambda, eta_15, and the decomposition of
+the maps eta_7/8/9/13, kappa, lambda, eta_15, the copies of each I_(j)
+(``IndexLayout.copies``: the index sets that h_(j) acts on, whose union
+with their bars is the tilde set of I_(j)), and the decomposition of
 I+ = indices of U+ into the labelled blocks
 
     1 2 3 7 8 10 5 9 12 13 15 12b 8b 6b
@@ -38,6 +40,12 @@ _COVERS = (("2", "1"), ("3", "1"), ("7", "3"), ("7", "2"), ("8", "7"),
 EXCLUDED_PAIRS = {("8", "12"), ("8", "15"), ("12", "15"),
                   ("15", "12b"), ("15", "8b"), ("12b", "8b")}
 COMPENSATED_PAIRS = {("8", "12"): "ii", ("12", "15"): "iii", ("8", "15"): "iv"}
+
+# the plus blocks an `eliminate` support may use for k in a barred block:
+# every block below it (PLUS_BLOCKS ends with 12b, 8b, 6b); k elsewhere
+# admits I_(1) alone
+ELIMINATION_SUPPORT = {"12b": PLUS_BLOCKS[:-3], "8b": PLUS_BLOCKS[:-2],
+                       "6b": PLUS_BLOCKS[:-1]}
 
 
 def _order_closure():
@@ -96,6 +104,13 @@ class IndexLayout:
         self.lam = {self.I[12][k]: d + a1 + b[14] + k + 1 for k in range(b[12])}
         self.eta15 = {self.I[15][k]: dp + b[6] + b[8] + b[12] + b[13] + k + 1
                       for k in range(b[15])}
+        # the copies of I_(j) that h_(j) acts on: I_(j), then eta_j(I_(j))
+        # for j in {7, 8, 9, 13}, or kappa(I_(12)) and lambda(I_(12))
+        self.copies = {j: (self.I[j],) for j in range(1, 16)}
+        for j in (7, 8, 9, 13):
+            self.copies[j] += (tuple(self.eta[j][i] for i in self.I[j]),)
+        self.copies[12] += (tuple(self.kappa[i] for i in self.I[12]),
+                            tuple(self.lam[i] for i in self.I[12]))
         # plus-side decomposition of I+ = indices of U+_std
         self.plus = {}
         for j in ("1", "2", "3", "7", "8", "10", "5", "12", "13", "15"):
@@ -113,7 +128,9 @@ class IndexLayout:
         i_plus = set(range(1, a0 + ap + 1)) | set(range(d + 1, d + a1 + 1))
         if set(self.block_of) != i_plus:
             raise AssertionError("plus blocks do not partition I+")
-        self._check_tilde_partition()
+        used = sorted(x for j in range(1, 16) for x in self.tilde(j))
+        if used != list(range(1, 2 * n + 1)):
+            raise AssertionError("tilde index sets do not partition 1..2n")
         self._reps = {}
 
     def representative(self, q):
@@ -123,20 +140,11 @@ class IndexLayout:
             v = self._reps[q] = representative(self.b, self.n, q)
         return v
 
-    def _check_tilde_partition(self):
-        used = []
-        for j in (1, 2, 3, 4, 5, 6, 10, 11, 14):
-            used += [*self.I[j], *(bar(i, self.n) for i in self.I[j])]
-        for j in (7, 8, 9, 13):
-            used += [*self.I[j], *self.eta[j].values()]
-            used += [bar(i, self.n) for i in self.I[j]]
-            used += [bar(i, self.n) for i in self.eta[j].values()]
-        used += [*self.I[12], *self.kappa.values(), *self.lam.values()]
-        used += [bar(i, self.n) for i in
-                 (*self.I[12], *self.kappa.values(), *self.lam.values())]
-        used += [*self.I[15], *(bar(i, self.n) for i in self.I[15])]
-        if sorted(used) != list(range(1, 2 * self.n + 1)):
-            raise AssertionError("tilde index sets do not partition 1..2n")
+    def tilde(self, j):
+        """The tilde set of I_(j), its copies' indices and their bars; j is
+        1..15 or a plus-block label (block 12b lies in the set of 12)."""
+        return [x for c in self.copies[int(str(j).rstrip("b"))] for i in c
+                for x in (i, bar(i, self.n))]
 
     def audit(self):
         """Human-readable dump of the index tables (for the CLI)."""
@@ -160,11 +168,6 @@ def representative(b, n, q):
     lay = IndexLayout(n, b)
     bb = lay.b
     rows = []
-
-    def e(i, coeff=1):
-        v = [0] * (2 * n)
-        v[i - 1] = coeff
-        return v
 
     def add(*terms):
         v = [0] * (2 * n)
@@ -396,19 +399,11 @@ def h_block(lay, j, a, q):
     bj = lay.b[j]
     if a.nrows != bj or a.ncols != bj:
         raise ValueError("block matrix must be %dx%d" % (bj, bj))
-    rows = [list(r) for r in identity(q, 2 * n).rows]
-    copies = []
-    if j in (1, 2, 3, 4, 5, 6, 10, 11, 14):
-        copies = [lay.I[j]]
-    elif j in (7, 8, 9, 13):
-        copies = [lay.I[j], tuple(lay.eta[j][i] for i in lay.I[j])]
-    elif j == 12:
-        copies = [lay.I[12], tuple(lay.kappa[i] for i in lay.I[12]),
-                  tuple(lay.lam[i] for i in lay.I[12])]
-    else:
+    if not 1 <= j <= 14:
         raise ValueError("h_block handles j = 1..14")
+    rows = [list(r) for r in identity(q, 2 * n).rows]
     ad = _dual_entries(a)
-    for idxs in copies:
+    for idxs in lay.copies[j]:
         for ii, gi in enumerate(idxs):
             for kk, gk in enumerate(idxs):
                 rows[gi - 1][gk - 1] = a.rows[ii][kk]
@@ -451,8 +446,6 @@ def sp_prime_generators(q, m):
         for c in (1, primitive_root(q)):
             rows = [list(r) for r in identity(q, 2 * m).rows]
             for col in range(2 * m):
-                e = [0] * (2 * m)
-                e[col] = 1
                 pairing = sum(om.rows[col][t] * v[t] for t in range(2 * m)) % q
                 for rr in range(2 * m):
                     rows[rr][col] = (rows[rr][col] + c * pairing * v[rr]) % q
@@ -485,23 +478,6 @@ def h15(lay, a, q):
             val = sgn(oi) * sgn(ok) * a.rows[oi - 1][ok - 1]
             rows[bar(idx[si - 1], n) - 1][bar(idx[sk - 1], n) - 1] = sc(q, val)
     return Mat(q, rows)
-
-
-def _tilde_indices(lay, label):
-    """All 1..2n indices of the tilde set containing the given plus block."""
-    n = lay.n
-    j = {"6b": 6, "8b": 8, "12b": 12}.get(label)
-    if j is None:
-        j = int(label)
-    idxs = set(lay.I[j]) | {bar(x, n) for x in lay.I[j]}
-    if j in (7, 8, 9, 13):
-        idxs |= set(lay.eta[j].values())
-        idxs |= {bar(x, n) for x in lay.eta[j].values()}
-    elif j == 12:
-        idxs |= set(lay.kappa.values()) | set(lay.lam.values())
-        idxs |= {bar(x, n) for x in lay.kappa.values()}
-        idxs |= {bar(x, n) for x in lay.lam.values()}
-    return idxs
 
 
 def _v_block_vectors(lay, support, q):
@@ -549,7 +525,7 @@ def rv_transvection(lay, i, k, mu, q):
         if case in ("iii", "iv") and k in lay.I[15][lay.b[15] // 2:]:
             # the mirror half of I_(15) carries the opposite sign in V_(15)
             comp_signs = (-1, 1)
-    t_set = sorted(_tilde_indices(lay, bi) | _tilde_indices(lay, bk))
+    t_set = sorted({*lay.tilde(bi), *lay.tilde(bk)})
     for sign in comp_signs:
         pinned = {(i, k): mu}
         if comp is not None:
@@ -622,8 +598,9 @@ def _inverse_map(d):
 def eliminate(lay, k, support, q):
     """g in R_V with g(e_k + u) = e_k for u = sum support[i] e_i.
 
-    Supported cases: k in I_(6b) (any u below it), k in I_(8b), k in
-    I_(12b), or u supported on I_(1) for arbitrary k outside I_(1).  Side
+    Supported cases: k in I_(6b), I_(8b) or I_(12b), with u on the blocks
+    below it (ELIMINATION_SUPPORT), or u supported on I_(1) for arbitrary
+    k outside I_(1).  Side
     effects on I_(12)/I_(15) columns are unavoidable in the barred cases and
     permitted; the postcondition g(e_k + u) = e_k is verified.
     """
@@ -635,14 +612,7 @@ def eliminate(lay, k, support, q):
     blocks = {lay.block_of.get(i) for i in support}
     if None in blocks:
         raise ValueError("support must lie in I+")
-    if bk == "6b":
-        allowed = set(PLUS_BLOCKS) - {"6b"}
-    elif bk == "8b":
-        allowed = set(PLUS_BLOCKS) - {"8b", "6b"}
-    elif bk == "12b":
-        allowed = set(PLUS_BLOCKS) - {"12b", "8b", "6b"}
-    else:
-        allowed = {"1"}
+    allowed = set(ELIMINATION_SUPPORT.get(bk, ("1",)))
     if not blocks <= allowed:
         raise ValueError("support blocks %r not admissible for k in %s"
                          % (sorted(blocks - allowed), bk))
@@ -654,6 +624,7 @@ def eliminate(lay, k, support, q):
     vec[k - 1] = sc(q, 1)
     for i, c in support.items():
         vec[i - 1] = c
+    start = list(vec)
     guard = 0
     while True:
         guard += 1
@@ -693,10 +664,6 @@ def eliminate(lay, k, support, q):
         vec = list(mat_vec(f, vec))
     target = [sc(q, 0)] * (2 * n)
     target[k - 1] = sc(q, 1)
-    start = [sc(q, 0)] * (2 * n)
-    start[k - 1] = sc(q, 1)
-    for i, c in support.items():
-        start[i - 1] = c
     if list(mat_vec(g, start)) != target:
         raise AssertionError("eliminate postcondition failed")
     return g

@@ -85,18 +85,16 @@ def _sq_free_masters(n):
                                 "two-step flag + subspace + maximal"))
     shapes3 = []
     for k in range(1, n - 1):
-        if 1 + k + (n - k - 1) == n and n - k - 1 >= 1:
-            shapes3.append((1, k, n - k - 1))
-            shapes3.append((k, 1, n - k - 1))
+        shapes3.append((1, k, n - k - 1))
+        shapes3.append((k, 1, n - k - 1))
     for k in range(1, n - 1):
         shapes3.append((1, 1, k))
         shapes3.append((k, 1, 1))
         shapes3.append((1, k, 1))
     for sh in shapes3:
-        if sum(sh) <= n:
-            for beta in range(1, n + 1):
-                masters.append(((sh, (beta,), (n,)),
-                                "three-step flag shapes with a unit step"))
+        for beta in range(1, n + 1):
+            masters.append(((sh, (beta,), (n,)),
+                            "three-step flag shapes with a unit step"))
     if n >= 4:
         for beta in range(1, n + 1):
             masters.append((((1, 1, 1, n - 3), (beta,), (n,)),
@@ -166,9 +164,8 @@ def theorem17_match(n, a, b, c):
             if len(pc) == 3:
                 k_shapes = set()
                 for k in range(1, n - 1):
-                    if n - k - 1 >= 1:
-                        k_shapes.update({(1, k, n - k - 1), (k, 1, n - k - 1),
-                                         (k, n - k - 1, 1)})
+                    k_shapes.update({(1, k, n - k - 1), (k, 1, n - k - 1),
+                                     (k, n - k - 1, 1)})
                 for k in range(1, n + 1):
                     k_shapes.update({(1, 1, k), (1, k, 1), (k, 1, 1)})
                 if pc in k_shapes and sum(pc) <= n:

@@ -248,7 +248,8 @@ def cmd_witness(args):
         raise UsageError("unknown family %r" % args.family)
     q = args.q
     check_finite_field(q)
-    n = args.n or fam.n_min
+    n = fam.n_min if args.n is None else args.n
+    check_n(n)
     if n < fam.n_min:
         raise UsageError("family %s needs n >= %d" % (args.family, fam.n_min))
     domain = fam.lambda_domain(q, n)

@@ -318,21 +318,24 @@ def action_points(gens, spaces):
     is the first block, index maps each space of the later blocks to its
     point, and images[gi] is generator gi as a permutation of all points.
 
-    Over GF(q) a generator moves each projective point of the first block
-    by one ``mat_vec`` (c·v goes to c times the image of v), and the
-    subspace orbits reuse these images through one ``flags.PointTable``:
-    under O_2n's generators they do no matrix arithmetic, as isotropic
-    vectors lie in the orbit of e_1 (Witt).
+    Over GF(q) only (q = 0 raises ValueError: the orbits are infinite), a
+    generator moves each projective point of the first block by one
+    ``mat_vec`` (c·v goes to c times the image of v), and the subspace
+    orbits reuse these images through one ``flags.PointTable``: under
+    O_2n's generators they do no matrix arithmetic, as isotropic vectors
+    lie in the orbit of e_1 (Witt).
     """
-    budget = _flags.orbit_budget()
     m, q = gens[0].nrows, gens[0].q
-    invs = inverse_table(q) if q else None
+    if not q:
+        raise ValueError("action points need a finite field")
+    budget = _flags.orbit_budget()
+    invs = inverse_table(q)
     vectors = [tuple(int(i == j) for j in range(m)) for i in range(m)]
     at = {v: i for i, v in enumerate(vectors)}
     images = [[] for _ in gens]
     point_images = {}  # projective point (leading entry 1) -> its images
     for v in vectors:
-        lead = next(filter(None, v)) if q else 1
+        lead = next(filter(None, v))
         unit = v if lead == 1 else tuple([invs[lead] * x % q for x in v])
         ws = point_images.get(unit)
         if ws is None:
@@ -506,7 +509,7 @@ def index_spaces(spaces, gens):
     return levels, [tuple(img) for img in images]
 
 
-def census_direct(tuples, gens, n, q, descriptor=""):
+def census_direct(tuples, gens, n, q):
     """Orbit census of an explicit FlagTuple list under the generators.
 
     The list must be the full product of its columns' distinct chains, each
@@ -514,33 +517,38 @@ def census_direct(tuples, gens, n, q, descriptor=""):
     whatever the order of the list.
     """
     if not tuples:
-        return OrbitCensus(descriptor, q, 0, [], [], [], 0)
+        return OrbitCensus("", q, 0, [], [], [], 0)
     columns = [{t[j] for t in tuples} for j in range(len(tuples[0]))]
     if not len(tuples) == len(set(tuples)) == prod(map(len, columns)):
         raise ValueError("census tuples are not a full product of distinct "
                          "chains")
-    return _census(*index_spaces(columns, gens), gens, n, q, descriptor)
+    return _census(*index_spaces(columns, gens), gens, n, q)
 
 
-def census_product(component_spaces, gens, n, q, descriptor=""):
+def census_product(component_spaces, gens, n, q):
     """Census of a product of component chain-spaces under <gens>: the
     census recursion (``_census``) on the spaces indexed as blocks."""
-    return _census(*index_spaces(component_spaces, gens), gens, n, q,
-                   descriptor)
+    return _census(*index_spaces(component_spaces, gens), gens, n, q)
+
+
+def _parts(chains):
+    """The parts of the composition of a nonempty chain list's flags."""
+    dims = [0] + [s.dim for s in chains[0]]
+    return tuple(b - a for a, b in zip(dims, dims[1:]))
 
 
 def _whole(chains, q, n):
     """Whether a chain list is all of its flag space M_c, by its length."""
-    dims = [0] + [s.dim for s in chains[0]]
-    parts = [b - a for a, b in zip(dims, dims[1:])]
+    parts = _parts(chains)
     return (min(parts, default=0) > 0 and sum(parts) <= n and len(chains)
             == _flags.flag_count(q, n, _flags.Composition(parts)))
 
 
-def _census(levels, images, gens, n, q, descriptor):
+def _census(levels, images, gens, n, q):
     """Orbit census of the product of the blocks `levels` (offset, chains),
     numbered from 0 in the order of their offsets, under `images`, the
-    permutations of their points by `gens`.
+    permutations of their points by `gens`.  The descriptor names n and
+    each block's composition, as in "n=2 (1,)|(2,)"; "" if a block is empty.
 
     Depth d takes the orbits of the current group on block d, represented
     by their smallest points, except at depth 0 of the descent, where the
@@ -567,7 +575,9 @@ def _census(levels, images, gens, n, q, descriptor):
     """
     total = prod(len(chains) for _, chains in levels)
     if not total:
-        return OrbitCensus(descriptor, q, 0, [], [], [], 0)
+        return OrbitCensus("", q, 0, [], [], [], 0)
+    descriptor = "n=%d %s" % (n, "|".join(str(_parts(chains))
+                                          for _, chains in levels))
     budget = _flags.orbit_budget()
     perm, std = list(range(len(levels))), None
     if total <= DIRECT_LIMIT:
@@ -678,6 +688,5 @@ def census_space(n, q, comps, gens):
         for img, p in zip(images, perms):
             img.extend([offset + x for x in p] if offset else p)
         offset += len(chains)
-    desc = "n=%d %s" % (n, "|".join(str(c.parts) for c in comps))
     return _census([blocks[c] for c in comps], [tuple(i) for i in images],
-                   gens, n, q, desc)
+                   gens, n, q)

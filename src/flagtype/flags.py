@@ -275,13 +275,9 @@ def flag_spaces(q, ambient, comps, iso_n=None, gens=()):
 
 
 def enumerate_chains(q, n, comp):
-    """All flags of M_comp over GF(q), each exactly once, sorted by rows."""
-    return enumerate_chains_ambient(q, 2 * n, comp, n)
-
-
-def enumerate_chains_ambient(q, ambient, comp, iso_n=None):
-    """``flag_spaces`` of one composition, without permutations."""
-    return flag_spaces(q, ambient, [comp], iso_n)[comp][0]
+    """All flags of M_comp over GF(q), each exactly once, sorted by rows:
+    ``flag_spaces`` of one composition, without permutations."""
+    return flag_spaces(q, 2 * n, [comp], n)[comp][0]
 
 
 def tuple_to_json(ft, n, q):

@@ -132,18 +132,6 @@ def bruhat_cell(v, n):
     return n - meet(v, standard_isotropic(v.q, n, 0)).dim
 
 
-def transvection(q, n, r, c, mu):
-    """S_{r,c}(mu) = I + mu E_{r,c} - mu E_{bar c, bar r}; in G iff r not in {c, bar c}."""
-    if r == c or r == bar(c, n):
-        raise ValueError("degenerate transvection indices")
-    rows = [list(rw) for rw in identity(q, 2 * n).rows]
-    mu = sc(q, mu)
-    rows[r - 1][c - 1] += mu
-    br, bc = bar(r, n), bar(c, n)
-    rows[bc - 1][br - 1] -= mu
-    return Mat(q, rows)
-
-
 def _need_prime(q):
     if not q:
         raise ValueError("group generators need an odd prime q: the "
@@ -327,10 +315,11 @@ def _random_isotropic_vector_in(space, avoid, n, rng):
     return None
 
 
-def random_group_element(q, n, rng, word_len=12, gens=None):
+def random_group_element(q, n, rng, gens=None):
+    """A random word of 12 generators (of O_2n unless gens is given)."""
     if gens is None:
         gens = group_generators(q, n)
     g = identity(q, 2 * n)
-    for _ in range(word_len):
+    for _ in range(12):
         g = mat_mul(g, gens[rng.randrange(len(gens))])
     return g

@@ -26,7 +26,8 @@ from .canonical import (enumerate_thetas, enumerate_valid_b, standard_pair,
                         representative, IndexLayout, rv_generator,
                         sp_prime_generators, in_sp_prime, eliminate,
                         check_rv_membership, PLUS_BLOCKS, EXCLUDED_PAIRS,
-                        COMPENSATED_PAIRS, block_precedes, normalize_pair)
+                        COMPENSATED_PAIRS, ELIMINATION_SUPPORT,
+                        block_precedes, normalize_pair)
 from .engine import (INFEASIBLE, action_points, census_direct, census_space,
                      stabilizer_orbits)
 from .perm import StabChain, orbits
@@ -46,14 +47,14 @@ def _rand_triple(rng, n, q):
     return up, um, v
 
 
-def suite_prop58(ns=(2, 3, 4), qs=(3, 5), trials=1000, seed=58):
+def suite_prop58():
     """Relation identities for random triples; b14 and b15 checks included."""
     checks = []
-    rng = random.Random(seed)
-    for n in ns:
-        for q in qs:
+    rng = random.Random(58)
+    for n in (2, 3, 4):
+        for q in (3, 5):
             bad = 0
-            for _ in range(trials):
+            for _ in range(1000):
                 up, um, v = _rand_triple(rng, n, q)
                 try:
                     b, t = b_invariants(up, um, v, n)  # asserts internally
@@ -61,38 +62,37 @@ def suite_prop58(ns=(2, 3, 4), qs=(3, 5), trials=1000, seed=58):
                         bad += 1
                 except AssertionError:
                     bad += 1
-            checks.append(("prop58 n=%d q=%d x%d" % (n, q, trials), bad == 0,
+            checks.append(("prop58 n=%d q=%d x1000" % (n, q), bad == 0,
                            "%d violations" % bad))
     return _suite("prop58", checks)
 
 
-def suite_ginvariance(ns=(2, 3, 4), qs=(3, 5), trials=200, seed=17):
+def suite_ginvariance():
     checks = []
-    rng = random.Random(seed)
-    per = max(1, trials // (len(ns) * len(qs)))
-    for n in ns:
-        gens = {}
-        for q in qs:
-            gens[q] = group_generators(q, n)
+    rng = random.Random(17)
+    for n in (2, 3, 4):
+        for q in (3, 5):
+            gens = group_generators(q, n)
             bad = 0
-            for _ in range(per):
+            for _ in range(33):
                 up, um, v = _rand_triple(rng, n, q)
                 b1, _ = b_invariants(up, um, v, n)
-                g = random_group_element(q, n, rng, gens=gens[q])
+                g = random_group_element(q, n, rng, gens=gens)
                 b2, _ = b_invariants(act_on_subspace(g, up),
                                      act_on_subspace(g, um),
                                      act_on_subspace(g, v), n)
                 if b1 != b2:
                     bad += 1
-            checks.append(("g-invariance n=%d q=%d x%d" % (n, q, per),
+            checks.append(("g-invariance n=%d q=%d x33" % (n, q),
                            bad == 0, "%d violations" % bad))
     return _suite("g-invariance", checks)
 
 
-def suite_roundtrip(n_max=4, q=3):
+def suite_roundtrip():
     """representative(b) is maximal isotropic and returns exactly b."""
     checks = []
-    for n in range(1, n_max + 1):
+    q = 3
+    for n in range(1, 5):
         total = 0
         bad = 0
         for t in enumerate_thetas(n):
@@ -113,17 +113,16 @@ def full_blocks_layout():
     return IndexLayout(22, BInvariants([1] * 14 + [2]))
 
 
-def suite_rv_generators(q=5, seed=11):
+def suite_rv_generators():
     """Membership battery for every generator kind at the full-blocks layout."""
-    rng = random.Random(seed)
+    rng = random.Random(11)
+    q = 5
     lay = full_blocks_layout()
     checks = []
     ok_h = True
     for j in range(1, 15):
-        bj = lay.b[j]
-        a = Mat(q, [[rng.randrange(1, q)]]) if bj == 1 else None
         try:
-            rv_generator(lay, "h", q, j=j, A=a)
+            rv_generator(lay, "h", q, j=j, A=Mat(q, [[rng.randrange(1, q)]]))
         except AssertionError:
             ok_h = False
     checks.append(("h_j blocks", ok_h, "j=1..14 with random scalars"))
@@ -167,10 +166,7 @@ def suite_rv_generators(q=5, seed=11):
     for trial in range(12):
         kind = rng.choice(["6b", "8b", "12b"])
         k = rng.choice(lay.plus[kind])
-        allowed = {"6b": set(PLUS_BLOCKS) - {"6b"},
-                   "8b": set(PLUS_BLOCKS) - {"8b", "6b"},
-                   "12b": set(PLUS_BLOCKS) - {"12b", "8b", "6b"}}[kind]
-        pool = [i for l in allowed for i in lay.plus[l]]
+        pool = [i for l in ELIMINATION_SUPPORT[kind] for i in lay.plus[l]]
         support = {i: rng.randrange(1, q)
                    for i in rng.sample(pool, rng.randrange(1, 5))}
         try:
@@ -182,16 +178,16 @@ def suite_rv_generators(q=5, seed=11):
     return _suite("rv-generators", checks)
 
 
-def suite_bruhat(ns=(2, 3), qs=(3, 5)):
+def suite_bruhat():
     """Cell counts against exhaustive enumeration; w_d parity; cross-checks."""
     checks = []
-    for n in ns:
+    for n in (2, 3):
         for d in range(n + 1):
             w = w_element(3, n, d)
             want = IN_SO if d % 2 == 0 else IN_O_MINUS_SO
             checks.append(("w_%d parity n=%d" % (d, n),
                            classify_element(w, n) == want, ""))
-        for q in qs:
+        for q in (3, 5):
             maxiso = enumerate_chains(q, n, Composition([n]))
             tuples = [(ch,) for ch in maxiso]
             cp, cs, cg = (census_direct(tuples, kind(q, n), n, q) for kind in
@@ -349,12 +345,12 @@ CENSUS_PLAN = [
 ]
 
 
-def suite_censuses(plan=None):
+def suite_censuses():
     """Classifier verdicts against exact orbit counts at n = 2, 3, and the
     counts of shape (alpha)|(beta)|(n) against their b-counts."""
     checks = []
     results = {}
-    for n, comps, qs in (plan or CENSUS_PLAN):
+    for n, comps, qs in CENSUS_PLAN:
         counts, totals_ok = {}, True
         for q in qs:
             cen = census_space(n, q, [Composition(c) for c in comps],
@@ -422,19 +418,18 @@ def suite_cor87():
     checks.append(("Sp'_4 orbit count on full flags is q-stable",
                    sp_counts[3] == sp_counts[5], repr(sp_counts)))
     # the order of the faithful action on the 80 nonzero vectors of F_3^4
-    vectors, _, images = action_points(sp_prime_generators(3, 2), [])
-    order = StabChain(images, len(vectors)).order()
+    order = _chain_order(sp_prime_generators(3, 2))
     checks.append(("|Sp'_4(F_3)| generated exactly",
                    order == sp_order(3, 2),
                    "%d = %d" % (order, sp_order(3, 2))))
     return _suite("cor87", checks)
 
 
-def suite_normalize(trials=120, seed=9):
-    """normalize_pair postconditions on random isotropic pairs."""
-    rng = random.Random(seed)
+def suite_normalize():
+    """normalize_pair postconditions on 120 random isotropic pairs."""
+    rng = random.Random(9)
     bad = 0
-    for _ in range(trials):
+    for _ in range(120):
         n = rng.choice([2, 3, 4])
         q = rng.choice([3, 5])
         up = random_isotropic(q, n, rng.randrange(n + 1), rng)
@@ -443,7 +438,7 @@ def suite_normalize(trials=120, seed=9):
             normalize_pair(up, um, n)   # postconditions asserted inside
         except AssertionError:
             bad += 1
-    return _suite("normalize", [("normalize_pair x%d" % trials, bad == 0,
+    return _suite("normalize", [("normalize_pair x120", bad == 0,
                                  "%d failures" % bad)])
 
 

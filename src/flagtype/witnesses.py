@@ -9,8 +9,9 @@ member reaches the dimension its composition demands.
 Finite-field checks: `family_classes` partitions {m_lambda} into exact
 orbit classes: the orbits of the stabilizer in O_2n of the
 lambda-independent components (``engine.stabilizer_orbits``) class the
-moving component.  `equivariance_check` produces verified certificates
-g m_lambda = m_{lambda/c^2} for the square-class families.
+moving component.  `equivariance_check` verifies the diagonal certificate
+g m_lambda = m_{lambda/c^2} of a square-class family; a candidate that
+fails is reported, and no orbit search replaces it.
 """
 
 from fractions import Fraction
@@ -19,7 +20,7 @@ from .linalg import Mat, canonicalize, sc, sc_inv
 from .geometry import (group_generators, small_generators, ell,
                        classify_element, NOT_ORTHOGONAL)
 from .flags import Composition, Infeasible, validate_tuple, act
-from .engine import INFEASIBLE, SAME, same_orbit, stabilizer_orbits
+from .engine import INFEASIBLE, same_orbit, stabilizer_orbits
 
 
 def _sp(*idxs):
@@ -261,7 +262,8 @@ def build(family_id, n, lam, q):
 
 
 def equivariance_check(family_id, lam, c, q, n=None):
-    """Verified certificate g m_lambda = m_{lambda/c^2}, or a failure report.
+    """Verified certificate g m_lambda = m_{lambda/c^2}, or a failure report
+    ({"ok": False, ...} with the reason, lam and target).
 
     The candidate is a diagonal l(...) pattern determined by the family,
     embedded as identity on the padding block.
@@ -283,17 +285,10 @@ def equivariance_check(family_id, lam, c, q, n=None):
     a = Mat(q, [[entries[i] if i == j else 0 for j in range(n)]
                 for i in range(n)])
     g = ell(a, n)
-    if classify_element(g, n) == NOT_ORTHOGONAL:
-        return {"ok": False, "reason": "candidate not orthogonal"}
-    if act(g, m_lam) == m_tgt:
-        return {"ok": True, "g": g, "lam": lam, "target": target}
-    # verified-or-searched: fall back to an exact orbit search at small q
-    verdict, gg = separation_check(family_id, lam, target, q, n)
-    if verdict == SAME:
-        return {"ok": True, "g": gg, "lam": lam, "target": target,
-                "via": "search"}
-    return {"ok": False, "reason": "candidate failed and search gave %r"
-            % (verdict,), "lam": lam, "target": target}
+    if classify_element(g, n) == NOT_ORTHOGONAL or act(g, m_lam) != m_tgt:
+        return {"ok": False, "reason": "the diagonal candidate fails",
+                "lam": lam, "target": target}
+    return {"ok": True, "g": g, "lam": lam, "target": target}
 
 
 # ---------------------------------------------------------------------------

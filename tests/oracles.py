@@ -9,8 +9,8 @@ perps are checked against sets of vectors listed one by one.
 import itertools
 
 from flagtype.linalg import (Mat, RATIONAL, canonicalize, meet, join, kernel,
-                             combination, identity, mat_mul)
-from flagtype.geometry import (form, perp, ell, unipotent_radical_basis,
+                             combination, identity, mat_mul, sc)
+from flagtype.geometry import (bar, form, perp, ell, unipotent_radical_basis,
                                w_element)
 from flagtype.invariants import ThetaInvariants, BInvariants, _plus_part_map
 from flagtype.engine import (ActionCache, OrbitCensus, orbit_with_tree,
@@ -84,6 +84,19 @@ def rational_group_generators(n):
                for r in range(n)])
     return ([ell(Mat(q, a), n) for a in gl] + unipotent_radical_basis(q, n)
             + [w_element(q, n, 1)])
+
+
+def transvection(q, n, r, c, mu):
+    """S_{r,c}(mu) = I + mu E_{r,c} - mu E_{bar c, bar r}; in G iff r not in
+    {c, bar c}."""
+    if r == c or r == bar(c, n):
+        raise ValueError("degenerate transvection indices")
+    rows = [list(rw) for rw in identity(q, 2 * n).rows]
+    mu = sc(q, mu)
+    rows[r - 1][c - 1] += mu
+    br, bc = bar(r, n), bar(c, n)
+    rows[bc - 1][br - 1] -= mu
+    return Mat(q, rows)
 
 
 def orbit(start, gens, q):

@@ -16,7 +16,7 @@ from flagtype.canonical import (IndexLayout, standard_pair, representative,
                                 check_rv_membership, sp_prime_generators,
                                 in_sp_prime, sp_form_matrix, PLUS_BLOCKS,
                                 EXCLUDED_PAIRS, COMPENSATED_PAIRS,
-                                block_precedes, _tilde_indices)
+                                block_precedes)
 from flagtype.suites import full_blocks_layout
 
 
@@ -142,7 +142,7 @@ def test_rv_generator_block_pairs(q):
             want[k - 1] = sc(q, 1)
             want[i - 1] = sc(q, mu)
             assert [row[k - 1] for row in g.rows] == want
-            t_set = _tilde_indices(lay, bi) | _tilde_indices(lay, bk)
+            t_set = {*lay.tilde(bi), *lay.tilde(bk)}
             assert all(r in t_set and c in t_set
                        for r in range(1, 2 * n + 1)
                        for c in range(1, 2 * n + 1)

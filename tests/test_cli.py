@@ -168,6 +168,8 @@ USAGE_ERRORS = [
      for cmd, *rest in (["invariants", "--u-plus", "[]", "--u-minus", "[]"],
                         ["normalize", "--u-plus", "[]", "--u-minus", "[]"],
                         ["canonical", "--b", "0,0,0,0,0,0,0,0,0,0,0,0,0,0,0"])]
+USAGE_ERRORS += [["witness", "--family", "O4_L31_0", "--q", "3", "--n", n,
+                  "--lambdas", "0,1"] for n in ("0", "-1")]
 
 BATCH_USAGE_ERRORS = [
     ("2", "(3)|(1)|(1)\n"),

@@ -9,7 +9,7 @@ from flagtype.linalg import (Mat, identity, act_on_subspace, mat_vec,
 from flagtype.geometry import (standard_isotropic, group_generators,
                                so_generators, parabolic_generators,
                                group_order, random_group_element,
-                               coordinate_subspace, w_element, transvection,
+                               coordinate_subspace, w_element,
                                bar, classify_element, IN_O_MINUS_SO,
                                is_isotropic, small_generators)
 from flagtype import flags
@@ -25,7 +25,8 @@ from flagtype import engine, suites
 from flagtype.suites import CENSUS_PLAN
 
 from oracles import (census_full_product, orbit, path_element,
-                     signature_by_meets)
+                     rational_group_generators, signature_by_meets,
+                     transvection)
 
 
 def max_flags(q, n):
@@ -167,6 +168,17 @@ def test_action_points_blocks(kind):
         assert all(r in at for s in isotropic for r in s.rows)
 
 
+def test_action_points_refuses_the_rationals(monkeypatch):
+    """Over Q the orbit of a vector is infinite: action_points raises
+    ValueError before it moves any vector, where a search would run until
+    the budget is spent."""
+    monkeypatch.setenv("FLAGTYPE_BUDGET", "2000")
+    monkeypatch.setattr(engine, "mat_vec",
+                        lambda *a: pytest.fail("a vector was moved"))
+    with pytest.raises(ValueError, match="finite field"):
+        action_points(rational_group_generators(2), [])
+
+
 @pytest.mark.parametrize("n,q", [(2, 3), (3, 3), (2, 5)])
 def test_order_bound_is_so_order_for_so_generators(n, q):
     so = so_generators(q, n)
@@ -299,8 +311,26 @@ def test_census_space_matches_census_product(kind):
         gens = kind(q, n)
         got = census_space(n, q, cs, gens)
         want = census_product([enumerate_chains(q, n, c) for c in cs], gens,
-                              n, q, got.descriptor)
+                              n, q)
         assert got.to_json(n) == want.to_json(n)
+
+
+def test_census_descriptors_name_the_compositions():
+    """census_direct and census_product label a census as census_space
+    does, from the compositions of their chain lists, for every
+    CENSUS_PLAN shape at q=3; census_direct on the n=2 shapes only, as an
+    n=3 shape holds at least 512 000 explicit tuples."""
+    q = 3
+    for n, comps, _ in CENSUS_PLAN:
+        cs = [Composition(c) for c in comps]
+        gens = group_generators(q, n)
+        want = census_space(n, q, cs, gens).descriptor
+        assert want == "n=%d %s" % (n, "|".join(map(str, comps)))
+        spaces = [enumerate_chains(q, n, c) for c in cs]
+        assert census_product(spaces, gens, n, q).descriptor == want
+        if n == 2:
+            tuples = list(itertools.product(*spaces))
+            assert census_direct(tuples, gens, n, q).descriptor == want
 
 
 # the n=2 plan shapes, then shapes whose first component splits into
@@ -327,8 +357,8 @@ def test_code_census_on_the_first_stabilizer_matches_full_product(kind, q):
         want = census_full_product(*index_spaces(spaces, gens), n, q,
                                    got.descriptor)
         assert got.to_json(n) == want.to_json(n)
-        assert census_product(spaces, gens, n, q, got.descriptor).to_json(
-            n) == want.to_json(n)
+        assert census_product(spaces, gens, n, q).to_json(n) == \
+            want.to_json(n)
 
 
 def test_census_without_generators_has_singleton_orbits():
@@ -558,18 +588,19 @@ def test_census_suite_checks_single_q_entries(monkeypatch):
     one of shape (alpha)|(beta)|(n) also needs its count to be the number
     of valid (theta, b)."""
     monkeypatch.setattr(suites, "family_classes", lambda name, q: ([], None))
-    finite = [(2, [(1,), (1,), (2,)], (3,))]
-    checks = suites.suite_censuses(finite)["checks"]
+    monkeypatch.setattr(suites, "CENSUS_PLAN", [(2, [(1,), (1,), (2,)], (3,))])
+    checks = suites.suite_censuses()["checks"]
     assert checks[0][1]
     assert checks[1] == ("census n=2 (1,)|(1,)|(2,) b-count", True,
                          "counts {3: 10}, b-count 10")
     with monkeypatch.context() as m:
         m.setattr(suites, "enumerate_valid_b", lambda t: [None])
-        assert not suites.suite_censuses(finite)["checks"][1][1]
-    assert not suites.suite_censuses([(2, [(1,), (1,), (1,)], (3,))]
-                                     )["checks"][0][1]
+        assert not suites.suite_censuses()["checks"][1][1]
+    with monkeypatch.context() as m:
+        m.setattr(suites, "CENSUS_PLAN", [(2, [(1,), (1,), (1,)], (3,))])
+        assert not suites.suite_censuses()["checks"][0][1]
     monkeypatch.setattr(suites, "flag_count", lambda q, n, comp: 1)
-    assert not suites.suite_censuses(finite)["checks"][0][1]
+    assert not suites.suite_censuses()["checks"][0][1]
 
 
 def test_stabilizer_orbits_refuses_a_set_that_does_not_generate():

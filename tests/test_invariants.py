@@ -7,12 +7,13 @@ from flagtype.linalg import (canonicalize, act_on_subspace, identity, mat_mul,
                              mat_vec, RATIONAL)
 from flagtype.geometry import (standard_isotropic, coordinate_subspace,
                                random_isotropic, random_group_element, form,
-                               group_generators, transvection, w_element, bar)
+                               group_generators, w_element, bar)
 from flagtype.invariants import (theta, theta_and_w, b_invariants,
                                  x_filtration, verify_relations, BInvariants,
                                  ThetaInvariants, theta_of_b)
 
-from oracles import b_invariants_by_meets, rational_group_generators
+from oracles import (b_invariants_by_meets, rational_group_generators,
+                     transvection)
 
 
 def test_theta_trivial_cases():

@@ -85,6 +85,39 @@ def test_equivariance_identity_and_spec_example():
     assert act(cert["g"], ft1) == ft4
 
 
+SQUARE_CLASS_FAMILIES = [fid for fid, fam in FAMILIES.items()
+                         if fam.relation == "square-class"]
+
+
+@pytest.mark.parametrize("fid", SQUARE_CLASS_FAMILIES)
+def test_diagonal_certificates_hold_for_every_lambda_and_c(fid):
+    """Each square-class family's diagonal candidate carries m_lambda to
+    m_{lambda/c^2} for every (lambda, c), at q in {3, 5, 7, 11, 13} at
+    n_min and at q in {3, 5, 7} at n_min + 1: a certificate needs no orbit
+    search."""
+    fam = FAMILIES[fid]
+    for n, qs in ((fam.n_min, (3, 5, 7, 11, 13)), (fam.n_min + 1, (3, 5, 7))):
+        for q in qs:
+            for lam in fam.lambda_domain(q, n):
+                for c in range(1, q):
+                    cert = equivariance_check(fid, lam, c, q, n)
+                    assert cert["ok"], (n, q, lam, c, cert)
+                    assert cert["target"] == lam * pow(c, -2, q) % q
+
+
+def test_failing_candidate_is_reported_without_a_search(monkeypatch):
+    """A wrong diagonal pattern gives ok False with its target; no orbit
+    search runs in its place."""
+    monkeypatch.setattr(FAMILIES["O6_L322_sq"], "equivariance",
+                        lambda c, q: [c, c, c])
+    for name in ("separation_check", "same_orbit", "stabilizer_orbits"):
+        monkeypatch.setattr(witnesses, name,
+                            lambda *a, **k: pytest.fail("a search ran"))
+    cert = equivariance_check("O6_L322_sq", 1, 2, 5)
+    assert not cert["ok"] and "g" not in cert
+    assert (cert["lam"], cert["target"]) == (1, 4)
+
+
 def test_separation_spec_examples():
     v, g = separation_check("O4_L31_4", 2, 3, 5)
     assert v == "No"
