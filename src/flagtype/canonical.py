@@ -17,12 +17,13 @@ group and to stabilize what it must stabilize.
 
 from fractions import Fraction
 import itertools
+from math import isqrt
 
 from .linalg import (Mat, act_on_subspace, canonicalize, identity, inverse,
                      mat_mul, mat_vec, transpose, kernel, solve, sc, sc_inv,
                      complement_basis, combination, primitive_root)
-from .geometry import (bar, form, classify_element,
-                       NOT_ORTHOGONAL, standard_pair_spaces, is_isotropic)
+from .geometry import (bar, form, classify_element, coordinate_subspace,
+                       NOT_ORTHOGONAL, theta_positions, is_isotropic)
 from .invariants import ThetaInvariants, BInvariants, theta_and_w, \
     verify_relations, theta_of_b
 
@@ -82,7 +83,7 @@ class IndexLayout:
         self.n = n
         self.b = b
         self.theta = t
-        a0, ap, am, a1 = t.a0, t.a_plus, t.a_minus, t.a1
+        a0, ap, a1 = t.a0, t.a_plus, t.a1
         d, dp = t.d, t.d_prime
         self.I = {}
         starts = {
@@ -125,8 +126,7 @@ class IndexLayout:
                 if i in self.block_of:
                     raise AssertionError("plus blocks overlap at %d" % i)
                 self.block_of[i] = lbl
-        i_plus = set(range(1, a0 + ap + 1)) | set(range(d + 1, d + a1 + 1))
-        if set(self.block_of) != i_plus:
+        if set(self.block_of) != set(theta_positions(t)["plus"]):
             raise AssertionError("plus blocks do not partition I+")
         used = sorted(x for j in range(1, 16) for x in self.tilde(j))
         if used != list(range(1, 2 * n + 1)):
@@ -160,7 +160,9 @@ class IndexLayout:
 
 def standard_pair(t, q):
     """Coordinate model (U+_std, U-_std) of a theta class."""
-    return standard_pair_spaces(q, t.n, t.a0, t.a_plus, t.a_minus, t.a1)
+    pos = theta_positions(t)
+    return (coordinate_subspace(q, 2 * t.n, pos["plus"]),
+            coordinate_subspace(q, 2 * t.n, pos["minus"]))
 
 
 def representative(b, n, q):
@@ -260,10 +262,8 @@ def _isotropize(q, n, v, w):
     s = form(q, n, v, v)
     if s == 0:
         return v
-    half = sc(q, s) * sc_inv(q, sc(q, 2))
-    if q:
-        return tuple((x - half * y) % q for x, y in zip(v, w))
-    return tuple(x - half * y for x, y in zip(v, w))
+    half = sc(q, s * sc_inv(q, 2))
+    return tuple(sc(q, x - half * y) for x, y in zip(v, w))
 
 
 def _isotropic_in(q, n, basis_rows):
@@ -272,7 +272,7 @@ def _isotropic_in(q, n, basis_rows):
     for v in cand:
         if form(q, n, v, v) == 0:
             return v
-    take = cand[:3] if len(cand) >= 3 else cand
+    take = cand[:3]
     if q:
         coeff_sets = itertools.product(range(q), repeat=len(take))
         for coeffs in coeff_sets:
@@ -282,15 +282,13 @@ def _isotropic_in(q, n, basis_rows):
             if form(q, n, vt, vt) == 0:
                 return vt
         raise AssertionError("no isotropic vector found in split subspace")
-    # rationals: try pairwise sqrt combinations
+    # rationals: try pairwise sqrt combinations (no candidate is isotropic)
     for i in range(len(cand)):
         for j in range(i + 1, len(cand)):
             si = form(q, n, cand[i], cand[i])
             sj = form(q, n, cand[j], cand[j])
             cij = form(q, n, cand[i], cand[j])
             # solve si + 2 t cij + t^2 sj = 0 over Q
-            if sj == 0:
-                continue
             disc = cij * cij - si * sj
             r = _frac_sqrt(disc)
             if r is None:
@@ -304,30 +302,21 @@ def _isotropic_in(q, n, basis_rows):
 
 
 def _frac_sqrt(x):
+    """The square root of x in Q, or None if it has none."""
     x = Fraction(x)
     if x < 0:
         return None
-    num = _int_sqrt(x.numerator)
-    den = _int_sqrt(x.denominator)
-    if num is None or den is None:
+    num, den = isqrt(x.numerator), isqrt(x.denominator)
+    if num * num != x.numerator or den * den != x.denominator:
         return None
     return Fraction(num, den)
-
-
-def _int_sqrt(k):
-    r = int(k ** 0.5)
-    for c in (r - 1, r, r + 1):
-        if c >= 0 and c * c == k:
-            return c
-    return None
 
 
 def normalize_pair(u_plus, u_minus, n):
     """g in G with (g U+, g U-) the standard pair of theta(U+, U-)."""
     q = u_plus.q
     t, w0, wp_full, wm_full = theta_and_w(u_plus, u_minus, n)
-    a0, ap, am, a1, a2 = t.tuple5()
-    d = t.d
+    a1 = t.a1
     w0_rows = list(w0.rows)
     wp_rows = complement_basis(w0, wp_full)
     wm_rows = complement_basis(w0, wm_full)
@@ -342,27 +331,21 @@ def normalize_pair(u_plus, u_minus, n):
     else:
         umf_rows = []
 
+    pos = theta_positions(t)
     placed = []  # list of (position, vector), insertion order
-    for off, vec in enumerate(w0_rows):
-        placed.append((1 + off, vec))
-    for off, vec in enumerate(wp_rows):
-        placed.append((a0 + 1 + off, vec))
-    for off, vec in enumerate(wm_rows):
-        placed.append((a0 + ap + 1 + off, vec))
-    for off, vec in enumerate(upf_rows):
-        placed.append((d + 1 + off, vec))
-    for off, vec in enumerate(umf_rows):
-        placed.append((t.d_prime + 1 + off, vec))
+    for key, vecs in (("w0", w0_rows), ("wp", wp_rows), ("wm", wm_rows),
+                      ("up", upf_rows), ("um", umf_rows)):
+        placed.extend(zip(pos[key], vecs))
 
     # partners for the W-positions
-    for p in range(1, d + 1):
+    for p in pos["w"]:
         w = dict(placed)[p]
         v = _pairing_solve(q, n, placed, {p: 1})
         v = _isotropize(q, n, v, w)
         placed.append((bar(p, n), v))
 
     # hyperbolic pairs spanning the residual split space
-    for p in range(d + a1 + 1, n + 1):
+    for p in pos["z"]:
         rows = [tuple(reversed(w)) for _, w in placed]
         if rows:
             k = kernel(Mat(q, rows))
@@ -389,10 +372,6 @@ def normalize_pair(u_plus, u_minus, n):
 # stabilizer generators of the triple (U+, U-, V(b)) and eliminations
 
 
-def _dual_entries(a):
-    return transpose(inverse(a))
-
-
 def h_block(lay, j, a, q):
     """h_(j)(A): block change of basis acting on all copies of I_(j)."""
     n = lay.n
@@ -402,7 +381,7 @@ def h_block(lay, j, a, q):
     if not 1 <= j <= 14:
         raise ValueError("h_block handles j = 1..14")
     rows = [list(r) for r in identity(q, 2 * n).rows]
-    ad = _dual_entries(a)
+    ad = transpose(inverse(a))
     for idxs in lay.copies[j]:
         for ii, gi in enumerate(idxs):
             for kk, gk in enumerate(idxs):
@@ -554,10 +533,7 @@ def _solve_rv_transvection(lay, q, t_set, pinned):
     or 1 + N is not orthogonal.
     """
     n = lay.n
-    t = lay.theta
-    i_minus = set(range(1, t.a0 + 1)) | \
-        set(range(t.a0 + t.a_plus + 1, t.d + 1)) | \
-        set(range(t.d_prime + 1, t.d_prime + t.a1 + 1))
+    i_minus = set(theta_positions(lay.theta)["minus"])
     free_cols = [c for c in t_set if c not in lay.block_of]
     unknowns = [(r, c) for c in free_cols for r in t_set]
     u_minus_cells = [(r, c) for c in free_cols if c in i_minus
@@ -666,20 +642,6 @@ def eliminate(lay, k, support, q):
     target[k - 1] = sc(q, 1)
     if list(mat_vec(g, start)) != target:
         raise AssertionError("eliminate postcondition failed")
-    return g
-
-
-def rv_generator(lay, kind, q, **params):
-    """Uniform front door: kind in {'h', 'h15', 'g'}; membership is checked."""
-    if kind == "h":
-        g = h_block(lay, params["j"], params["A"], q)
-    elif kind == "h15":
-        g = h15(lay, params["A"], q)
-    elif kind == "g":
-        g = rv_transvection(lay, params["i"], params["k"], params["mu"], q)
-    else:
-        raise ValueError("unknown generator kind %r" % (kind,))
-    check_rv_membership(lay, g, q)
     return g
 
 

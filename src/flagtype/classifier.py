@@ -49,10 +49,6 @@ class Verdict:
         return {"verdict": self.status, "trace": self.trace}
 
 
-def _dims(comp):
-    return frozenset(comp.dims)
-
-
 def _allowed(master_dims, n):
     """The dims a component may have to be an image of a flag with the
     master's dimension set.
@@ -114,7 +110,7 @@ def _sq_free_masters(n):
     for g1 in range(1, n):
         masters.append((((g1, n - g1), (1, 1), (n,)),
                         "(g, n-g) against a two-step unit flag"))
-    return tuple((tuple(_allowed(_accum(m), n) for m in master), why)
+    return tuple((tuple(_allowed(Composition(m).dims, n) for m in master), why)
                  for master, why in masters)
 
 
@@ -123,20 +119,12 @@ def sq_free_cover(n, comps):
     finiteness result; None otherwise."""
     if len(comps) != 3:
         return None
-    dims = [_dims(c) for c in comps]
+    dims = [frozenset(c.dims) for c in comps]
     for allowed, why in _sq_free_masters(n):
         for perm in permutations(range(3)):
             if all(dims[perm[i]] <= allowed[i] for i in range(3)):
                 return why
     return None
-
-
-def _accum(parts):
-    out, s = [], 0
-    for p in parts:
-        s += p
-        out.append(s)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import json
 import os
 import sys
 
-from .linalg import canonicalize, check_field, field_json
+from .linalg import canonicalize, check_prime, field_json
 from .geometry import (group_generators, so_generators, parabolic_generators,
                        is_isotropic)
 from .flags import Composition, Infeasible
@@ -82,8 +82,7 @@ def parse_subspace(text, q, ambient, n, name, dim=None):
 
 def check_finite_field(q):
     try:
-        # q=0 selects the rationals, which have no finite spaces
-        check_field(q or 1)
+        check_prime(q)
     except ValueError:
         raise UsageError("--q must be an odd prime, got %d" % q)
 
@@ -101,9 +100,12 @@ def _check_budget():
 def _write_store(args, payload):
     if getattr(args, "out", None):
         path = args.out
-        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=1, sort_keys=True)
+        try:
+            os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+            with open(path, "w") as fh:
+                json.dump(payload, fh, indent=1, sort_keys=True)
+        except OSError as exc:
+            raise UsageError("cannot write --out: %s" % exc)
 
 
 def check_n(n):
@@ -129,7 +131,7 @@ def cmd_classify(args):
         # prints nothing
         jobs = []
         try:
-            with open(args.batch) as fh:
+            with open(args.batch, encoding="utf-8") as fh:
                 for line in fh:
                     line = line.strip()
                     if not line or line.startswith("#"):
@@ -144,7 +146,7 @@ def cmd_classify(args):
                         raise UsageError("bad square classes %r in %r"
                                          % (sq, line))
                     jobs.append((cells[0], parse_space(cells[0], args.n), sq))
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise UsageError("batch file: %s" % exc)
         rows = []
         for text, comps, sq in jobs:
@@ -369,6 +371,26 @@ def cmd_generators(args):
     return EXIT_OK
 
 
+def _read_store_file(path):
+    """The JSON object of a store file, each of whose suites has checks
+    rows [label, ok, detail]; anything else is a usage error."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise UsageError("store file %s: %s" % (path, exc))
+    if not isinstance(data, dict):
+        raise UsageError("store file %s holds no JSON object" % path)
+    for name, res in data.items():
+        if isinstance(res, dict) and "checks" in res and not (
+                isinstance(res["checks"], list)
+                and all(isinstance(c, list) and len(c) == 3
+                        for c in res["checks"])):
+            raise UsageError("store file %s: suite %r has checks rows that "
+                             "are not [label, ok, detail]" % (path, name))
+    return data
+
+
 def cmd_report(args):
     store = args.store
     if not os.path.isdir(store):
@@ -376,10 +398,9 @@ def cmd_report(args):
     files = [f for f in sorted(os.listdir(store)) if f.endswith(".json")]
     if not files:
         raise UsageError("store %r holds no JSON results" % store)
+    stored = [(f, _read_store_file(os.path.join(store, f))) for f in files]
     print("# flagtype verification scoreboard\n")
-    for f in files:
-        with open(os.path.join(store, f)) as fh:
-            data = json.load(fh)
+    for f, data in stored:
         print("## %s\n" % f)
         if "verdict" in data:
             print("* triple %s at n=%s: **%s** (%s)\n" %

@@ -42,7 +42,7 @@ from itertools import accumulate
 from math import prod
 
 from .linalg import (Mat, identity, inverse, inverse_table, mat_mul,
-                     mat_vec, act_on_subspace, rank_rows)
+                     mat_vec, act_on_subspace, rank_rows, check_prime)
 from .geometry import (group_order, coordinate_subspace,
                        classify_element, NOT_ORTHOGONAL, IN_SO)
 from . import flags as _flags
@@ -326,8 +326,7 @@ def action_points(gens, spaces):
     lie in the orbit of e_1 (Witt).
     """
     m, q = gens[0].nrows, gens[0].q
-    if not q:
-        raise ValueError("action points need a finite field")
+    check_prime(q)
     budget = _flags.orbit_budget()
     invs = inverse_table(q)
     vectors = [tuple(int(i == j) for j in range(m)) for i in range(m)]

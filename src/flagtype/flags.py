@@ -22,7 +22,7 @@ import os
 from itertools import product
 from operator import getitem
 
-from .linalg import (act_on_subspace, check_field, combination,
+from .linalg import (act_on_subspace, check_prime, combination,
                      image_from_rows, inverse_table, mat_vec)
 from .geometry import (is_isotropic, coordinate_subspace, group_generators,
                        gl_generators)
@@ -202,8 +202,7 @@ def subspace_orbit(start, table):
     points, a generator maps a key to its image's key by lookups, and only
     a member met for the first time is put in RREF.
     """
-    if not start.q:
-        raise ValueError("subspace orbits need a finite field")
+    check_prime(start.q)
     budget = orbit_budget()
     points, at = table.points, table.at
     key = frozenset(map(table.number, _projective_points(start)))
@@ -238,9 +237,7 @@ def flag_spaces(q, ambient, comps, iso_n=None, gens=()):
     It runs on the positions of the spaces in their orbits (all over one
     ``PointTable``), whose tuple order is the rows order of the chains.
     """
-    check_field(q)
-    if not q:
-        raise ValueError("flag enumeration needs a finite field")
+    check_prime(q)
     budget = orbit_budget()
     for comp in comps:
         comp.check(ambient if iso_n is None else iso_n)

@@ -16,7 +16,7 @@ from operator import mul
 from .linalg import (Mat, canonicalize, identity, mat_mul, inverse,
                      transpose, det, meet, kernel, sc,
                      primitive_root, act_on_subspace, zero_space, full_space,
-                     check_field, combination)
+                     check_prime, combination)
 
 
 def bar(i, n):
@@ -132,16 +132,10 @@ def bruhat_cell(v, n):
     return n - meet(v, standard_isotropic(v.q, n, 0)).dim
 
 
-def _need_prime(q):
-    if not q:
-        raise ValueError("group generators need an odd prime q: the "
-                         "rationals (q = 0) have no primitive root")
-
-
 def gl_generators(q, m):
     """Generators of GL_m(F_q): elementary E_ij(1) and one primitive torus.
     GF(p) only, as are those of P, SO_2n and O_2n built on them."""
-    _need_prime(q)
+    check_prime(q)
     gens = []
     for i in range(m):
         for j in range(m):
@@ -183,7 +177,6 @@ def _generators(q, n, extra):
     """P's generators (each checked to fix U_0 and to be orthogonal), then
     w_d for each d in `extra`; built once per (q, n, extra), as a tuple so
     that no caller can change the cached set."""
-    check_field(q)
     gens = [ell(a, n) for a in gl_generators(q, n)]
     gens.extend(unipotent_radical_basis(q, n))
     u0 = standard_isotropic(q, n, 0)
@@ -215,8 +208,7 @@ def _small_generators(q, n):
     """The set of ``small_generators``, built once per (q, n) as a tuple."""
     if n == 1:
         return _generators(q, 1, (1,))
-    check_field(q)
-    _need_prime(q)
+    check_prime(q)
     one = sc(q, 1)
     # the n-cycle e_i -> e_{i+1}, e_n -> omega (-1)^(n-1) e_1: det omega
     cycle = [[sc(q, 0)] * n for _ in range(n)]
@@ -257,30 +249,24 @@ def sp_order(q, m):
 
 
 # ---------------------------------------------------------------------------
-# standard pairs and their stabilizers
+# the coordinate model of a pair's theta class
 
 
-def theta_positions(n, a0, ap, am, a1):
-    """Index lists (1-based) of the graded pieces of the standard pair."""
-    d = a0 + ap + am
-    if d + a1 > n:
-        raise ValueError("inconsistent theta data")
-    w0 = list(range(1, a0 + 1))
-    wp = list(range(a0 + 1, a0 + ap + 1))
-    wm = list(range(a0 + ap + 1, d + 1))
-    upf = list(range(d + 1, d + a1 + 1))
-    dprime = 2 * n - d - a1
-    umf = list(range(dprime + 1, dprime + a1 + 1))
-    zf = list(range(d + a1 + 1, n + 1))
-    return {"w0": w0, "wp": wp, "wm": wm, "up": upf, "um": umf, "z": zf, "d": d,
-            "dprime": dprime}
-
-
-def standard_pair_spaces(q, n, a0, ap, am, a1):
-    pos = theta_positions(n, a0, ap, am, a1)
-    up = coordinate_subspace(q, 2 * n, pos["w0"] + pos["wp"] + pos["up"])
-    um = coordinate_subspace(q, 2 * n, pos["w0"] + pos["wm"] + pos["um"])
-    return up, um
+@lru_cache(maxsize=None)
+def theta_positions(t):
+    """The coordinate model of the theta class t, built once per class: the
+    1-based indices of W_0, W_+, W_-, their sum W, U_+^f, U_-^f and Z ("w0",
+    "wp", "wm", "w", "up", "um", "z"), and of the standard pair
+    U+ = W_0 + W_+ + U_+^f ("plus") and U- = W_0 + W_- + U_-^f ("minus").
+    W sits on 1..d, the U^f on d+1..d+a1 and d'+1..d'+a1, and Z with its
+    bars spans the residual split space."""
+    a0, ap, d, dp, a1 = t.a0, t.a_plus, t.d, t.d_prime, t.a1
+    w0, wp, wm = range(1, a0 + 1), range(a0 + 1, a0 + ap + 1), \
+        range(a0 + ap + 1, d + 1)
+    up, um = range(d + 1, d + a1 + 1), range(dp + 1, dp + a1 + 1)
+    return {"w0": w0, "wp": wp, "wm": wm, "w": range(1, d + 1), "up": up,
+            "um": um, "z": range(d + a1 + 1, t.n + 1),
+            "plus": (*w0, *wp, *up), "minus": (*w0, *wm, *um)}
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,15 @@ def check_field(q):
         raise ValueError("q must be an odd prime or 0 (rationals), got %r" % (q,))
 
 
+def check_prime(q):
+    """Refuse every q but an odd prime, where GF(q) itself is needed:
+    finite spaces, orbits on them and primitive roots."""
+    if q == RATIONAL:
+        raise ValueError("this needs an odd prime q, not the rationals "
+                         "(q = 0)")
+    check_field(q)
+
+
 def sc(q, x):
     """Coerce an int (or Fraction) into the field q."""
     if q:
@@ -178,13 +187,13 @@ def inverse_table(q):
 def _rref_rows(rows, q, ncols):
     """Row-reduce a list of row tuples; returns (rref rows, pivot columns).
 
-    Over GF(q) the entries must be field values already.  The first row
-    with a nonzero entry in a column is its pivot row, over either field.
+    The entries must be field values already: ints mod q over GF(q), ints
+    or Fractions over Q (a pivot is inverted by ``sc_inv``, so plain-int
+    rows stay exact).  The first row with a nonzero entry in a column is
+    its pivot row.
     """
     rows = [list(r) for r in rows]
-    if not q:
-        return _rref_rational(rows, ncols)
-    invs = inverse_table(q)
+    invs = inverse_table(q) if q else None
     pivots = []
     r = 0
     for c in range(ncols):
@@ -198,41 +207,22 @@ def _rref_rows(rows, q, ncols):
         prow = rows[i]
         rows[i] = rows[r]
         if prow[c] != 1:
-            inv = invs[prow[c]]
-            prow = [x * inv % q for x in prow]
+            if q:
+                inv = invs[prow[c]]
+                prow = [x * inv % q for x in prow]
+            else:
+                inv = sc_inv(q, prow[c])
+                prow = [x * inv for x in prow]
         rows[r] = prow
         for i, row in enumerate(rows):
             f = row[c]
             if f and i != r:
-                rows[i] = [(x - f * y) % q for x, y in zip(row, prow)]
+                if q:
+                    rows[i] = [(x - f * y) % q for x, y in zip(row, prow)]
+                else:
+                    rows[i] = [x - f * y for x, y in zip(row, prow)]
         pivots.append(c)
         r += 1
-    return [tuple(rw) for rw in rows[:r]], pivots
-
-
-def _rref_rational(rows, ncols):
-    """``_rref_rows`` over Q, on rows that are lists already."""
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, len(rows)):
-            if rows[i][c] != 0:
-                pr = i
-                break
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = sc_inv(RATIONAL, rows[r][c])
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
     return [tuple(rw) for rw in rows[:r]], pivots
 
 
@@ -262,8 +252,8 @@ def det(m):
             return sc(q, 0)
         if pr != c:
             rows[c], rows[pr] = rows[pr], rows[c]
-            d = -d % q if q else -d
-        d = d * rows[c][c] % q if q else d * rows[c][c]
+            d = sc(q, -d)
+        d = sc(q, d * rows[c][c])
         inv = sc_inv(q, rows[c][c])
         for i in range(c + 1, n):
             if rows[i][c] != 0:

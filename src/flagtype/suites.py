@@ -23,11 +23,11 @@ from .geometry import (group_generators, so_generators, parabolic_generators,
 from .flags import Composition, enumerate_chains, flag_count, flag_spaces
 from .invariants import BInvariants, b_invariants, verify_relations
 from .canonical import (enumerate_thetas, enumerate_valid_b, standard_pair,
-                        representative, IndexLayout, rv_generator,
-                        sp_prime_generators, in_sp_prime, eliminate,
-                        check_rv_membership, PLUS_BLOCKS, EXCLUDED_PAIRS,
-                        COMPENSATED_PAIRS, ELIMINATION_SUPPORT,
-                        block_precedes, normalize_pair)
+                        representative, IndexLayout, h_block, h15,
+                        rv_transvection, sp_prime_generators, in_sp_prime,
+                        eliminate, check_rv_membership, PLUS_BLOCKS,
+                        EXCLUDED_PAIRS, COMPENSATED_PAIRS,
+                        ELIMINATION_SUPPORT, block_precedes, normalize_pair)
 from .engine import (INFEASIBLE, action_points, census_direct, census_space,
                      stabilizer_orbits)
 from .perm import StabChain, orbits
@@ -122,7 +122,8 @@ def suite_rv_generators():
     ok_h = True
     for j in range(1, 15):
         try:
-            rv_generator(lay, "h", q, j=j, A=Mat(q, [[rng.randrange(1, q)]]))
+            g = h_block(lay, j, Mat(q, [[rng.randrange(1, q)]]), q)
+            check_rv_membership(lay, g, q)
         except AssertionError:
             ok_h = False
     checks.append(("h_j blocks", ok_h, "j=1..14 with random scalars"))
@@ -132,7 +133,7 @@ def suite_rv_generators():
         a = mat_mul(a, sp_gens[rng.randrange(len(sp_gens))])
     ok15 = in_sp_prime(a, lay.b[15] // 2)
     try:
-        rv_generator(lay, "h15", q, A=a)
+        check_rv_membership(lay, h15(lay, a, q), q)
     except AssertionError:
         ok15 = False
     checks.append(("h15 with a random Sp' word", ok15, ""))
@@ -146,8 +147,8 @@ def suite_rv_generators():
             for i in lay.plus[bi]:
                 for k in lay.plus[bk]:
                     try:
-                        rv_generator(lay, "g", q, i=i, k=k,
-                                     mu=rng.randrange(1, q))
+                        g = rv_transvection(lay, i, k, rng.randrange(1, q), q)
+                        check_rv_membership(lay, g, q)
                         count += 1
                     except AssertionError:
                         ok_g = False
@@ -156,8 +157,7 @@ def suite_rv_generators():
     ok_ex = True
     for bi, bk in sorted(EXCLUDED_PAIRS - set(COMPENSATED_PAIRS)):
         try:
-            rv_generator(lay, "g", q, i=lay.plus[bi][0], k=lay.plus[bk][0],
-                         mu=1)
+            rv_transvection(lay, lay.plus[bi][0], lay.plus[bk][0], 1, q)
             ok_ex = False
         except ValueError:
             pass

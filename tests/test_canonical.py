@@ -12,7 +12,8 @@ from flagtype.invariants import BInvariants, b_invariants, theta, \
     ThetaInvariants
 from flagtype.canonical import (IndexLayout, standard_pair, representative,
                                 enumerate_valid_b, enumerate_thetas,
-                                normalize_pair, rv_generator, eliminate,
+                                normalize_pair, h_block, h15,
+                                rv_transvection, eliminate,
                                 check_rv_membership, sp_prime_generators,
                                 in_sp_prime, sp_form_matrix, PLUS_BLOCKS,
                                 EXCLUDED_PAIRS, COMPENSATED_PAIRS,
@@ -110,11 +111,14 @@ def test_rv_generator_identity_cases():
     q = 5
     lay = full_blocks_layout()
     for j in (1, 7, 12, 14):
-        g = rv_generator(lay, "h", q, j=j, A=identity(q, lay.b[j]))
+        g = h_block(lay, j, identity(q, lay.b[j]), q)
+        check_rv_membership(lay, g, q)
         assert g == identity(q, 2 * lay.n)
     i = lay.plus["1"][0]
     k = lay.plus["3"][0]
-    assert rv_generator(lay, "g", q, i=i, k=k, mu=0) == identity(q, 2 * lay.n)
+    g = rv_transvection(lay, i, k, 0, q)
+    check_rv_membership(lay, g, q)
+    assert g == identity(q, 2 * lay.n)
 
 
 @pytest.mark.parametrize("q", [0, 3, 5])
@@ -131,12 +135,13 @@ def test_rv_generator_block_pairs(q):
             if (bi, bk) in EXCLUDED_PAIRS and \
                     (bi, bk) not in COMPENSATED_PAIRS:
                 with pytest.raises(ValueError):
-                    rv_generator(lay, "g", q, i=lay.plus[bi][0],
-                                 k=lay.plus[bk][0], mu=1)
+                    rv_transvection(lay, lay.plus[bi][0], lay.plus[bk][0],
+                                    1, q)
                 continue
             i, k = lay.plus[bi][0], lay.plus[bk][0]
             mu = rng.randrange(1, q) if q else Fraction(rng.randrange(1, 7), 3)
-            g = rv_generator(lay, "g", q, i=i, k=k, mu=mu)
+            g = rv_transvection(lay, i, k, mu, q)
+            check_rv_membership(lay, g, q)
             # g e_k = e_k + mu e_i, and g - 1 lives on the blocks' tilde sets
             want = [sc(q, 0)] * (2 * n)
             want[k - 1] = sc(q, 1)
@@ -151,8 +156,7 @@ def test_rv_generator_block_pairs(q):
     assert count >= 30
     # non-comparable pair is rejected
     with pytest.raises(ValueError):
-        rv_generator(lay, "g", q, i=lay.plus["10"][0], k=lay.plus["9"][0],
-                     mu=1)
+        rv_transvection(lay, lay.plus["10"][0], lay.plus["9"][0], 1, q)
 
 
 def test_compensated_action_matches_citation():
@@ -164,7 +168,8 @@ def test_compensated_action_matches_citation():
     i = lay.I[8][0]
     k = lay.I[12][0]
     mu = 2
-    g = rv_generator(lay, "g", q, i=i, k=k, mu=mu)
+    g = rv_transvection(lay, i, k, mu, q)
+    check_rv_membership(lay, g, q)
     from flagtype.geometry import bar
     col = [g.rows[r][k - 1] for r in range(2 * n)]
     want = [0] * (2 * n)
@@ -190,11 +195,11 @@ def test_h15_and_sp_membership():
     a = identity(q, 2 * m)
     for _ in range(5):
         a = mat_mul(a, gens[rng.randrange(len(gens))])
-    rv_generator(lay, "h15", q, A=a)
+    check_rv_membership(lay, h15(lay, a, q), q)
     with pytest.raises(ValueError):
         bad = Mat(q, [[1, 1], [0, 1]])
         if not in_sp_prime(bad, m):
-            rv_generator(lay, "h15", q, A=bad)
+            h15(lay, bad, q)
         else:
             raise ValueError("pick a different non-symplectic example")
 

@@ -5,8 +5,9 @@ from fractions import Fraction
 import pytest
 
 from flagtype.cli import main
-from flagtype.geometry import (classify_element, standard_pair_spaces,
-                               NOT_ORTHOGONAL)
+from flagtype.canonical import standard_pair
+from flagtype.geometry import classify_element, NOT_ORTHOGONAL
+from flagtype.invariants import ThetaInvariants
 from flagtype.linalg import Mat, act_on_subspace, canonicalize
 
 
@@ -82,7 +83,7 @@ def test_normalize_rational(capsys):
     assert "1/7" in data["g"][0]
     g = Mat(0, [[Fraction(x) for x in r] for r in data["g"]])
     assert classify_element(g, 2) != NOT_ORTHOGONAL
-    su, sm = standard_pair_spaces(0, 2, *data["theta"][:4])
+    su, sm = standard_pair(ThetaInvariants(2, *data["theta"][:4]), 0)
     assert act_on_subspace(g, canonicalize(0, 4, up)) == su
     assert act_on_subspace(g, canonicalize(0, 4, um)) == sm
 
@@ -207,6 +208,56 @@ def test_batch_usage_errors(tmp_path, capsys, n, lines):
     with open(batch, "w") as fh:
         fh.write(lines)
     _assert_usage_error(capsys, ["classify", "--n", n, "--batch", batch])
+
+
+def test_batch_not_utf8(tmp_path, capsys):
+    batch = os.path.join(tmp_path, "triples.txt")
+    with open(batch, "wb") as fh:
+        fh.write(b"(1)|(1)|(2)\n\xff\xfe\n")
+    _assert_usage_error(capsys, ["classify", "--n", "3", "--batch", batch])
+
+
+BAD_STORE_FILES = [
+    "{not json",
+    "[1, 2]",
+    '{"bruhat": {"ok": true, "checks": [["cells n=2", true]]}}',
+]
+
+
+@pytest.mark.parametrize("text", BAD_STORE_FILES)
+def test_report_bad_store_file(tmp_path, capsys, text):
+    """A store file that is not JSON, not a JSON object, or holds a suite
+    whose checks rows are not [label, ok, detail] is a usage error before
+    the scoreboard prints."""
+    with open(os.path.join(tmp_path, "bad.json"), "w") as fh:
+        fh.write(text)
+    _assert_usage_error(capsys, ["report", "--store", str(tmp_path)])
+
+
+OUT_COMMANDS = [
+    ["classify", "--n", "4", "--triple", "(4)|(4)|(4)"],
+    ["invariants", "--n", "3", "--q", "3", "--u-plus", E1, "--u-minus", E1],
+    ["canonical", "--n", "2", "--q", "3", "--b",
+     "2,0,0,0,0,0,0,0,0,0,0,0,0,0,0"],
+    ["normalize", "--n", "3", "--q", "3", "--u-plus", E1, "--u-minus", E1],
+    ["witness", "--family", "O4_L31_0", "--q", "3"],
+    ["census", "--n", "2", "--q", "3", "--space", "(2)", "--group", "P"],
+    ["verify", "--suite", "normalize"],
+    ["generators", "--n", "1", "--q", "3"],
+]
+
+
+@pytest.mark.parametrize("argv", OUT_COMMANDS)
+def test_out_not_writable(tmp_path, capsys, argv):
+    """--out naming a directory, or a path below a file, is a usage error:
+    exit 2 with one stderr line (after the command's own output)."""
+    blocker = os.path.join(tmp_path, "file")
+    open(blocker, "w").close()
+    for out in (str(tmp_path), os.path.join(blocker, "store.json")):
+        code, _, err = run(capsys, *argv, "--out", out)
+        assert code == 2
+        assert err.startswith("usage error: cannot write --out")
+        assert err.count("\n") == 1
 
 
 def test_batch_classify(tmp_path, capsys):

@@ -175,7 +175,8 @@ def test_action_points_refuses_the_rationals(monkeypatch):
     monkeypatch.setenv("FLAGTYPE_BUDGET", "2000")
     monkeypatch.setattr(engine, "mat_vec",
                         lambda *a: pytest.fail("a vector was moved"))
-    with pytest.raises(ValueError, match="finite field"):
+    with pytest.raises(ValueError,
+                       match="needs an odd prime q, not the rationals"):
         action_points(rational_group_generators(2), [])
 
 

@@ -363,7 +363,8 @@ def test_flag_spaces_permutations(kind, n, q):
 
 def test_subspace_orbit_rejects_rationals():
     s = coordinate_subspace(0, 4, [1])
-    with pytest.raises(ValueError, match="finite field"):
+    with pytest.raises(ValueError,
+                       match="needs an odd prime q, not the rationals"):
         subspace_orbit(s, PointTable([identity(0, 4)]))
 
 

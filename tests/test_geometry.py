@@ -25,9 +25,8 @@ from oracles import isotropic_subspaces, rational_group_generators
                                   small_generators])
 def test_generators_need_an_odd_prime(kind):
     """The generator sets are GF(p)-only: over Q there is no primitive root
-    for the torus, and the error says so."""
-    with pytest.raises(ValueError, match="group generators need an odd "
-                       "prime q: the rationals"):
+    for the torus, and the error names the odd prime that is needed."""
+    with pytest.raises(ValueError, match="needs an odd prime q, not the rationals"):
         kind(RATIONAL, 2)
 
 

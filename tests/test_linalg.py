@@ -7,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 from flagtype.linalg import (Mat, canonicalize, meet, join, kernel, rank,
                              identity, inverse, mat_mul, det, solve,
                              zero_space, full_space,
-                             complement_basis, check_field, sc,
-                             act_on_subspace, _span)
+                             complement_basis, check_field, check_prime, sc,
+                             act_on_subspace, _span, _rref_rows, rank_rows,
+                             RATIONAL)
 from flagtype.geometry import form, perp
 from oracles import span_vectors, vectors_where
 
@@ -25,6 +26,34 @@ def test_field_validation():
         check_field(2)
     with pytest.raises(ValueError):
         check_field(9)
+    check_prime(3)
+    with pytest.raises(ValueError, match="needs an odd prime q, not the "
+                       "rationals"):
+        check_prime(RATIONAL)
+    for q in (2, 9):
+        with pytest.raises(ValueError):
+            check_prime(q)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 5), st.data())
+def test_rational_elimination_of_int_rows_stays_exact(ncols, data):
+    """Over Q, plain-int rows reduce to ints and Fractions, never floats,
+    and to the same RREF as their Fraction copies; so does inverse."""
+    row = st.lists(st.integers(-6, 6), min_size=ncols, max_size=ncols)
+    rows = [tuple(r) for r in data.draw(st.lists(row, max_size=5))]
+    got, pivots = _rref_rows(rows, RATIONAL, ncols)
+    assert all(type(x) in (int, Fraction) for r in got for x in r)
+    assert (got, pivots) == _rref_rows(
+        [tuple(map(Fraction, r)) for r in rows], RATIONAL, ncols)
+    r = rank_rows(rows, RATIONAL, ncols)
+    assert type(r) is int and r == len(pivots)
+    square = tuple(tuple(r) for r in data.draw(
+        st.lists(row, min_size=ncols, max_size=ncols)))
+    if rank_rows(square, RATIONAL, ncols) == ncols:
+        inv = inverse(Mat.raw(RATIONAL, square))
+        assert all(type(x) in (int, Fraction) for r in inv.rows for x in r)
+        assert mat_mul(Mat(RATIONAL, square), inv) == identity(RATIONAL, ncols)
 
 
 def test_canonicalize_examples():
