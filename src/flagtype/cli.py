@@ -97,6 +97,24 @@ def _check_budget():
                              % text)
 
 
+def _check_out(path):
+    """Refuse an --out path that cannot be written, before any work: a
+    directory, a path below a file, or one in a directory (or under the
+    nearest existing one) without write permission."""
+    parent = os.path.dirname(os.path.abspath(path))
+    while not os.path.exists(parent):  # _write_store makes the missing ones
+        parent = os.path.dirname(parent)
+    if os.path.isdir(path):
+        why = "is a directory"
+    elif not os.path.isdir(parent):
+        why = "%s is not a directory" % parent
+    elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        why = "permission denied"
+    else:
+        return
+    raise UsageError("cannot write --out %s: %s" % (path, why))
+
+
 def _write_store(args, payload):
     if getattr(args, "out", None):
         path = args.out
@@ -371,9 +389,35 @@ def cmd_generators(args):
     return EXIT_OK
 
 
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_list(v, item):
+    return isinstance(v, list) and all(map(item, v))
+
+
+# the fields ``report`` prints from a classify store (marked by "verdict")
+# and from a census store (marked by "orbit_count"), each with the test it
+# must pass where present
+STORE_FIELDS = {
+    "verdict": {
+        "verdict": lambda v: isinstance(v, str),
+        "trace": lambda v: _is_list(v, lambda t: isinstance(t, str)),
+        "triple": lambda v: _is_list(v, lambda c: _is_list(c, _is_int)),
+        "n": _is_int},
+    "orbit_count": {
+        "orbit_count": _is_int,
+        "descriptor": lambda v: isinstance(v, str),
+        "q": _is_int,
+        "total": _is_int},
+}
+
+
 def _read_store_file(path):
     """The JSON object of a store file, each of whose suites has checks
-    rows [label, ok, detail]; anything else is a usage error."""
+    rows [label, ok, detail], and whose classify or census fields pass the
+    tests of ``STORE_FIELDS``; anything else is a usage error."""
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
@@ -381,6 +425,13 @@ def _read_store_file(path):
         raise UsageError("store file %s: %s" % (path, exc))
     if not isinstance(data, dict):
         raise UsageError("store file %s holds no JSON object" % path)
+    for mark, fields in STORE_FIELDS.items():
+        if mark in data:
+            for field, ok in fields.items():
+                if field in data and not ok(data[field]):
+                    raise UsageError("store file %s: field %r has the wrong "
+                                     "type" % (path, field))
+            return data
     for name, res in data.items():
         if isinstance(res, dict) and "checks" in res and not (
                 isinstance(res["checks"], list)
@@ -508,6 +559,8 @@ def main(argv=None):
     try:
         args = make_parser().parse_args(argv)
         _check_budget()
+        if getattr(args, "out", None):
+            _check_out(args.out)
         return args.fn(args)
     except SystemExit:
         # only --help exits the parser; its text is printed

@@ -30,10 +30,16 @@ one, so no group order is assumed.
 Same-orbit decisions and stabilizer orbits index vectors and subspaces
 (``action_points``): the vectors make the action faithful, so the chain's
 order is bounded by |O_2n(q)|, or |SO_2n(q)| for generators of determinant
-1, and a permutation converts back to the connecting matrix.
-``stabilizer_orbits`` gives the orbits of the stabilizer of some subspaces
-on others, for the witness classes and the R-classes alike; its chain must
-reach that bound, which certifies the generating set it is given.
+1, and a permutation converts back to the connecting matrix.  The subspace
+blocks follow in discovery order, their members keyed by the sets of their
+projective points, never row-reduced or sorted; ``index`` is a lookup that
+finds a space's point through that key.  As the vector block keeps its
+numbering and comes first, every chain level opens at a vector point, and
+the breadth-first Schreier trees do not depend on how the subspace points
+are numbered.  ``stabilizer_orbits`` gives the orbits of the stabilizer of
+some subspaces on others, for the witness classes and the R-classes alike;
+its chain must reach that bound, which certifies the generating set it is
+given.
 """
 
 from bisect import bisect_left
@@ -43,7 +49,7 @@ from math import prod
 
 from .linalg import (Mat, identity, inverse, inverse_table, mat_mul,
                      mat_vec, act_on_subspace, rank_rows, check_prime)
-from .geometry import (group_order, coordinate_subspace,
+from .geometry import (group_order, coordinate_subspace, is_isotropic,
                        classify_element, NOT_ORTHOGONAL, IN_SO)
 from . import flags as _flags
 from .flags import Infeasible
@@ -307,6 +313,31 @@ def signature(ft, n):
     return tuple(sig)
 
 
+class SpacePoints:
+    """The subspace points of ``action_points``: a space's point is found
+    through its projective-point key in the shared ``flags.PointTable``
+    (the spaces given to ``action_points`` by a dict, as their keys are
+    known), and ``lengths`` holds the length of each subspace block in
+    order."""
+
+    def __init__(self, table):
+        self.table, self.point, self.given, self.lengths = table, {}, {}, []
+
+    def get(self, s):
+        """The point of s, or None when s lies in no block."""
+        p = self.given.get(s)
+        return self.point.get(self.table.known_key(s)) if p is None else p
+
+    def __getitem__(self, s):
+        p = self.get(s)
+        if p is None:
+            raise KeyError(s)
+        return p
+
+    def __len__(self):
+        return len(self.point)
+
+
 def action_points(gens, spaces):
     """Integer points for the action of the matrix group <gens>.
 
@@ -314,9 +345,12 @@ def action_points(gens, spaces):
     standard basis e_1..e_m, with e_i at point i-1; the action on it is
     faithful, so a permutation of the points determines its matrix (see
     ``point_matrix``).  Then comes the orbit of each of `spaces` not already
-    in a block, sorted by rows.  Returns (vectors, index, images): vectors
-    is the first block, index maps each space of the later blocks to its
-    point, and images[gi] is generator gi as a permutation of all points.
+    in a block, in discovery order, its members keyed by their sets of
+    projective points (``flags.key_orbit``): no block is row-reduced or
+    sorted.  Returns (vectors, index, images): vectors is the first block,
+    index the ``SpacePoints`` lookup of the later blocks (``index[s]`` is
+    the point of s, ``index.get(s)`` None for a space in no block), and
+    images[gi] is generator gi as a permutation of all points.
 
     Over GF(q) only (q = 0 raises ValueError: the orbits are infinite), a
     generator moves each projective point of the first block by one
@@ -349,16 +383,18 @@ def action_points(gens, spaces):
             img.append(p)
         if len(vectors) > budget:
             raise Infeasible.over_budget(len(vectors), budget)
-    index = {}
     table = _flags.PointTable(gens, point_images)
+    index = SpacePoints(table)
     for s in spaces:
-        if s in index:
-            continue
-        members, perms = _flags.subspace_orbit(s, table)
-        offset = len(vectors) + len(index)
-        index.update((t, offset + i) for i, t in enumerate(members))
-        for img, p in zip(images, perms):
-            img.extend(offset + x for x in p)
+        key = table.key(s)
+        if key not in index.point:
+            keys, moves = _flags.key_orbit(key, table)
+            offset = len(vectors) + len(index)
+            index.point.update(zip(keys, range(offset, offset + len(keys))))
+            index.lengths.append(len(keys))
+            for img, mv in zip(images, moves):
+                img.extend([offset + x for x in mv])
+        index.given[s] = index.point[key]
     return vectors, index, [tuple(img) for img in images]
 
 
@@ -391,10 +427,22 @@ def stabilizer_orbits(gens, n, fixed, spaces):
     ``action_points``.  The stabilizer is the level after the points of
     `fixed` in one chain based at them, bounded by ``order_bound``.  That
     chain, on a faithful action, must reach the bound, which certifies the
-    set; AssertionError otherwise."""
+    set; AssertionError otherwise.  The error comes before any chain when
+    fixed[0] is an isotropic d-space, d > 0, whose block is not all of
+    M_(d) (half of it for d = n under SO_2n), as under O_2n and SO_2n it
+    must be."""
     _, index, images = action_points(gens, fixed + spaces)
-    base = list(dict.fromkeys(index[s] for s in fixed))
     bound = order_bound(gens, n)
+    d = fixed[0].dim if fixed else 0
+    if d and is_isotropic(fixed[0], n):
+        want = _flags.flag_count(gens[0].q, n, _flags.Composition([d]))
+        if d == n and bound < group_order(gens[0].q, n):
+            want //= 2
+        if index.lengths[0] != want:
+            raise AssertionError("the generators do not generate O_2n or "
+                                 "SO_2n: a fixed %d-space has %d images, "
+                                 "expected %d" % (d, index.lengths[0], want))
+    base = list(dict.fromkeys(index[s] for s in fixed))
     chain = StabChain(images, len(images[0]), base=base, order=bound)
     if chain.order() != bound:
         raise AssertionError("the generators do not generate O_2n or SO_2n: "

@@ -10,20 +10,21 @@ type in F_q^m (without ``iso_n``, as the GL-flag spot checks of the appendix
 formula use it), so M_comp is the orbit of the standard flag of initial
 coordinate spaces.  ``flag_spaces``
 replaces each space of the standard flags by its orbit (``subspace_orbit``)
-over one table of projective points (``PointTable``), so a generator moves
-each point once and each member costs one RREF, and returns the flags with
-the requested generators as permutations of them.  The one budget of the
+over one table of projective points (``PointTable``), and returns the flags
+with the requested generators as permutations of them.  The orbit is
+walked on the sets of point numbers of its members (``key_orbit``, which
+``engine.action_points`` uses alone), so a generator moves each point once,
+and each member then costs one RREF.  The one budget of the
 package (FLAGTYPE_BUDGET, ``orbit_budget``, read once per public call)
 counts orbit members: here flags, and the spaces of each dimension on the
 way.  Every overrun raises ``Infeasible``, on which the CLI exits 3.
 """
 
 import os
-from itertools import product
 from operator import getitem
 
-from .linalg import (act_on_subspace, check_prime, combination,
-                     image_from_rows, inverse_table, mat_vec)
+from .linalg import (act_on_subspace, check_prime, image_from_rows,
+                     inverse_table, mat_vec)
 from .geometry import (is_isotropic, coordinate_subspace, group_generators,
                        gl_generators)
 
@@ -147,11 +148,19 @@ def memo_act(memo, g, s):
 
 def _projective_points(s):
     """The nonzero vectors of s with leading entry 1, over GF(q): for the
-    RREF basis r_1..r_k, the combinations r_j + sum_(i>j) c_i r_i."""
+    RREF basis r_1..r_k, the combinations r_j + sum_(i>j) c_i r_i, by j and
+    then by (c_(j+1), ..., c_k) in lexicographic order.  The tails
+    sum_(i>j) c_i r_i are built from those of j + 1, one row at a time."""
     rows, q = s.rows, s.q
-    return [combination(q, (1,) + coeffs, rows[j:], s.ambient)
-            for j in range(len(rows))
-            for coeffs in product(range(q), repeat=len(rows) - j - 1)]
+    tails, blocks = [(0,) * s.ambient], []
+    for j in range(len(rows) - 1, -1, -1):
+        r = rows[j]
+        blocks.append([tuple([(a + b) % q for a, b in zip(r, v)])
+                       for v in tails])
+        if j:
+            tails = [tuple([(c * a + b) % q for a, b in zip(r, v)])
+                     for c in range(q) for v in tails]
+    return [v for block in reversed(blocks) for v in block]
 
 
 class PointTable:
@@ -173,6 +182,16 @@ class PointTable:
             self.points.append(v)
         return p
 
+    def key(self, s):
+        """The frozenset of the numbers of the projective points of s,
+        numbering those not met yet: the key of s in ``key_orbit``."""
+        return frozenset(map(self.number, _projective_points(s)))
+
+    def known_key(self, s):
+        """``key`` without numbering: a point not met yet shows as None, so
+        the set equals no key of a member of an orbit over the table."""
+        return frozenset(map(self.at.get, _projective_points(s)))
+
     def extend(self, top):
         """Find the images of the points numbered below top."""
         q, invs = self.gens[0].q, self.invs
@@ -182,6 +201,33 @@ class PointTable:
                 c = invs[next(filter(None, w))]
                 img.append(self.number(
                     w if c == 1 else tuple([x * c % q for x in w])))
+
+
+def key_orbit(key, table):
+    """The orbit of a subspace, given by its ``PointTable.key``, under the
+    generators of the table: (keys, moves), the members' keys in discovery
+    order and moves[gi][a] the index of g_gi·keys[a].
+
+    A generator maps a key to its image's key by lookups in the table, so
+    the walk does no row reduction.  Each member is discovered from one
+    with a smaller index.  Raises Infeasible past ``orbit_budget``.
+    """
+    budget = orbit_budget()
+    members = {key: 0}  # key -> index in discovery order
+    keys = [key]
+    moves = [[] for _ in table.gens]
+    for key in keys:
+        table.extend(max(key, default=-1) + 1)
+        for img, mv in zip(table.images, moves):
+            image = frozenset(map(img.__getitem__, key))
+            a = members.get(image)
+            if a is None:
+                a = members[image] = len(keys)
+                keys.append(image)
+            mv.append(a)
+        if len(keys) > budget:
+            raise Infeasible.over_budget(len(keys), budget)
+    return keys, moves
 
 
 def _sort_orbit(size, moves, key):
@@ -198,30 +244,19 @@ def subspace_orbit(start, table):
     """Orbit of a subspace over GF(q) under the generators of a
     ``PointTable``, sorted by rows, with each generator as a permutation.
 
-    A member is keyed by the frozenset of the numbers of its projective
-    points, a generator maps a key to its image's key by lookups, and only
-    a member met for the first time is put in RREF.
+    The orbit is walked on point-set keys (``key_orbit``); then each member
+    is put in RREF once, as the image of the member it was discovered from.
     """
     check_prime(start.q)
-    budget = orbit_budget()
     points, at = table.points, table.at
-    key = frozenset(map(table.number, _projective_points(start)))
-    members = {key: 0}  # key -> index in discovery order
-    orbit, keys = [start], [key]
-    moves = [[] for _ in table.gens]  # moves[gi][a]: the index of g_gi·orbit[a]
-    for s, key in zip(orbit, keys):
-        table.extend(max(key, default=-1) + 1)
+    keys, moves = key_orbit(table.key(start), table)
+    orbit = [start] + [None] * (len(keys) - 1)
+    for a, s in enumerate(orbit):
         for g, img, mv in zip(table.gens, table.images, moves):
-            image = frozenset(map(img.__getitem__, key))
-            a = members.get(image)
-            if a is None:
-                a = members[image] = len(orbit)
-                orbit.append(image_from_rows(
-                    g, s, [points[img[at[r]]] for r in s.rows]))
-                keys.append(image)
-            mv.append(a)
-        if len(orbit) > budget:
-            raise Infeasible.over_budget(len(orbit), budget)
+            b = mv[a]
+            if orbit[b] is None:
+                orbit[b] = image_from_rows(
+                    g, s, [points[img[at[r]]] for r in s.rows])
     order, perms = _sort_orbit(len(orbit), moves, lambda a: orbit[a].rows)
     return [orbit[a] for a in order], perms
 

@@ -221,6 +221,14 @@ BAD_STORE_FILES = [
     "{not json",
     "[1, 2]",
     '{"bruhat": {"ok": true, "checks": [["cells n=2", true]]}}',
+    '{"verdict": "Finite", "trace": 5}',
+    '{"verdict": 3}',
+    '{"verdict": "Finite", "triple": [[1], "x"]}',
+    '{"verdict": "Finite", "n": "3"}',
+    '{"orbit_count": "many"}',
+    '{"orbit_count": 4, "descriptor": ["n=2"]}',
+    '{"orbit_count": 4, "total": null}',
+    '{"orbit_count": 4, "q": true}',
 ]
 
 
@@ -247,17 +255,44 @@ OUT_COMMANDS = [
 ]
 
 
+def test_report_reads_classify_census_and_witness_stores(tmp_path, capsys):
+    """The stores the commands write pass the checks of ``report``."""
+    for name, argv in (
+            ("classify", ["classify", "--n", "4", "--triple", "(4)|(4)|(4)"]),
+            ("census", ["census", "--n", "2", "--q", "3", "--space", "(2)"]),
+            ("pair", ["witness", "--family", "O4_L31_0", "--q", "5",
+                      "--pair", "1,2"])):
+        code, _, _ = run(capsys, *argv, "--out",
+                         os.path.join(tmp_path, name + ".json"))
+        assert code == 0
+    code, out, _ = run(capsys, "report", "--store", str(tmp_path))
+    assert code == 0
+    assert "* triple [[4], [4], [4]] at n=4" in out
+    assert "* census n=2 (2,) q=3: 1 orbits over 8 tuples" in out
+
+
 @pytest.mark.parametrize("argv", OUT_COMMANDS)
 def test_out_not_writable(tmp_path, capsys, argv):
-    """--out naming a directory, or a path below a file, is a usage error:
-    exit 2 with one stderr line (after the command's own output)."""
+    """--out naming a directory, or a path below a file, is a usage error
+    before the command runs: exit 2, one stderr line, no stdout."""
     blocker = os.path.join(tmp_path, "file")
     open(blocker, "w").close()
     for out in (str(tmp_path), os.path.join(blocker, "store.json")):
-        code, _, err = run(capsys, *argv, "--out", out)
-        assert code == 2
+        code, stdout, err = run(capsys, *argv, "--out", out)
+        assert code == 2 and stdout == ""
         assert err.startswith("usage error: cannot write --out")
         assert err.count("\n") == 1
+
+
+def test_verify_out_checked_before_any_suite(tmp_path, capsys, monkeypatch):
+    """An unwritable --out stops ``verify`` before its first suite runs."""
+    from flagtype import cli
+    monkeypatch.setitem(cli.SUITES, "normalize",
+                        lambda: pytest.fail("a suite ran"))
+    code, out, err = run(capsys, "verify", "--suite", "normalize,roundtrip",
+                         "--out", str(tmp_path))
+    assert code == 2 and out == ""
+    assert err.startswith("usage error: cannot write --out")
 
 
 def test_batch_classify(tmp_path, capsys):

@@ -20,6 +20,7 @@ from flagtype.engine import (same_orbit, census_direct, census_space,
                              tuple_key, SAME, DIFFERENT, order_bound,
                              action_points, index_spaces, stabilizer_orbits)
 from flagtype.invariants import b_invariants
+from flagtype.witnesses import FAMILIES, build
 from flagtype.canonical import enumerate_thetas, enumerate_valid_b
 from flagtype import engine, suites
 from flagtype.suites import CENSUS_PLAN
@@ -135,35 +136,100 @@ def test_same_orbit_checks_generators_and_budget(monkeypatch):
         same_orbit(x, y, gens + [scale], n, q)
 
 
+# same_orbit's connecting element g (g·x = y) for y a translate of the
+# witness flag x = m_lambda at q = 3, n = 3: the seed draws lambda, then a
+# 12-letter word in the generators.  Recorded while each subspace block of
+# action_points was still sorted by rows; the rows are base-3 digits.
+SAME_ORBIT_GOLDEN = [
+    ("O6_L32p", group_generators, 1,
+     ["202102", "010000", "000102", "102202", "000010", "000101"]),
+    ("O6_L32p", group_generators, 2,
+     ["101010", "010101", "212220", "011121", "022120", "011122"]),
+    ("O6_L32p", group_generators, 3,
+     ["120100", "001010", "000011", "222120", "000111", "000012"]),
+    ("O6_L322_sq", group_generators, 6,
+     ["122101", "201202", "221101", "101102", "101020", "202221"]),
+    ("O6_L322_sq", group_generators, 7,
+     ["210122", "111210", "222201", "001001", "001020", "000021"]),
+    ("O6_L322_sq", group_generators, 8,
+     ["201212", "012002", "000222", "011000", "000121", "000002"]),
+    ("O6_L32p", so_generators, 4,
+     ["002012", "112021", "021222", "000021", "000001", "000220"]),
+    ("O6_L322_sq", parabolic_generators, 5,
+     ["112110", "111102", "200110", "000012", "000220", "000120"]),
+]
+
+
+@pytest.mark.parametrize("family,kind,seed,rows", SAME_ORBIT_GOLDEN)
+def test_same_orbit_connecting_elements_are_pinned(family, kind, seed, rows):
+    """The connecting element does not depend on how action_points numbers
+    its subspace points: the Schreier trees are breadth-first in label
+    order and every level opens at a point of the vector block."""
+    q = 3
+    fam = FAMILIES[family]
+    n = fam.n_min
+    rng = random.Random(seed)
+    lam = rng.choice(fam.lambda_domain(q, n))
+    gens = kind(q, n)
+    g = identity(q, 2 * n)
+    for _ in range(12):
+        g = mat_mul(gens[rng.randrange(len(gens))], g)
+    x = build(family, n, lam, q)
+    verdict, h = same_orbit(x, act(g, x), gens, n, q)
+    assert verdict == SAME
+    assert ["".join(map(str, r)) for r in h.rows] == rows
+
+
 @pytest.mark.parametrize("kind", [parabolic_generators, group_generators])
 def test_action_points_blocks(kind):
     """Each generator permutes the vector block as mat_vec and each subspace
-    block as act_on_subspace; under O_2n every row of an indexed isotropic
-    subspace is a point of the vector block (Witt), so the point table the
-    subspace orbits share knows every row image they need."""
+    block as act_on_subspace: a walk of each block by act_on_subspace finds
+    img[index[s]] == index[g·s] at every member.  The vector block and the
+    subspace blocks, consecutive in the order of `spaces`, partition
+    range(degree).  Under O_2n every row of an indexed isotropic subspace
+    is a point of the vector block (Witt), so the point table the subspace
+    orbits share knows every row image they need."""
     n, q = 3, 3
     gens = kind(q, n)
     m = 2 * n
     spaces = [coordinate_subspace(q, m, [1]), coordinate_subspace(q, m, [1, 2]),
               standard_isotropic(q, n, 1),
-              canonicalize(q, m, [[1, 0, 0, 0, 0, 1]])]
-    assert not is_isotropic(spaces[-1], n)
+              canonicalize(q, m, [[1, 0, 0, 0, 0, 1]]),
+              coordinate_subspace(q, m, [1, 2])]
+    assert not is_isotropic(spaces[-2], n)
     vectors, index, images = action_points(gens, spaces)
-    degree = len(vectors) + len(index)
+    degree = len(images[0])
     assert vectors[:m] == [tuple(int(i == j) for j in range(m))
                            for i in range(m)]
-    assert sorted(index.values()) == list(range(len(vectors), degree))
-    assert set(spaces) <= set(index)
     at = {v: i for i, v in enumerate(vectors)}
     assert len(at) == len(vectors)
     for g, img in zip(gens, images):
         assert sorted(img) == list(range(degree))
         for i, v in enumerate(vectors):
             assert img[i] == at[mat_vec(g, v)]
-        for s, p in index.items():
-            assert img[p] == index[act_on_subspace(g, s)]
+    blocks, members = [], []
+    for s in spaces:
+        if any(s in block for block in blocks):
+            continue
+        block = [s]
+        for t in block:
+            for g, img in zip(gens, images):
+                gt = act_on_subspace(g, t)
+                assert img[index[t]] == index[gt]
+                if gt not in block:
+                    block.append(gt)
+        blocks.append(block)
+        members += block
+    assert index.lengths == [len(block) for block in blocks]
+    assert len(index) == degree - len(vectors) == len(members)
+    assert [index[t] for t in members] == sorted(index[t] for t in members) \
+        == list(range(len(vectors), degree))
+    plane = coordinate_subspace(q, m, [1, m])  # in no block: not isotropic
+    assert index.get(plane) is None
+    with pytest.raises(KeyError):
+        index[plane]
     if kind is group_generators:
-        isotropic = [s for s in index if is_isotropic(s, n)]
+        isotropic = [s for s in members if is_isotropic(s, n)]
         assert len(isotropic) > len(spaces)
         assert all(r in at for s in isotropic for r in s.rows)
 
@@ -617,6 +683,23 @@ def test_stabilizer_orbits_refuses_a_set_that_does_not_generate():
                  small_generators(q, n)):
         assert sum(map(len, stabilizer_orbits(gens, n, fixed, lines))) \
             == len(lines)
+
+
+def test_stabilizer_orbits_refuses_a_non_generating_set_before_any_chain(
+        monkeypatch):
+    """small_generators(3, 3) without w_1 fixes U_0: the block of U_0 has
+    one member, not |M_(3)|/2, so the call raises before building the
+    Schreier-Sims chain that would run down to the order of P."""
+    q, n = 3, 3
+    gens = small_generators(q, n)[:-1]
+    u0 = standard_isotropic(q, n, 0)
+    assert all(act_on_subspace(g, u0) == u0 for g in gens)
+    lines = [coordinate_subspace(q, 2 * n, [i]) for i in range(1, 2 * n + 1)]
+    monkeypatch.setattr(engine, "StabChain",
+                        lambda *a, **k: pytest.fail("a chain was built"))
+    with pytest.raises(AssertionError,
+                       match="do not generate .* has 1 images, expected 40"):
+        stabilizer_orbits(gens, n, [u0], lines)
 
 
 def test_r_class_suite_fails_on_a_smaller_group(monkeypatch):
