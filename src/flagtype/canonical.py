@@ -313,7 +313,11 @@ def _frac_sqrt(x):
 
 
 def normalize_pair(u_plus, u_minus, n):
-    """g in G with (g U+, g U-) the standard pair of theta(U+, U-)."""
+    """g in G with (g U+, g U-) the standard pair of theta(U+, U-).
+
+    g inverts the frame F of placed vectors as J F^T J (J the form's
+    antidiagonal matrix): that is orthogonal exactly when F is, and then it
+    is F^-1, so the orthogonality check below makes g exact."""
     q = u_plus.q
     t, w0, wp_full, wm_full = theta_and_w(u_plus, u_minus, n)
     a1 = t.a1
@@ -323,11 +327,12 @@ def normalize_pair(u_plus, u_minus, n):
     upf_rows = complement_basis(wp_full, u_plus)
     umf_raw = complement_basis(wm_full, u_minus)
     if a1:
-        pmat = Mat(q, [[form(q, n, ui, uj) for uj in umf_raw] for ui in upf_rows])
-        c = mat_mul(inverse(pmat),
-                    Mat(q, [[1 if i + j == a1 - 1 else 0 for j in range(a1)]
-                            for i in range(a1)]))
-        umf_rows = [combination(q, col, umf_raw, 2 * n) for col in zip(*c.rows)]
+        # the columns of pmat^-1 in reverse order pair upf_rows
+        # antidiagonally with umf_rows
+        pmat = Mat.raw(q, tuple(tuple(form(q, n, ui, uj) for uj in umf_raw)
+                                for ui in upf_rows))
+        umf_rows = [combination(q, col, umf_raw, 2 * n)
+                    for col in reversed(tuple(zip(*inverse(pmat).rows)))]
     else:
         umf_rows = []
 
@@ -348,7 +353,7 @@ def normalize_pair(u_plus, u_minus, n):
     for p in pos["z"]:
         rows = [tuple(reversed(w)) for _, w in placed]
         if rows:
-            k = kernel(Mat(q, rows))
+            k = kernel(Mat.raw(q, tuple(rows)))
         else:
             k = canonicalize(q, 2 * n, identity(q, 2 * n).rows)
         z = _isotropic_in(q, n, list(k.rows))
@@ -357,9 +362,9 @@ def normalize_pair(u_plus, u_minus, n):
         v = _isotropize(q, n, v, z)
         placed.append((bar(p, n), v))
 
+    # row i of J F^T J, F the frame with columns cols[1..2n]
     cols = dict(placed)
-    frame = Mat(q, tuple(zip(*[cols[p] for p in range(1, 2 * n + 1)])))
-    g = inverse(frame)
+    g = Mat.raw(q, tuple(cols[bar(i, n)][::-1] for i in range(1, 2 * n + 1)))
     if classify_element(g, n) == NOT_ORTHOGONAL:
         raise AssertionError("normalize_pair produced a non-orthogonal element")
     su, sm = standard_pair(t, q)

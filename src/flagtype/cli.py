@@ -453,7 +453,14 @@ def cmd_report(args):
     print("# flagtype verification scoreboard\n")
     for f, data in stored:
         print("## %s\n" % f)
-        if "verdict" in data:
+        if "family" in data and "lam" in data:
+            print("* witness %s q=%s pair lam=%s mu=%s: **%s**\n" %
+                  (data["family"], data.get("q"), data["lam"],
+                   data.get("mu"), data.get("verdict")))
+        elif "family" in data and "classes" in data:
+            print("* witness %s q=%s: classes %s\n" %
+                  (data["family"], data.get("q"), data["classes"]))
+        elif "verdict" in data:
             print("* triple %s at n=%s: **%s** (%s)\n" %
                   (data.get("triple"), data.get("n"), data["verdict"],
                    "; ".join(data.get("trace", []))))

@@ -2,23 +2,32 @@
 
 theta = (a0, a+, a-, a1, a2, d, d') describes a pair of isotropic
 subspaces; b1..b15 describe a triple with V maximally isotropic.  Each is
-the dimension of a space read off the pair and V:
+the dimension of a space read off the pair and V, and each space or rank
+costs one elimination:
 
-  * W0 = U+ ∩ U- is one Zassenhaus meet; W+ = U+ ∩ U-^perp and
-    W- = U- ∩ U+^perp come from Gram kernels.  For subspaces A and B,
-    A ∩ B^perp is the span of the combinations sum c_i a_i of A's basis
-    with c in the kernel of the dim B x dim A Gram matrix (form(a_i, b_j)),
-    so no perp is built.
+  * W0 = U+ ∩ U- is one Zassenhaus meet.  For subspaces A and B,
+    A ∩ B^perp is one Zassenhaus form too: in the RREF of the rows
+    (form(a_i, b_1) .. form(a_i, b_m) | a_i), the right halves of the rows
+    whose pivot lies past the Gram block are the RREF basis of A ∩ B^perp.
+    W+ = U+ ∩ U-^perp and W- = U- ∩ U+^perp are such forms.
   * V is maximal isotropic, so V = V^perp and A ∩ V = A ∩ V^perp: the
-    spaces X = (U+ + U-) ∩ V, (U+ + W-) ∩ V and (W+ + U-) ∩ V come from
-    the same Gram kernel, and a dimension dim(A ∩ V) that no later step
-    needs as a space is dim A - rank Gram(A, V).
+    spaces X = (U+ + U-) ∩ V, (U+ + W-) ∩ V and (W+ + U-) ∩ V are such
+    forms, and so is X1 = {v in X : (v_+, X) = 0}.
+  * A dimension dim(A ∩ V) that no later step needs as a space is
+    dim A - rank Gram(A, V).  For the chains W0 ⊆ W+ ⊆ U+, W0 ⊆ W- ⊆ U-
+    and W+ ⊆ W+ + W-, the ranks are read from one elimination of the
+    chain's Gram columns side by side: the rank of a column prefix is the
+    number of pivots inside it.
   * X0 ⊆ X1 ⊆ X: the middle term needs an explicit splitting of each
-    X-vector into a (U+ + W-)-part and a (W+ + U-)-part.
+    X-vector into a (U+ + W-)-part and a (W+ + U-)-part, all solved in one
+    elimination.
 """
 
-from .linalg import (Mat, canonicalize, meet, join, solve, kernel,
-                     combination, rank_rows)
+from bisect import bisect_left
+from itertools import accumulate
+
+from .linalg import (Subspace, meet, join, combination, rank_rows,
+                     _rref_rows)
 from .geometry import is_isotropic, form
 
 
@@ -83,25 +92,39 @@ class BInvariants:
         return list(self.b)
 
 
-def _gram(a, b):
-    """The dim B x dim A Gram matrix: row j holds form(a_i, b_j) over i."""
-    q, n = a.q, a.ambient // 2
-    return tuple(tuple(form(q, n, ar, br) for ar in a.rows) for br in b.rows)
+def _gram_rows(a, b, n):
+    """The Gram row (form(a_i, b_1) .. form(a_i, b_m)) of each a_i in A's
+    basis, against B's basis."""
+    q = b.q
+    return [tuple(form(q, n, ar, br) for br in b.rows) for ar in a.rows]
 
 
-def _gram_rank(a, v):
-    """rank Gram(A, V); dim(A ∩ V) = dim A - this when V = V^perp."""
-    return rank_rows(_gram(a, v), a.q, a.dim)
+def _prefix_ranks(q, *blocks):
+    """The rank of each prefix of the blocks of vectors, from one
+    elimination with the vectors as columns side by side: a column's pivot
+    marks it independent of the columns before it."""
+    cols = [c for blk in blocks for c in blk]
+    pivots = _rref_rows(list(zip(*cols)), q, len(cols))[1]
+    return [bisect_left(pivots, end) for end in accumulate(map(len, blocks))]
+
+
+def _zassenhaus_kernel(q, width, gram_rows, rows):
+    """The span of the sums sum c_i rows[i] with sum c_i gram_rows[i] = 0,
+    in RREF, from one elimination of the rows (gram_rows[i] | rows[i])."""
+    m = len(gram_rows[0])
+    red, pivots = _rref_rows([g + r for g, r in zip(gram_rows, rows)], q,
+                             m + width)
+    return Subspace(q, width, tuple(r[m:] for r, c in zip(red, pivots)
+                                    if c >= m),
+                    tuple(c - m for c in pivots if c >= m))
 
 
 def _meet_perp(a, b):
-    """A ∩ B^perp: the combinations of A's rows by the Gram kernel."""
+    """A ∩ B^perp: one Zassenhaus form on the Gram rows of A against B."""
     if not a.dim or not b.dim:
         return a
-    q, width = a.q, a.ambient
-    ker = kernel(Mat.raw(q, _gram(a, b)))
-    return canonicalize(q, width, [combination(q, c, a.rows, width)
-                                   for c in ker.rows])
+    return _zassenhaus_kernel(a.q, a.ambient,
+                              _gram_rows(a, b, a.ambient // 2), a.rows)
 
 
 def theta_and_w(u_plus, u_minus, n):
@@ -129,17 +152,23 @@ def theta(u_plus, u_minus, n):
 
 def _plus_part_map(left, right, x):
     """For each basis vector of X pick v+ in left = U+ + W- with v - v+ in
-    right = W+ + U-."""
-    q = x.q
-    cols = list(left.rows) + list(right.rows)
-    m = Mat(q, tuple(zip(*cols))) if cols else Mat(q, ())
+    right = W+ + U-: one elimination of [M | x_1 .. x_k], M the matrix with
+    the columns of left and right, pivots only in M's columns, and each
+    particular solution read off as ``linalg.solve`` does."""
+    q, width = x.q, x.ambient
+    cols = left.rows + right.rows
+    m = len(cols)
+    aug = [tuple(c[i] for c in cols) + tuple(v[i] for v in x.rows)
+           for i in range(width)]
+    red, pivots = _rref_rows(aug, q, m)
     plus_parts = []
-    for v in x.rows:
-        coeffs = solve(m, v)
-        if coeffs is None:
+    for k, v in enumerate(x.rows):
+        coeffs = [0] * m
+        for r, c in zip(red, pivots):
+            coeffs[c] = r[m + k]
+        if combination(q, coeffs, cols, width) != v:
             raise AssertionError("X-vector not decomposable; invariant bug")
-        plus_parts.append(combination(q, coeffs[:left.dim], left.rows,
-                                      x.ambient))
+        plus_parts.append(combination(q, coeffs[:left.dim], left.rows, width))
     return plus_parts
 
 
@@ -157,13 +186,11 @@ def _x_filtration(u_plus, u_minus, v, n, wp, wm):
         for xrow in x.rows:
             if form(q, n, wrow, xrow) != 0:
                 raise AssertionError("(W, X) != 0; X1 would be ill-defined")
-    # X1 = {v in X : (v_+, X) = 0}: kernel of the pairing matrix in X-coordinates
+    # X1 = {v in X : (v_+, X) = 0}; v -> v_+ is linear in v
     if x.dim:
         pair_rows = [tuple(form(q, n, vp, xr) for xr in x.rows)
                      for vp in _plus_part_map(left, right, x)]
-        ker = kernel(Mat.raw(q, tuple(zip(*pair_rows))))
-        x1 = canonicalize(q, x.ambient, [combination(q, c, x.rows, x.ambient)
-                                         for c in ker.rows])
+        x1 = _zassenhaus_kernel(q, x.ambient, pair_rows, x.rows)
     else:
         x1 = x
     if not x1.contains_space(x0) or not x.contains_space(x1):
@@ -186,14 +213,19 @@ def b_invariants(u_plus, u_minus, v, n):
     t, w0, wp, wm = theta_and_w(u_plus, u_minus, n)
     x, x0, x1, w, left_v, right_v = _x_filtration(u_plus, u_minus, v, n,
                                                    wp, wm)
-    # dim(A ∩ V) = dim A - rank Gram(A, V), V = V^perp
-    b1 = w0.dim - _gram_rank(w0, v)
+    # dim(A ∩ V) = dim A - rank Gram(A, V), V = V^perp; W = W+ + W-
+    q = v.q
+    g0, gp, gm = (_gram_rows(s, v, n) for s in (w0, wp, wm))
+    r0, rp, r_up = _prefix_ranks(q, g0, gp, _gram_rows(u_plus, v, n))
+    rm, r_um = _prefix_ranks(q, g0, gm, _gram_rows(u_minus, v, n))[1:]
+    r_w = _prefix_ranks(q, gp, gm)[1]
+    b1 = w0.dim - r0
     b2 = t.a0 - b1
-    b3 = wp.dim - _gram_rank(wp, v) - b1
-    b4 = wm.dim - _gram_rank(wm, v) - b1
-    b5 = u_plus.dim - _gram_rank(u_plus, v) - b1 - b3
-    b6 = u_minus.dim - _gram_rank(u_minus, v) - b1 - b4
-    dim_wv = w.dim - _gram_rank(w, v)
+    b3 = wp.dim - rp - b1
+    b4 = wm.dim - rm - b1
+    b5 = u_plus.dim - r_up - b1 - b3
+    b6 = u_minus.dim - r_um - b1 - b4
+    dim_wv = w.dim - r_w
     b7 = dim_wv - b1 - b3 - b4
     b8 = right_v.dim - dim_wv - b6
     b9 = left_v.dim - dim_wv - b5

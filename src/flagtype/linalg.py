@@ -441,16 +441,14 @@ def image_from_rows(g, s, rows):
 
 
 def complement_basis(inner, outer):
-    """Rows extending a basis of `inner` to one of `outer` (inner ⊆ outer)."""
+    """Rows extending a basis of `inner` to one of `outer` (inner ⊆ outer):
+    the rows of `outer` that are not in the span of `inner` and the outer
+    rows before them, read from the pivot columns of one elimination of the
+    stack [inner; outer] transposed."""
     _check_pair(inner, outer)
-    rows = list(inner.rows)
-    piv = list(inner.pivots)
-    out = []
-    for cand in outer.rows:
-        if not in_span(rows, piv, cand, inner.q):
-            out.append(cand)
-            rr, pp = _rref_rows(rows + [cand], inner.q, inner.ambient)
-            rows, piv = rr, pp
+    stack = inner.rows + outer.rows
+    pivots = _rref_rows(list(zip(*stack)), inner.q, len(stack))[1]
+    out = [stack[c] for c in pivots if c >= inner.dim]
     if len(out) != outer.dim - inner.dim:
         raise ValueError("inner is not contained in outer")
     return out

@@ -9,10 +9,11 @@ perps are checked against sets of vectors listed one by one.
 import itertools
 
 from flagtype.linalg import (Mat, RATIONAL, canonicalize, meet, join, kernel,
-                             combination, identity, mat_mul, sc)
+                             combination, identity, mat_mul, sc, solve,
+                             in_span, _rref_rows)
 from flagtype.geometry import (bar, form, perp, ell, unipotent_radical_basis,
                                w_element)
-from flagtype.invariants import ThetaInvariants, BInvariants, _plus_part_map
+from flagtype.invariants import ThetaInvariants, BInvariants
 from flagtype.engine import (ActionCache, OrbitCensus, orbit_with_tree,
                              signature)
 from flagtype.perm import orbits
@@ -132,6 +133,40 @@ def signature_by_meets(ft, n):
     return tuple(sig)
 
 
+def plus_parts_by_solves(left, right, x):
+    """For each basis vector v of X, the part v+ in `left` of a solution of
+    v = v+ + v-, v- in `right`: one ``solve`` per vector."""
+    q = x.q
+    m = Mat.raw(q, tuple(zip(*(left.rows + right.rows))))
+    out = []
+    for v in x.rows:
+        coeffs = solve(m, v)
+        if coeffs is None:
+            raise AssertionError("X-vector not decomposable")
+        out.append(combination(q, coeffs[:left.dim], left.rows, x.ambient))
+    return out
+
+
+def kernel_combinations(q, width, gram_rows, rows):
+    """The span of the sums sum c_i rows[i] with c in the kernel of the
+    matrix whose columns are gram_rows: a kernel, then the combinations."""
+    ker = kernel(Mat.raw(q, tuple(zip(*gram_rows))))
+    return canonicalize(q, width, [combination(q, c, rows, width)
+                                   for c in ker.rows])
+
+
+def complement_basis_greedy(inner, outer):
+    """The rows of `outer` kept by a greedy walk: each row not in the span
+    of inner and the rows kept so far, tested by ``in_span``."""
+    rows, piv = list(inner.rows), list(inner.pivots)
+    out = []
+    for cand in outer.rows:
+        if not in_span(rows, piv, cand, inner.q):
+            out.append(cand)
+            rows, piv = _rref_rows(rows + [cand], inner.q, inner.ambient)
+    return out
+
+
 def b_invariants_by_meets(u_plus, u_minus, v, n):
     """``invariants.b_invariants`` the long way: every space is a perp or a
     Zassenhaus meet, and every b-value is the dimension of a built space.
@@ -151,10 +186,8 @@ def b_invariants_by_meets(u_plus, u_minus, v, n):
     x0 = join(left_v, right_v)
     if x.dim:
         pair_rows = [tuple(form(q, n, vp, xr) for xr in x.rows)
-                     for vp in _plus_part_map(left, right, x)]
-        ker = kernel(Mat.raw(q, tuple(zip(*pair_rows))))
-        x1 = canonicalize(q, x.ambient, [combination(q, c, x.rows, x.ambient)
-                                         for c in ker.rows])
+                     for vp in plus_parts_by_solves(left, right, x)]
+        x1 = kernel_combinations(q, x.ambient, pair_rows, x.rows)
     else:
         x1 = x
     b1 = meet(w0, v).dim

@@ -256,12 +256,15 @@ OUT_COMMANDS = [
 
 
 def test_report_reads_classify_census_and_witness_stores(tmp_path, capsys):
-    """The stores the commands write pass the checks of ``report``."""
+    """The stores the commands write pass the checks of ``report``, which
+    prints one line for each: a witness pair or classes store as a witness
+    line, not as a classify triple."""
     for name, argv in (
             ("classify", ["classify", "--n", "4", "--triple", "(4)|(4)|(4)"]),
             ("census", ["census", "--n", "2", "--q", "3", "--space", "(2)"]),
             ("pair", ["witness", "--family", "O4_L31_0", "--q", "5",
-                      "--pair", "1,2"])):
+                      "--pair", "1,2"]),
+            ("witness", ["witness", "--family", "O4_L31_0", "--q", "5"])):
         code, _, _ = run(capsys, *argv, "--out",
                          os.path.join(tmp_path, name + ".json"))
         assert code == 0
@@ -269,6 +272,9 @@ def test_report_reads_classify_census_and_witness_stores(tmp_path, capsys):
     assert code == 0
     assert "* triple [[4], [4], [4]] at n=4" in out
     assert "* census n=2 (2,) q=3: 1 orbits over 8 tuples" in out
+    assert "* witness O4_L31_0 q=5 pair lam=1 mu=2: **No**" in out
+    assert "* witness O4_L31_0 q=5: classes [[0], [1], [2], [3], [4]]" in out
+    assert "* triple None" not in out
 
 
 @pytest.mark.parametrize("argv", OUT_COMMANDS)

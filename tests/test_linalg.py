@@ -11,7 +11,7 @@ from flagtype.linalg import (Mat, canonicalize, meet, join, kernel, rank,
                              act_on_subspace, _span, _rref_rows, rank_rows,
                              RATIONAL)
 from flagtype.geometry import form, perp
-from oracles import span_vectors, vectors_where
+from oracles import span_vectors, vectors_where, complement_basis_greedy
 
 
 def rand_mat(rng, q, rows, cols):
@@ -182,6 +182,33 @@ def test_complement_basis():
     assert canonicalize(3, 4, list(inner.rows) + rows) == outer
     with pytest.raises(ValueError):
         complement_basis(canonicalize(3, 4, [[0, 0, 0, 1]]), outer)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from((3, 5, RATIONAL)), st.integers(1, 6), st.data())
+def test_complement_basis_matches_greedy_loop(q, amb, data):
+    """The rows one elimination keeps are those a greedy in_span walk of
+    outer's rows keeps; an inner space outside outer still raises."""
+    entry = st.integers(0, q - 1) if q else st.integers(-2, 2)
+
+    def vectors(count, width):
+        return data.draw(st.lists(st.lists(entry, min_size=width,
+                                           max_size=width),
+                                  min_size=count, max_size=count))
+
+    outer = canonicalize(q, amb, vectors(data.draw(st.integers(0, amb)), amb))
+    coeffs = vectors(data.draw(st.integers(0, outer.dim)), outer.dim)
+    inner = canonicalize(q, amb, [
+        [sum(c * r[i] for c, r in zip(cs, outer.rows)) for i in range(amb)]
+        for cs in coeffs])
+    rows = complement_basis(inner, outer)
+    assert rows == complement_basis_greedy(inner, outer)
+    assert canonicalize(q, amb, list(inner.rows) + rows) == outer
+    outside = [e for e in identity(q, amb).rows if not outer.contains(e)]
+    if outside:
+        with pytest.raises(ValueError):
+            complement_basis(join(inner, canonicalize(q, amb, outside[:1])),
+                             outer)
 
 
 def _rand_space(rng, q, amb):
