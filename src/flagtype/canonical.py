@@ -136,8 +136,39 @@ class IndexLayout:
     def representative(self, q):
         """V(b) over GF(q) (q=0: Q), built once per layout and field."""
         v = self._reps.get(q)
-        if v is None:
-            v = self._reps[q] = representative(self.b, self.n, q)
+        if v is not None:
+            return v
+        n, rows = self.n, []
+
+        def add(*terms):
+            v = [0] * (2 * n)
+            for i, c in terms:
+                v[i - 1] += c
+            rows.append(v)
+
+        for j in (1, 3, 4, 5, 6, 14):
+            for i in self.I[j]:
+                add((i, 1))
+        for j in (2, 10, 11):
+            for i in self.I[j]:
+                add((bar(i, n), 1))
+        for j in (7, 8, 9, 13):
+            for i in self.I[j]:
+                add((i, 1), (self.eta[j][i], 1))
+                add((bar(i, n), 1), (bar(self.eta[j][i], n), -1))
+        for i in self.I[12]:
+            add((i, 1), (self.kappa[i], 1))
+            add((i, 1), (self.lam[i], 1))
+            add((bar(i, n), 1), (bar(self.kappa[i], n), -1),
+                (bar(self.lam[i], n), -1))
+        half = self.b[15] // 2
+        for i in self.I[15][:half]:
+            add((i, 1), (self.eta15[i], 1))
+            add((bar(i, n), 1), (bar(self.eta15[i], n), -1))
+        v = canonicalize(q, 2 * n, rows)
+        if v.dim != n or not is_isotropic(v, n):
+            raise AssertionError("representative is not maximally isotropic")
+        self._reps[q] = v
         return v
 
     def tilde(self, j):
@@ -167,38 +198,7 @@ def standard_pair(t, q):
 
 def representative(b, n, q):
     """The maximally isotropic V(b_1..b_15) of the standard pair's ambient."""
-    lay = IndexLayout(n, b)
-    bb = lay.b
-    rows = []
-
-    def add(*terms):
-        v = [0] * (2 * n)
-        for i, c in terms:
-            v[i - 1] += c
-        rows.append(v)
-
-    for j in (1, 3, 4, 5, 6, 14):
-        for i in lay.I[j]:
-            add((i, 1))
-    for j in (2, 10, 11):
-        for i in lay.I[j]:
-            add((bar(i, n), 1))
-    for j in (7, 8, 9, 13):
-        for i in lay.I[j]:
-            add((i, 1), (lay.eta[j][i], 1))
-            add((bar(i, n), 1), (bar(lay.eta[j][i], n), -1))
-    for i in lay.I[12]:
-        add((i, 1), (lay.kappa[i], 1))
-        add((i, 1), (lay.lam[i], 1))
-        add((bar(i, n), 1), (bar(lay.kappa[i], n), -1), (bar(lay.lam[i], n), -1))
-    half = bb[15] // 2
-    for i in lay.I[15][:half]:
-        add((i, 1), (lay.eta15[i], 1))
-        add((bar(i, n), 1), (bar(lay.eta15[i], n), -1))
-    v = canonicalize(q, 2 * n, rows)
-    if v.dim != n or not is_isotropic(v, n):
-        raise AssertionError("representative is not maximally isotropic")
-    return v
+    return IndexLayout(n, b).representative(q)
 
 
 def enumerate_valid_b(t):

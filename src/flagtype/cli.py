@@ -67,9 +67,12 @@ def parse_triple(text):
 
 
 def parse_subspace(text, q, ambient, n, name, dim=None):
-    """The isotropic subspace spanned by a JSON row list (of dimension dim)."""
+    """The isotropic span of a JSON list of integer rows (of dimension dim)."""
     try:
-        s = canonicalize(q, ambient, json.loads(text))
+        rows = json.loads(text)
+        if any(type(x) is not int for r in rows for x in r):
+            raise ValueError("entries must be JSON integers")
+        s = canonicalize(q, ambient, rows)
     except (ValueError, TypeError) as exc:
         raise UsageError("bad basis for %s: %s" % (name, exc))
     if not is_isotropic(s, n):
@@ -129,6 +132,14 @@ def _write_store(args, payload):
 def check_n(n):
     if n < 1:
         raise UsageError("--n must be at least 1, got %d" % n)
+
+
+def _n_and_field(args):
+    """--n and --q of a command that also runs over the rationals (q = 0)."""
+    check_n(args.n)
+    if args.q:
+        check_finite_field(args.q)
+    return args.n, args.q
 
 
 def parse_space(text, n):
@@ -191,8 +202,7 @@ def cmd_classify(args):
 
 
 def cmd_invariants(args):
-    check_n(args.n)
-    n, q = args.n, args.q
+    n, q = _n_and_field(args)
     up = parse_subspace(args.u_plus, q, 2 * n, n, "--u-plus")
     um = parse_subspace(args.u_minus, q, 2 * n, n, "--u-minus")
     if args.v:
@@ -208,10 +218,7 @@ def cmd_invariants(args):
 
 
 def cmd_canonical(args):
-    check_n(args.n)
-    n, q = args.n, args.q
-    if q:
-        check_finite_field(q)
+    n, q = _n_and_field(args)
     try:
         b = BInvariants([int(x) for x in args.b.split(",")])
         lay = IndexLayout(n, b)
@@ -227,8 +234,7 @@ def cmd_canonical(args):
 
 
 def cmd_normalize(args):
-    check_n(args.n)
-    n, q = args.n, args.q
+    n, q = _n_and_field(args)
     up = parse_subspace(args.u_plus, q, 2 * n, n, "--u-plus")
     um = parse_subspace(args.u_minus, q, 2 * n, n, "--u-minus")
     g = normalize_pair(up, um, n)

@@ -12,20 +12,21 @@ builds a transversal element only when one is asked for, so its memory
 grows with the basic orbits, not with their product by the number of
 points.
 
-Censuses run on the component chain spaces as blocks of points, with the
+Censuses run on whole flag spaces M_c as blocks of points, with the
 generator permutations that the enumeration found (``census_space``, from
-``flags.flag_spaces``); only explicit chain lists are indexed by acting on
-their spaces (``index_spaces``).  One recursion (``_census``) serves every
-census.  Each depth takes the orbits of the current group on its block and,
-for each orbit's representative, the stabilizer from a Schreier-Sims chain
-based at it, run on the blocks still to search; then it goes one depth
-deeper or hands the blocks left to a code tail.  There a tuple of them is
-the mixed-radix integer of their positions, in tuple_key order; each
-generator is a permutation of those codes built from one weight list per
-block, and only the smallest code of each orbit of codes is decoded.  A
-small product is coded from depth 1 on, a larger one searched down to its
-last depth.  The chains telescope their orders from a bound on the top
-one, so no group order is assumed.
+``flags.flag_spaces``); explicit chain lists, each all of one M_c, are
+indexed by acting on their spaces (``index_spaces``).  One recursion
+(``_census``) serves every census.  Each depth takes the orbits of the
+current group on its block and, for each orbit's representative, the
+stabilizer from a Schreier-Sims chain based at it, run on the blocks still
+to search; then it goes one depth deeper or hands the blocks left to a code
+tail.  There a tuple of them is the mixed-radix integer of their positions,
+in tuple_key order; each generator is a permutation of those codes built
+from one weight list per block, and only the smallest code of each orbit of
+codes is decoded.  A small product is coded from depth 1 on, a larger one
+searched down to its last depth.  As every block is whole, the chains
+telescope their orders down every depth from a bound on the top one: no
+group order is assumed.
 
 Same-orbit decisions and stabilizer orbits index vectors and subspaces
 (``action_points``): the vectors make the action faithful, so the chain's
@@ -528,11 +529,12 @@ class OrbitCensus:
 def index_spaces(spaces, gens):
     """Index explicit chain lists as the blocks of one integer point set.
 
-    Each distinct space is one block (offset, chains) of consecutive
-    points, its chains sorted by chain_key so that point order is key
-    order.  Returns (levels, images): levels[j] the block of spaces[j] and
-    images[gi] the permutation of all points by generator gi, found
-    through an action memo (``flags.memo_act``) local to the call.
+    Each list must be all of one flag space M_c, each chain once
+    (ValueError otherwise).  Each distinct space is one block (offset,
+    chains) of consecutive points, its chains sorted by chain_key so that
+    point order is key order.  Returns (levels, images): levels[j] the
+    block of spaces[j] and images[gi] the permutation of all points by
+    generator gi, found through an action memo (``flags.memo_act``).
     """
     blocks, levels, memo, offset = {}, [], {}, 0
     for cs in spaces:
@@ -544,8 +546,9 @@ def index_spaces(spaces, gens):
     images = [[] for _ in gens]
     for offset, chains in blocks.values():
         index = {ch: offset + i for i, ch in enumerate(chains)}
-        if len(index) != len(chains):
-            raise ValueError("census space contains duplicates")
+        if not len(index) == len(chains) == _space_size(chains):
+            raise ValueError("census space is not a whole flag space of "
+                             "distinct chains")
         for g, img in zip(gens, images):
             for ch in chains:
                 j = index.get(tuple(_flags.memo_act(memo, g, s) for s in ch))
@@ -559,22 +562,20 @@ def index_spaces(spaces, gens):
 def census_direct(tuples, gens, n, q):
     """Orbit census of an explicit FlagTuple list under the generators.
 
-    The list must be the full product of its columns' distinct chains, each
-    tuple once (ValueError otherwise); the census is that of the product,
+    The list must be the full product of whole flag spaces, each tuple
+    once (ValueError otherwise); the census is that of the product,
     whatever the order of the list.
     """
-    if not tuples:
-        return OrbitCensus("", q, 0, [], [], [], 0)
-    columns = [{t[j] for t in tuples} for j in range(len(tuples[0]))]
+    columns = [set(c) for c in zip(*tuples, strict=True)]
     if not len(tuples) == len(set(tuples)) == prod(map(len, columns)):
         raise ValueError("census tuples are not a full product of distinct "
                          "chains")
-    return _census(*index_spaces(columns, gens), gens, n, q)
+    return census_product(columns, gens, n, q)
 
 
 def census_product(component_spaces, gens, n, q):
-    """Census of a product of component chain-spaces under <gens>: the
-    census recursion (``_census``) on the spaces indexed as blocks."""
+    """Census of a product of whole flag spaces, as chain lists, under
+    <gens>: ``_census`` on the blocks that ``index_spaces`` makes."""
     return _census(*index_spaces(component_spaces, gens), gens, n, q)
 
 
@@ -584,18 +585,21 @@ def _parts(chains):
     return tuple(b - a for a, b in zip(dims, dims[1:]))
 
 
-def _whole(chains, q, n):
-    """Whether a chain list is all of its flag space M_c, by its length."""
-    parts = _parts(chains)
-    return (min(parts, default=0) > 0 and sum(parts) <= n and len(chains)
-            == _flags.flag_count(q, n, _flags.Composition(parts)))
+def _space_size(chains):
+    """|M_c|, c the composition of the first chain (ValueError if there is
+    none or c exceeds n), n and q those of its spaces."""
+    comp = _flags.Composition(_parts(chains) if chains else ())
+    n = chains[0][-1].ambient // 2
+    comp.check(n)
+    return _flags.flag_count(chains[0][-1].q, n, comp)
 
 
 def _census(levels, images, gens, n, q):
     """Orbit census of the product of the blocks `levels` (offset, chains),
     numbered from 0 in the order of their offsets, under `images`, the
-    permutations of their points by `gens`.  The descriptor names n and
-    each block's composition, as in "n=2 (1,)|(2,)"; "" if a block is empty.
+    permutations of their points by `gens`.  Every block is all of one
+    flag space M_c.  The descriptor names n and each block's composition,
+    as in "n=2 (1,)|(2,)".
 
     Depth d takes the orbits of the current group on block d, represented
     by their smallest points, except at depth 0 of the descent, where the
@@ -615,14 +619,11 @@ def _census(levels, images, gens, n, q):
     uses is dropped and the rest renumbered.  The group acts on spaces
     through <gens>/(<gens> ∩ {±I}), of order at most ``order_bound`` / 2
     (-I lies in O_2n and SO_2n, so a subgroup without it has index at least
-    2); the first chain of a depth finds the order, which telescopes down.
-    Dropping a block keeps the order while every block left is a whole
-    flag space M_c, as O_2n's kernel on M_c is {±I}, which fixes every
-    point; else a chain gets no order until one of its depth has found it.
+    2); the first chain of a depth finds the order, which telescopes down
+    every depth, as dropping a block keeps it: O_2n's kernel on each M_c
+    is {±I}, which fixes every point.
     """
     total = prod(len(chains) for _, chains in levels)
-    if not total:
-        return OrbitCensus("", q, 0, [], [], [], 0)
     descriptor = "n=%d %s" % (n, "|".join(str(_parts(chains))
                                           for _, chains in levels))
     budget = _flags.orbit_budget()
@@ -636,9 +637,7 @@ def _census(levels, images, gens, n, q):
         offset0, chains0 = levels[perm[0]]
         std = tuple(coordinate_subspace(q, 2 * n, range(1, s.dim + 1))
                     for s in chains0[0])
-        at = bisect_left(chains0, chain_key(std), key=chain_key)
-        std = offset0 + at if at < len(chains0) and chains0[at] == std \
-            else None
+        std = offset0 + bisect_left(chains0, chain_key(std), key=chain_key)
     levels = [levels[i] for i in perm]
     # places[d][offset]: where a block of levels[d:] starts at depth d;
     # renums[d] maps the points kept from depth d - 1, if any moved
@@ -651,9 +650,6 @@ def _census(levels, images, gens, n, q):
                                         for o in lengths
                                         for x in range(lengths[o])})
         places.append(place)
-    # asked only where a chain is built or points are renumbered
-    whole = cache(lambda d: all(_whole(chains, q, n)
-                                for _, chains in levels[d:]))
     top = cache(lambda: order_bound(gens, n) // 2)
     strides, sub_total = [], 1
     for _, chains in reversed(levels[tail:]):
@@ -692,8 +688,7 @@ def _census(levels, images, gens, n, q):
             sub, sub_order = perms, order
             if len(members) > 1 and depth + 1 < len(levels):
                 chain = StabChain(perms, len(perms[0]), base=(rep,),
-                                  order=order or (top() if whole(depth)
-                                                  else None))
+                                  order=order or top())
                 if len(chain.orbit[0]) != len(members):
                     raise AssertionError("basic orbit differs from the orbit")
                 if order is not None and chain.order() != order:
@@ -707,7 +702,6 @@ def _census(levels, images, gens, n, q):
                 keep = tuple(renum)
                 sub = [tuple(map(renum.__getitem__, mul(keep, p)))
                        for p in sub]
-                sub_order = sub_order if whole(depth + 1) else None
             search(sub, sub_order, depth + 1, prefix + (chains[rep - start],),
                    size * len(members))
 

@@ -28,7 +28,7 @@ from .canonical import (enumerate_thetas, enumerate_valid_b, standard_pair,
                         eliminate, check_rv_membership, PLUS_BLOCKS,
                         EXCLUDED_PAIRS, COMPENSATED_PAIRS,
                         ELIMINATION_SUPPORT, block_precedes, normalize_pair)
-from .engine import (INFEASIBLE, action_points, census_direct, census_space,
+from .engine import (INFEASIBLE, action_points, census_space,
                      stabilizer_orbits)
 from .perm import StabChain, orbits
 from .witnesses import (FAMILIES, build, family_classes, equivariance_check,
@@ -189,10 +189,9 @@ def suite_bruhat():
                            classify_element(w, n) == want, ""))
         for q in (3, 5):
             maxiso = enumerate_chains(q, n, Composition([n]))
-            tuples = [(ch,) for ch in maxiso]
-            cp, cs, cg = (census_direct(tuples, kind(q, n), n, q) for kind in
-                          (parabolic_generators, so_generators,
-                           group_generators))
+            cp, cs, cg = (census_space(n, q, [Composition([n])], kind(q, n))
+                          for kind in (parabolic_generators, so_generators,
+                                       group_generators))
             d_of = Counter(bruhat_cell(ch[0], n) for ch in maxiso)
             checks.append(("P cells n=%d q=%d" % (n, q),
                            cp.orbit_count == n + 1,

@@ -10,12 +10,11 @@ import itertools
 
 from flagtype.linalg import (Mat, RATIONAL, canonicalize, meet, join, kernel,
                              combination, identity, mat_mul, sc, solve,
-                             in_span, _rref_rows)
+                             in_span, act_on_subspace, _rref_rows)
 from flagtype.geometry import (bar, form, perp, ell, unipotent_radical_basis,
                                w_element)
 from flagtype.invariants import ThetaInvariants, BInvariants
-from flagtype.engine import (ActionCache, OrbitCensus, orbit_with_tree,
-                             signature)
+from flagtype.engine import OrbitCensus, signature
 from flagtype.perm import orbits
 
 
@@ -101,10 +100,27 @@ def transvection(q, n, r, c, mu):
 
 
 def orbit(start, gens, q):
-    """Orbit of a FlagTuple by BFS, with a spanning tree of generator
-    words."""
-    cache = ActionCache(gens)
-    return orbit_with_tree(start, gens, cache.tuple)
+    """Orbit of a FlagTuple by breadth-first search, in discovery order,
+    with a spanning tree {member: (parent, generator index) | None} of
+    generator words (``path_element`` reads it).  It acts as ``flags.act``
+    does, space by space through ``act_on_subspace``, but moves each space
+    by each generator once; it has no budget."""
+    images = {}  # (generator index, subspace) -> its image
+
+    def image(gi, s):
+        t = images.get((gi, s))
+        if t is None:
+            t = images[gi, s] = act_on_subspace(gens[gi], s)
+        return t
+
+    tree, members = {start: None}, [start]
+    for x in members:
+        for gi in range(len(gens)):
+            y = tuple(tuple(image(gi, s) for s in ch) for ch in x)
+            if y not in tree:
+                tree[y] = (x, gi)
+                members.append(y)
+    return members, tree
 
 
 def path_element(member, tree, gens, q, dim):

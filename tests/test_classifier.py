@@ -157,3 +157,41 @@ def test_dimension_count(n, above):
     assert len(statuses) == above
     if n >= 4:
         assert set(statuses) == {INFINITE}
+
+
+def _forget_one_dim(parts):
+    """The compositions of the flags that forget one dim of `parts`, the
+    flag staying nonempty."""
+    dims = list(itertools.accumulate(parts))
+    out = set()
+    for i in range(len(dims) if len(dims) > 1 else 0):
+        kept = [0] + dims[:i] + dims[i + 1:]
+        out.add(tuple(b - a for a, b in zip(kept, kept[1:])))
+    return out
+
+
+STRENGTH = {FINITE: 0, IFF_SQ: 1, INFINITE: 2}
+
+
+@pytest.mark.parametrize("n, pairs", [(2, 8), (3, 63), (4, 3808),
+                                      (5, 39600)])
+def test_one_step_coarsening_never_strengthens_the_verdict(n, pairs):
+    """Forgetting flag steps is a G-equivariant surjection M_T -> M_S, so
+    if S is Infinite T is too, and if T is Finite S is too.  For every
+    triple T at n and each coarsening S that forgets one dim of one
+    component, the verdict of S is no stronger than that of T (Finite <
+    IffSq < Infinite); pairs with an Empirical verdict are skipped, and
+    `pairs` is how many were decided when the test was written (a verdict
+    that turns Empirical would lower it)."""
+    verdict = {tri: classify(n, tri).status for tri in
+               itertools.combinations_with_replacement(_compositions(n), 3)}
+    compared = 0
+    for tri, status in verdict.items():
+        for k, parts in enumerate(tri):
+            for coarse in _forget_one_dim(parts):
+                s = verdict[tuple(sorted(tri[:k] + (coarse,) + tri[k + 1:]))]
+                if EMPIRICAL in (status, s):
+                    continue
+                compared += 1
+                assert STRENGTH[s] <= STRENGTH[status], (tri, status, s)
+    assert compared >= pairs > 0

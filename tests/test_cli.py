@@ -171,6 +171,22 @@ USAGE_ERRORS = [
                         ["canonical", "--b", "0,0,0,0,0,0,0,0,0,0,0,0,0,0,0"])]
 USAGE_ERRORS += [["witness", "--family", "O4_L31_0", "--q", "3", "--n", n,
                   "--lambdas", "0,1"] for n in ("0", "-1")]
+USAGE_ERRORS += [
+    # JSON floats and booleans are not field elements
+    ["normalize", "--n", "2", "--q", "0", "--u-plus", "[[0.1,1,0,0]]",
+     "--u-minus", "[[0,0,1,0]]"],
+    ["normalize", "--n", "2", "--q", "3", "--u-plus", "[[true,0,0,0]]",
+     "--u-minus", "[[0,0,1,0]]"],
+    ["invariants", "--n", "2", "--q", "0", "--u-plus", "[[1,0,0,0]]",
+     "--u-minus", "[[0,0,1.0,0]]"],
+    ["invariants", "--n", "3", "--q", "3", "--u-plus", E1, "--u-minus", E1,
+     "--v", "[[1,0,0,0,0,0],[0,1,0,0,0,0],[0,0,false,1,0,0]]"],
+    # --q is checked before the bases
+    ["normalize", "--n", "2", "--q", "4", "--u-plus", "[[1,0,0,0]]",
+     "--u-minus", "[[0,0,1,0]]"],
+    ["invariants", "--n", "2", "--q", "9", "--u-plus", "[[1,0,0,0]]",
+     "--u-minus", "[[0,0,1,0]]"],
+]
 
 BATCH_USAGE_ERRORS = [
     ("2", "(3)|(1)|(1)\n"),
@@ -198,6 +214,14 @@ def test_census_usage_errors(capsys, monkeypatch, env, argv):
 @pytest.mark.parametrize("argv", USAGE_ERRORS)
 def test_usage_errors(capsys, argv):
     _assert_usage_error(capsys, argv)
+
+
+def test_q_is_checked_before_the_bases(capsys):
+    """A bad --q is named as such, not reported as a bad basis."""
+    for cmd in ("invariants", "normalize"):
+        code, _, err = run(capsys, cmd, "--n", "2", "--q", "4", "--u-plus",
+                           "[[1,0,0,0]]", "--u-minus", "[[0,0,1,0]]")
+        assert code == 2 and err.startswith("usage error: --q "), err
 
 
 @pytest.mark.parametrize("n,lines", BATCH_USAGE_ERRORS)

@@ -321,10 +321,24 @@ def test_census_direct_needs_a_full_product():
         tuples[:-1] + tuples[:1],         # a duplicate in place of a tuple
         tuples[:-1],                      # not a full product
         [(ch,) for ch in tops] + [(tops[0],)],
+        [(ch,) for ch in lines[1:]],      # a strict subset of M_(1)
+        tuples[:1] + [(lines[0],)],       # tuples of two lengths
+        [],                               # no flag space at all
     ]
     for case in bad:
         with pytest.raises(ValueError):
             census_direct(case, gens, n, q)
+    # the q + 1 lines of U_0, which P keeps: a block, but not all of M_(1)
+    u0 = standard_isotropic(q, n, 0)
+    u0_lines = [ch for ch in lines if u0.contains_space(ch[0])]
+    assert len(u0_lines) == q + 1
+    for group in (gens, parabolic_generators(q, n)):
+        with pytest.raises(ValueError):
+            census_product([tops, u0_lines, u0_lines], group, n, q)
+    # the empty chain, and a 3-space of F^4, lie in no flag space at n=2
+    for chains in ([()], [(coordinate_subspace(q, 2 * n, [1, 2, 3]),)]):
+        with pytest.raises(ValueError):
+            census_product([chains], gens, n, q)
 
 
 def test_census_counts_match_b_invariants():
@@ -581,14 +595,14 @@ def test_schreier_descend_exact():
 
 
 def test_budget_infeasible(monkeypatch):
+    """A census past FLAGTYPE_BUDGET raises Infeasible: M_(1) at n=3, q=3
+    has 130 lines."""
     n, q = 3, 3
-    gens = group_generators(q, n)
-    start = ((standard_isotropic(q, n, 0),),)
     monkeypatch.setenv("FLAGTYPE_BUDGET", "5")
     # the engine re-exports the one exception of the flags module
     assert Infeasible is flags.Infeasible
     with pytest.raises(Infeasible):
-        orbit(start, gens, q)
+        census_space(n, q, [Composition([1])], group_generators(q, n))
 
 
 def sizes_by_signature(cen):
@@ -603,22 +617,11 @@ def sizes_by_signature(cen):
 def test_descent_matches_direct_census(kind, monkeypatch):
     """The stabilizer-chain descent against the direct census, under P, SO
     and G; representatives may differ, so orbits are compared by size and
-    signature.
-
-    Under P one more input has later blocks that are not whole flag
-    spaces: the lines of U_0, which P keeps but acts on with a kernel, so
-    the chains on them get no order from the chains above."""
+    signature."""
     n, q = 2, 3
     gens = kind(q, n)
     inputs = [[enumerate_chains(q, n, Composition(c)) for c in comps]
               for m, comps, _ in CENSUS_PLAN if m == n]
-    if kind is parabolic_generators:
-        u0 = standard_isotropic(q, n, 0)
-        lines = [ch for ch in enumerate_chains(q, n, Composition([1]))
-                 if u0.contains_space(ch[0])]
-        assert len(lines) == q + 1
-        inputs.append([enumerate_chains(q, n, Composition([2])), lines,
-                       lines])
     for spaces in inputs:
         direct = census_product(spaces, gens, n, q)
         with monkeypatch.context() as m:
