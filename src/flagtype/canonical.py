@@ -20,8 +20,9 @@ import itertools
 from math import isqrt
 
 from .linalg import (Mat, act_on_subspace, canonicalize, identity, inverse,
-                     mat_mul, mat_vec, transpose, kernel, solve, sc, sc_inv,
-                     complement_basis, combination, primitive_root)
+                     mat_mul, mat_vec, transpose, solve, sc, sc_inv,
+                     complement_basis, combination, primitive_root,
+                     null_space)
 from .geometry import (bar, form, classify_element, coordinate_subspace,
                        NOT_ORTHOGONAL, theta_positions, is_isotropic)
 from .invariants import ThetaInvariants, BInvariants, theta_and_w, \
@@ -131,11 +132,12 @@ class IndexLayout:
         used = sorted(x for j in range(1, 16) for x in self.tilde(j))
         if used != list(range(1, 2 * n + 1)):
             raise AssertionError("tilde index sets do not partition 1..2n")
-        self._reps = {}
 
     def representative(self, q):
-        """V(b) over GF(q) (q=0: Q), built once per layout and field."""
-        v = self._reps.get(q)
+        """V(b) over GF(q) (q=0: Q), through the memo of ``representative``:
+        a miss builds it from this layout and checks it."""
+        key = (self.n, self.b, q)
+        v = _REPRESENTATIVES.get(key)
         if v is not None:
             return v
         n, rows = self.n, []
@@ -168,7 +170,9 @@ class IndexLayout:
         v = canonicalize(q, 2 * n, rows)
         if v.dim != n or not is_isotropic(v, n):
             raise AssertionError("representative is not maximally isotropic")
-        self._reps[q] = v
+        if len(_REPRESENTATIVES) >= REPRESENTATIVE_CACHE:
+            del _REPRESENTATIVES[next(iter(_REPRESENTATIVES))]
+        _REPRESENTATIVES[key] = v
         return v
 
     def tilde(self, j):
@@ -196,9 +200,23 @@ def standard_pair(t, q):
             coordinate_subspace(q, 2 * t.n, pos["minus"]))
 
 
+# V(b) by (n, b, q), the oldest entry dropped first past the bound: every
+# V(b) built, by a layout or by ``representative``, goes through this one
+# memo, and only a checked V(b) enters it
+REPRESENTATIVE_CACHE = 256
+_REPRESENTATIVES = {}
+
+
 def representative(b, n, q):
-    """The maximally isotropic V(b_1..b_15) of the standard pair's ambient."""
-    return IndexLayout(n, b).representative(q)
+    """The maximally isotropic V(b_1..b_15) of the standard pair's ambient.
+    A memo hit builds no layout; a miss builds one, with all its checks."""
+    if not isinstance(b, BInvariants):
+        b = BInvariants(b)
+    v = _REPRESENTATIVES.get((n, b, q))
+    return v if v is not None else IndexLayout(n, b).representative(q)
+
+
+representative.cache_clear = _REPRESENTATIVES.clear
 
 
 def enumerate_valid_b(t):
@@ -247,14 +265,66 @@ def enumerate_thetas(n):
 # normalize_pair: constructive Proposition-5.1 element
 
 
-def _pairing_solve(q, n, placed, targets):
-    """A vector v with (w, v) = targets[pos] for every placed (pos, w)."""
-    rows = tuple(tuple(reversed(w)) for _, w in placed)
-    rhs = [targets.get(pos, 0) for pos, _ in placed]
-    v = solve(Mat.raw(q, rows), rhs)
-    if v is None:
-        raise AssertionError("pairing system unsolvable; normalize_pair bug")
-    return v
+class _PairingSystem:
+    """The conditions (w, v) = [pos = p] on v, one row per placed (pos, w),
+    for every target position p at once, kept as one RREF.
+
+    (w, v) is w reversed dot v, so w's coefficient row is w reversed; it
+    carries one right-hand column per target, 1 on the row placed at that
+    target.  The coefficient part's RREF is the same however it was reached,
+    so the solution read off it with the free coordinates zero is the one
+    ``linalg.solve`` gives of the whole system.  A row whose coefficient
+    part is zero is a relation among the placed vectors, and the system of
+    p is solvable iff each such row is zero in p's column; so clearing the
+    pivot such a row takes in a right-hand column leaves every solvable
+    target's column as it was.  Placing a vector reduces one new row against
+    the rows already reduced."""
+
+    def __init__(self, q, width, targets):
+        self.q, self.width, self.targets = q, width, targets
+        self.rows, self.pivots = [], []
+
+    def place(self, *placed):
+        """Add the rows of the (pos, w) pairs, each reduced against the rows
+        in place and then cleared from them at its pivot."""
+        q, rows, pivots = self.q, self.rows, self.pivots
+        for pos, w in placed:
+            row = list(w[::-1]) + [sc(q, int(pos == t)) for t in self.targets]
+            for r, c in zip(rows, pivots):
+                f = row[c]
+                if f:
+                    row = ([(x - f * y) % q for x, y in zip(row, r)] if q
+                           else [x - f * y for x, y in zip(row, r)])
+            c = next((c for c, x in enumerate(row) if x), None)
+            if c is None:
+                continue
+            if row[c] != 1:
+                inv = sc_inv(q, row[c])
+                row = [x * inv % q for x in row] if q else [x * inv
+                                                            for x in row]
+            for i, r in enumerate(rows):
+                f = r[c]
+                if f:
+                    rows[i] = ([(x - f * y) % q for x, y in zip(r, row)] if q
+                               else [x - f * y for x, y in zip(r, row)])
+            rows.append(row)
+            pivots.append(c)
+
+    def solve(self, p):
+        """The v with (w, v) = [pos = p] for every placed (pos, w)."""
+        col = self.width + self.targets.index(p)
+        v = [sc(self.q, 0)] * self.width
+        for r, c in zip(self.rows, self.pivots):
+            if c < self.width:
+                v[c] = r[col]
+            elif r[col]:
+                raise AssertionError("pairing system unsolvable; "
+                                     "normalize_pair bug")
+        return tuple(v)
+
+    def kernel(self):
+        """The v with (w, v) = 0 for every placed w."""
+        return null_space(self.q, self.width, self.rows, self.pivots)
 
 
 def _isotropize(q, n, v, w):
@@ -337,33 +407,29 @@ def normalize_pair(u_plus, u_minus, n):
         umf_rows = []
 
     pos = theta_positions(t)
-    placed = []  # list of (position, vector), insertion order
-    for key, vecs in (("w0", w0_rows), ("wp", wp_rows), ("wm", wm_rows),
-                      ("up", upf_rows), ("um", umf_rows)):
-        placed.extend(zip(pos[key], vecs))
+    system = _PairingSystem(q, 2 * n, (*pos["w"], *pos["z"]))
+    cols = {}  # position -> placed vector
+
+    def place(*placed):
+        cols.update(placed)
+        system.place(*placed)
+
+    place(*(pv for key, vecs in (("w0", w0_rows), ("wp", wp_rows),
+                                 ("wm", wm_rows), ("up", upf_rows),
+                                 ("um", umf_rows))
+            for pv in zip(pos[key], vecs)))
 
     # partners for the W-positions
     for p in pos["w"]:
-        w = dict(placed)[p]
-        v = _pairing_solve(q, n, placed, {p: 1})
-        v = _isotropize(q, n, v, w)
-        placed.append((bar(p, n), v))
+        place((bar(p, n), _isotropize(q, n, system.solve(p), cols[p])))
 
     # hyperbolic pairs spanning the residual split space
     for p in pos["z"]:
-        rows = [tuple(reversed(w)) for _, w in placed]
-        if rows:
-            k = kernel(Mat.raw(q, tuple(rows)))
-        else:
-            k = canonicalize(q, 2 * n, identity(q, 2 * n).rows)
-        z = _isotropic_in(q, n, list(k.rows))
-        placed.append((p, z))
-        v = _pairing_solve(q, n, placed, {p: 1})
-        v = _isotropize(q, n, v, z)
-        placed.append((bar(p, n), v))
+        z = _isotropic_in(q, n, list(system.kernel().rows))
+        place((p, z))
+        place((bar(p, n), _isotropize(q, n, system.solve(p), z)))
 
     # row i of J F^T J, F the frame with columns cols[1..2n]
-    cols = dict(placed)
     g = Mat.raw(q, tuple(cols[bar(i, n)][::-1] for i in range(1, 2 * n + 1)))
     if classify_element(g, n) == NOT_ORTHOGONAL:
         raise AssertionError("normalize_pair produced a non-orthogonal element")

@@ -13,12 +13,12 @@ import json
 import os
 import sys
 
-from .linalg import canonicalize, check_prime, field_json
+from .linalg import canonicalize, check_field, check_prime, field_json
 from .geometry import (group_generators, so_generators, parabolic_generators,
                        is_isotropic)
 from .flags import Composition, Infeasible
 from .invariants import b_invariants, theta, BInvariants
-from .canonical import IndexLayout, representative, normalize_pair
+from .canonical import IndexLayout, normalize_pair
 from .engine import census_space
 from .witnesses import (FAMILIES, build, family_classes, equivariance_check,
                         separation_check)
@@ -137,8 +137,11 @@ def check_n(n):
 def _n_and_field(args):
     """--n and --q of a command that also runs over the rationals (q = 0)."""
     check_n(args.n)
-    if args.q:
-        check_finite_field(args.q)
+    try:
+        check_field(args.q)
+    except ValueError:
+        raise UsageError("--q must be 0 (the rationals) or an odd prime, "
+                         "got %d" % args.q)
     return args.n, args.q
 
 
@@ -226,8 +229,7 @@ def cmd_canonical(args):
         raise UsageError("bad --b: %s" % exc)
     payload = {"layout": lay.audit()}
     if not args.layout_only:
-        v = representative(b, n, q)
-        payload["representative"] = v.to_json()
+        payload["representative"] = lay.representative(q).to_json()
     print(json.dumps(payload, indent=1))
     _write_store(args, payload)
     return EXIT_OK

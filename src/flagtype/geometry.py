@@ -13,10 +13,10 @@ by the tests (orbit of U_0, Bruhat cell counts) rather than trusted.
 from functools import lru_cache
 from operator import mul
 
-from .linalg import (Mat, canonicalize, identity, mat_mul, inverse,
-                     transpose, det, meet, kernel, sc,
+from .linalg import (Mat, Subspace, canonicalize, identity, mat_mul,
+                     inverse, transpose, det, meet, kernel, sc,
                      primitive_root, act_on_subspace, zero_space, full_space,
-                     check_prime, combination)
+                     check_field, check_prime, combination)
 
 
 def bar(i, n):
@@ -107,12 +107,19 @@ def standard_isotropic(q, n, d):
 
 
 def coordinate_subspace(q, ambient, indices):
+    """<e_i : i in indices> (1-based).  Its RREF basis is the distinct unit
+    rows in index order, each its own pivot, so no elimination is run."""
+    check_field(q)
+    pivots = sorted({i - 1 for i in indices})
+    if pivots and not 0 <= pivots[0] <= pivots[-1] < ambient:
+        raise ValueError("coordinate index out of 1..%d" % ambient)
+    one, zero = sc(q, 1), sc(q, 0)
     rows = []
-    for i in indices:
-        v = [0] * ambient
-        v[i - 1] = 1
-        rows.append(v)
-    return canonicalize(q, ambient, rows)
+    for c in pivots:
+        v = [zero] * ambient
+        v[c] = one
+        rows.append(tuple(v))
+    return Subspace(q, ambient, tuple(rows), tuple(pivots))
 
 
 def perp(s, n):

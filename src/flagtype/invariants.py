@@ -24,11 +24,13 @@ costs one elimination:
 """
 
 from bisect import bisect_left
+from functools import lru_cache
 from itertools import accumulate
+from operator import mul
 
 from .linalg import (Subspace, meet, join, combination, rank_rows,
                      _rref_rows)
-from .geometry import is_isotropic, form
+from .geometry import is_isotropic
 
 
 class ThetaInvariants:
@@ -92,11 +94,15 @@ class BInvariants:
         return list(self.b)
 
 
-def _gram_rows(a, b, n):
-    """The Gram row (form(a_i, b_1) .. form(a_i, b_m)) of each a_i in A's
-    basis, against B's basis."""
-    q = b.q
-    return [tuple(form(q, n, ar, br) for br in b.rows) for ar in a.rows]
+def _gram_rows(q, a_rows, b_rows):
+    """The Gram row (form(a_i, b_1) .. form(a_i, b_m)) of each row a_i,
+    against the rows b_j: form(a, b) is the dot product of a with b
+    reversed, so each b_j is reversed once."""
+    rev = [br[::-1] for br in b_rows]
+    if q:
+        return [tuple([sum(map(mul, ar, br)) % q for br in rev])
+                for ar in a_rows]
+    return [tuple([sum(map(mul, ar, br)) for br in rev]) for ar in a_rows]
 
 
 def _prefix_ranks(q, *blocks):
@@ -123,13 +129,18 @@ def _meet_perp(a, b):
     """A ∩ B^perp: one Zassenhaus form on the Gram rows of A against B."""
     if not a.dim or not b.dim:
         return a
-    return _zassenhaus_kernel(a.q, a.ambient,
-                              _gram_rows(a, b, a.ambient // 2), a.rows)
+    return _zassenhaus_kernel(a.q, a.ambient, _gram_rows(a.q, a.rows, b.rows),
+                              a.rows)
 
 
+@lru_cache(maxsize=8)
 def theta_and_w(u_plus, u_minus, n):
     """theta of two isotropic subspaces of F^{2n}, with the spaces it is read
-    from: W0 = U+ ∩ U-, W+ = U+ ∩ U-^perp and W- = U- ∩ U+^perp."""
+    from: W0 = U+ ∩ U-, W+ = U+ ∩ U-^perp and W- = U- ∩ U+^perp.
+
+    Memoized for the last few pairs (a Subspace hashes by its RREF rows):
+    ``b_invariants`` and then ``normalize_pair`` on one pair build the
+    W-spaces once.  A refused pair raises on every call."""
     if not is_isotropic(u_plus, n) or not is_isotropic(u_minus, n):
         raise ValueError("U+ and U- must be isotropic")
     w0 = meet(u_plus, u_minus)
@@ -172,7 +183,7 @@ def _plus_part_map(left, right, x):
     return plus_parts
 
 
-def _x_filtration(u_plus, u_minus, v, n, wp, wm):
+def _x_filtration(u_plus, u_minus, v, wp, wm):
     """(X, X0, X1, W, (U+ + W-) ∩ V, (W+ + U-) ∩ V), W = W+ + W-."""
     q = v.q
     w = join(wp, wm)
@@ -182,14 +193,11 @@ def _x_filtration(u_plus, u_minus, v, n, wp, wm):
     left_v, right_v = _meet_perp(left, v), _meet_perp(right, v)
     x0 = join(left_v, right_v)
     # (W, X) = 0 makes the v+ choice immaterial; assert it before using it
-    for wrow in w.rows:
-        for xrow in x.rows:
-            if form(q, n, wrow, xrow) != 0:
-                raise AssertionError("(W, X) != 0; X1 would be ill-defined")
+    if any(any(g) for g in _gram_rows(q, w.rows, x.rows)):
+        raise AssertionError("(W, X) != 0; X1 would be ill-defined")
     # X1 = {v in X : (v_+, X) = 0}; v -> v_+ is linear in v
     if x.dim:
-        pair_rows = [tuple(form(q, n, vp, xr) for xr in x.rows)
-                     for vp in _plus_part_map(left, right, x)]
+        pair_rows = _gram_rows(q, _plus_part_map(left, right, x), x.rows)
         x1 = _zassenhaus_kernel(q, x.ambient, pair_rows, x.rows)
     else:
         x1 = x
@@ -203,7 +211,7 @@ def x_filtration(u_plus, u_minus, v, n):
     if v.dim != n or not is_isotropic(v, n):
         raise ValueError("V must be maximally isotropic")
     _, _, wp, wm = theta_and_w(u_plus, u_minus, n)
-    return _x_filtration(u_plus, u_minus, v, n, wp, wm)[:3]
+    return _x_filtration(u_plus, u_minus, v, wp, wm)[:3]
 
 
 def b_invariants(u_plus, u_minus, v, n):
@@ -211,13 +219,13 @@ def b_invariants(u_plus, u_minus, v, n):
     if v.dim != n or not is_isotropic(v, n):
         raise ValueError("V must be maximally isotropic")
     t, w0, wp, wm = theta_and_w(u_plus, u_minus, n)
-    x, x0, x1, w, left_v, right_v = _x_filtration(u_plus, u_minus, v, n,
-                                                   wp, wm)
+    x, x0, x1, w, left_v, right_v = _x_filtration(u_plus, u_minus, v, wp, wm)
     # dim(A ∩ V) = dim A - rank Gram(A, V), V = V^perp; W = W+ + W-
     q = v.q
-    g0, gp, gm = (_gram_rows(s, v, n) for s in (w0, wp, wm))
-    r0, rp, r_up = _prefix_ranks(q, g0, gp, _gram_rows(u_plus, v, n))
-    rm, r_um = _prefix_ranks(q, g0, gm, _gram_rows(u_minus, v, n))[1:]
+    g0, gp, gm, g_up, g_um = (_gram_rows(q, s.rows, v.rows)
+                              for s in (w0, wp, wm, u_plus, u_minus))
+    r0, rp, r_up = _prefix_ranks(q, g0, gp, g_up)
+    rm, r_um = _prefix_ranks(q, g0, gm, g_um)[1:]
     r_w = _prefix_ranks(q, gp, gm)[1]
     b1 = w0.dim - r0
     b2 = t.a0 - b1

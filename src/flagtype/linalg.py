@@ -390,15 +390,22 @@ def kernel(m):
     """{x : m·x = 0} as a canonical Subspace of F^ncols."""
     q, n = m.q, m.ncols
     check_field(q)
-    rows, pivots = _rref_rows(m.rows, q, n)
-    piv = set(pivots)
+    return null_space(q, n, *_rref_rows(m.rows, q, n))
+
+
+def null_space(q, n, rows, pivots):
+    """{x in F^n : r·x = 0 for every row r} from rows in reduced echelon
+    form with their pivots; entries past column n are not read, and a row
+    whose pivot lies past it constrains nothing."""
+    pivoted = [(r, c) for r, c in zip(rows, pivots) if c < n]
+    piv = {c for _, c in pivoted}
     basis = []
     for free in range(n):
         if free in piv:
             continue
         v = [sc(q, 0)] * n
         v[free] = sc(q, 1)
-        for r, c in zip(rows, pivots):
+        for r, c in pivoted:
             v[c] = -r[free] % q if q else -r[free]
         basis.append(v)
     return _span(q, n, basis)

@@ -2,9 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from flagtype import canonical
 from flagtype.linalg import Mat, canonicalize, identity, mat_mul, \
-    act_on_subspace, sc
+    act_on_subspace, sc, solve, kernel, full_space, RATIONAL
 from flagtype.geometry import (standard_isotropic, random_isotropic,
                                random_group_element, is_isotropic,
                                classify_element, NOT_ORTHOGONAL)
@@ -17,7 +19,7 @@ from flagtype.canonical import (IndexLayout, standard_pair, representative,
                                 check_rv_membership, sp_prime_generators,
                                 in_sp_prime, sp_form_matrix, PLUS_BLOCKS,
                                 EXCLUDED_PAIRS, COMPENSATED_PAIRS,
-                                block_precedes)
+                                block_precedes, _PairingSystem)
 from flagtype.suites import full_blocks_layout
 
 
@@ -221,3 +223,48 @@ def test_eliminate_cases():
 def test_index_layout_rejects_bad_b():
     with pytest.raises(ValueError):
         IndexLayout(2, BInvariants([0] * 14 + [1]))  # odd b15
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from((3, 5, RATIONAL)), st.integers(1, 3), st.data())
+def test_pairing_system_matches_one_solve_per_target(q, n, data):
+    """Rows placed some at once and the rest one by one: each target's
+    solution is that of ``linalg.solve`` on the whole system (an
+    AssertionError where it has none), and the kernel is ``kernel``'s."""
+    width = 2 * n
+    entry = st.integers(0, q - 1) if q else st.integers(-2, 2)
+    vecs = data.draw(st.lists(st.tuples(*[entry] * width),
+                              max_size=width + 1))
+    vecs = [tuple(sc(q, x) for x in v) for v in vecs]
+    placed = list(enumerate(vecs, 1))
+    targets = tuple(data.draw(st.sets(st.integers(1, len(vecs) or 1))))
+    system = _PairingSystem(q, width, targets)
+    head = data.draw(st.integers(0, len(placed)))
+    system.place(*placed[:head])
+    for pv in placed[head:]:
+        system.place(pv)
+    m = Mat(q, [v[::-1] for v in vecs]) if vecs else None
+    assert system.kernel() == (kernel(m) if m else full_space(q, width))
+    for p in targets:
+        if m is None:
+            continue
+        want = solve(m, [int(pos == p) for pos, _ in placed])
+        if want is None:
+            with pytest.raises(AssertionError):
+                system.solve(p)
+        else:
+            assert system.solve(p) == want
+
+
+def test_representative_memo_is_bounded(monkeypatch):
+    """V(b) is kept for at most REPRESENTATIVE_CACHE (n, b, q), the oldest
+    dropped first, and a layout's V(b) is the memo's."""
+    monkeypatch.setattr(canonical, "REPRESENTATIVE_CACHE", 2)
+    representative.cache_clear()
+    t = ThetaInvariants(3, 0, 0, 0, 2)
+    bs = enumerate_valid_b(t)[:4]
+    reps = [representative(b, 3, 5) for b in bs]
+    assert list(canonical._REPRESENTATIVES) == [(3, b, 5) for b in bs[2:]]
+    assert IndexLayout(3, bs[3]).representative(5) is reps[3]
+    assert representative(bs[0], 3, 5) == reps[0]
+    representative.cache_clear()

@@ -188,6 +188,20 @@ USAGE_ERRORS += [
      "--u-minus", "[[0,0,1,0]]"],
 ]
 
+# rows whose stderr line is pinned, not only its shape: the commands that
+# also run over Q name q = 0 as legal
+USAGE_MESSAGES = {}
+for argv in (["canonical", "--n", "2", "--q", "4", "--b",
+              "0,0,0,0,0,0,0,0,0,0,0,0,0,2,0"],
+             ["invariants", "--n", "2", "--q", "9", "--u-plus", "[[1,0,0,0]]",
+              "--u-minus", "[[0,0,1,0]]"],
+             ["normalize", "--n", "2", "--q", "2", "--u-plus", "[[1,0,0,0]]",
+              "--u-minus", "[[0,0,1,0]]"]):
+    USAGE_ERRORS.append(argv)
+    USAGE_MESSAGES[tuple(argv)] = (
+        "usage error: --q must be 0 (the rationals) or an odd prime, got %s\n"
+        % argv[4])
+
 BATCH_USAGE_ERRORS = [
     ("2", "(3)|(1)|(1)\n"),
     ("2", "(1)|(1)|(2)\n(2)|(2)|(3)\n"),
@@ -202,6 +216,7 @@ def _assert_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("usage error: ") and err.count("\n") == 1
+    assert err == USAGE_MESSAGES.get(tuple(argv), err)
 
 
 @pytest.mark.parametrize("env,argv", CENSUS_USAGE_ERRORS)

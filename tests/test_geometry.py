@@ -53,6 +53,25 @@ def test_perp_examples():
     assert perp(u0, n) == u0
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([3, 5, RATIONAL]), st.integers(1, 8), st.data())
+def test_coordinate_subspace_is_the_span_of_its_unit_rows(q, ambient, data):
+    """The RREF built without elimination is canonicalize's, entry types
+    included, for unsorted and repeated indices."""
+    idx = data.draw(st.lists(st.integers(1, ambient), max_size=2 * ambient))
+    want = canonicalize(q, ambient, [[int(k == i) for k in range(1, ambient + 1)]
+                                     for i in idx])
+    got = coordinate_subspace(q, ambient, idx)
+    assert got == want and got.pivots == want.pivots
+    assert repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("idx", [[0], [5], [1, 5]])
+def test_coordinate_subspace_rejects_bad_indices(idx):
+    with pytest.raises(ValueError):
+        coordinate_subspace(3, 4, idx)
+
+
 def test_perp_double_and_reversing():
     rng = random.Random(0)
     for _ in range(500):

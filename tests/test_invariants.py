@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from flagtype.linalg import (canonicalize, act_on_subspace, identity, mat_mul,
-                             mat_vec, meet, join, rank_rows, RATIONAL)
+                             mat_vec, meet, join, rank_rows, sc, RATIONAL)
 from flagtype.geometry import (standard_isotropic, coordinate_subspace,
                                random_isotropic, random_group_element, form,
                                group_generators, w_element, bar, perp)
@@ -269,7 +269,7 @@ def test_prefix_ranks_match_gram_ranks(case):
     q, n, up, um, v = case
     _, w0, wp, wm = theta_and_w(up, um, n)
     for chain in ((w0, wp, up), (w0, wm, um), (wp, wm)):
-        blocks = [_gram_rows(s, v, n) for s in chain]
+        blocks = [_gram_rows(q, s.rows, v.rows) for s in chain]
         ranks = _prefix_ranks(q, *blocks)
         assert len(ranks) == len(chain)
         for k, r in enumerate(ranks):
@@ -279,6 +279,74 @@ def test_prefix_ranks_match_gram_ranks(case):
             for s in chain[1:k + 1]:
                 span = join(span, s)
             assert r == span.dim - meet(span, v).dim
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from((3, 5, RATIONAL)), st.integers(1, 4),
+       st.integers(0, 4), st.integers(0, 4), st.data())
+def test_gram_rows_match_the_form_table(q, n, ka, kb, data):
+    """The Gram rows with each row of B reversed once are the table of
+    ``form`` entry by entry."""
+    a = [tuple(sc(q, x) for x in r) for r in data.draw(_field_rows(q, ka, 2 * n))]
+    b = [tuple(sc(q, x) for x in r) for r in data.draw(_field_rows(q, kb, 2 * n))]
+    assert _gram_rows(q, a, b) == [tuple(form(q, n, x, y) for y in b)
+                                   for x in a]
+
+
+def _outcome(f, *args):
+    """f(*args), or the ValueError it raises as (ValueError, message)."""
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return ValueError, str(exc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(isotropic_triples())
+def test_memoized_pair_work_matches_a_cold_call(case):
+    """normalize_pair after b_invariants takes the pair's W-spaces from the
+    memo and gives the g of a cold call; theta_and_w and V(b) warm equal
+    their values after cache_clear().  Over Q, normalize_pair may refuse a
+    pair (a2 > 0), and then it refuses it cold too."""
+    q, n, up, um, v = case
+    theta_and_w.cache_clear()
+    b, _ = b_invariants(up, um, v, n)
+    hits = theta_and_w.cache_info().hits
+    warm_g = _outcome(normalize_pair, up, um, n)
+    assert theta_and_w.cache_info().hits == hits + 1
+    warm_w = theta_and_w(up, um, n)
+    warm_rep = representative(b, n, q)
+    theta_and_w.cache_clear()
+    representative.cache_clear()
+    assert _outcome(normalize_pair, up, um, n) == warm_g
+    theta_and_w.cache_clear()
+    assert theta_and_w(up, um, n) == warm_w
+    assert representative(b, n, q) == warm_rep
+
+
+@pytest.mark.parametrize("q", (3, 5, RATIONAL))
+def test_refused_inputs_are_refused_on_every_call(q):
+    """No memo keeps a refusal or lets a refused input through: a
+    non-isotropic pair and an invalid b raise on a first and a second
+    call."""
+    n = 3
+    u0 = standard_isotropic(q, n, 0)
+    bad_u = coordinate_subspace(q, 2 * n, [1, 6])         # (e1, e6) = 1
+    theta_and_w.cache_clear()
+    representative.cache_clear()
+    for _ in range(2):
+        for up, um in ((bad_u, u0), (u0, bad_u)):
+            for f in (theta_and_w, normalize_pair):
+                with pytest.raises(ValueError):
+                    f(up, um, n)
+        for b in ((0,) * 14 + (1,),          # odd b15
+                  (1,) + (0,) * 14,          # a2 = 1 but b12+b13+b14 = 0
+                  (0,) * 14 + (-2,)):        # negative
+            with pytest.raises(ValueError):
+                representative(b, 2, q)
+        with pytest.raises(ValueError):
+            representative((0,) * 13 + (2, 0), 2, 4)   # q not a field
+    assert theta_and_w.cache_info().currsize == 0
 
 
 GOLDEN_STRATA = ((3, 3), (3, 5), (4, 3), (4, 5))
