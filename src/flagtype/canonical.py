@@ -22,9 +22,9 @@ from math import isqrt
 from .linalg import (Mat, act_on_subspace, canonicalize, identity, inverse,
                      mat_mul, mat_vec, transpose, solve, sc, sc_inv,
                      complement_basis, combination, primitive_root,
-                     null_space)
-from .geometry import (bar, form, classify_element, coordinate_subspace,
-                       NOT_ORTHOGONAL, theta_positions, is_isotropic)
+                     null_space, _reduce, _scaled)
+from .geometry import (bar, form, is_orthogonal, coordinate_subspace,
+                       theta_positions, is_isotropic)
 from .invariants import ThetaInvariants, BInvariants, theta_and_w, \
     verify_relations, theta_of_b
 
@@ -290,23 +290,12 @@ class _PairingSystem:
         q, rows, pivots = self.q, self.rows, self.pivots
         for pos, w in placed:
             row = list(w[::-1]) + [sc(q, int(pos == t)) for t in self.targets]
-            for r, c in zip(rows, pivots):
-                f = row[c]
-                if f:
-                    row = ([(x - f * y) % q for x, y in zip(row, r)] if q
-                           else [x - f * y for x, y in zip(row, r)])
-            c = next((c for c, x in enumerate(row) if x), None)
-            if c is None:
+            found = _scaled(q, _reduce(q, row, zip(rows, pivots)))
+            if found is None:
                 continue
-            if row[c] != 1:
-                inv = sc_inv(q, row[c])
-                row = [x * inv % q for x in row] if q else [x * inv
-                                                            for x in row]
-            for i, r in enumerate(rows):
-                f = r[c]
-                if f:
-                    rows[i] = ([(x - f * y) % q for x, y in zip(r, row)] if q
-                               else [x - f * y for x, y in zip(r, row)])
+            row, c = found
+            rows[:] = [_reduce(q, r, ((row, c),)) if r[c] else r
+                       for r in rows]
             rows.append(row)
             pivots.append(c)
 
@@ -431,11 +420,14 @@ def normalize_pair(u_plus, u_minus, n):
 
     # row i of J F^T J, F the frame with columns cols[1..2n]
     g = Mat.raw(q, tuple(cols[bar(i, n)][::-1] for i in range(1, 2 * n + 1)))
-    if classify_element(g, n) == NOT_ORTHOGONAL:
+    if not is_orthogonal(g, n):
         raise AssertionError("normalize_pair produced a non-orthogonal element")
-    su, sm = standard_pair(t, q)
-    if act_on_subspace(g, u_plus) != su or act_on_subspace(g, u_minus) != sm:
-        raise AssertionError("normalize_pair postcondition failed")
+    # g invertible, dim U+ = |plus|: g U+ is standard iff g u is 0 off plus
+    for u, key in ((u_plus, "plus"), (u_minus, "minus")):
+        off = Mat.raw(q, tuple(r for i, r in enumerate(g.rows, 1)
+                               if i not in pos[key]))
+        if any(any(mat_vec(off, r)) for r in u.rows):
+            raise AssertionError("normalize_pair postcondition failed")
     return g
 
 
@@ -619,10 +611,7 @@ def _solve_rv_transvection(lay, q, t_set, pinned):
             w = [0] * (2 * n)
             for (r, c), x in entries.items():
                 w[r - 1] += x * v[c - 1]
-            for row, p in zip(vloc.rows, vloc.pivots):
-                f = w[p]
-                if f:
-                    w = [y - f * z for y, z in zip(w, row)]
+            w = _reduce(q, w, zip(vloc.rows, vloc.pivots))
             out += [w[r - 1] for r in t_set]
         return out
 
@@ -633,7 +622,7 @@ def _solve_rv_transvection(lay, q, t_set, pinned):
     correction = {**dict(zip(unknowns, sol)), **pinned}
     g = Mat(q, [[int(r == c) + correction.get((r, c), 0)
                  for c in range(1, 2 * n + 1)] for r in range(1, 2 * n + 1)])
-    if classify_element(g, n) == NOT_ORTHOGONAL:
+    if not is_orthogonal(g, n):
         return None
     return g
 
@@ -720,7 +709,7 @@ def check_rv_membership(lay, g, q):
     """g in G, g U+_std = U+_std, g U-_std = U-_std, g V(b) = V(b)."""
     n = lay.n
     t = lay.theta
-    if classify_element(g, n) == NOT_ORTHOGONAL:
+    if not is_orthogonal(g, n):
         raise AssertionError("element is not orthogonal")
     su, sm = standard_pair(t, q)
     v = lay.representative(q)

@@ -5,9 +5,9 @@ Conventions (fixed once for the whole package):
   * U_0 = <e_1 .. e_n> is the reference maximal isotropic,
   * bar(i) = 2n+1-i on 1-based indices.
 
-Group elements are plain Mat matrices; `classify_element` gives the exact
-O/SO membership verdict.  Generator sets are explicit and machine-validated
-by the tests (orbit of U_0, Bruhat cell counts) rather than trusted.
+Group elements are plain Mat matrices; `is_orthogonal` and
+`classify_element` give the exact O and O/SO membership verdicts.  Generator
+sets are explicit and machine-validated by the tests rather than trusted.
 """
 
 from functools import lru_cache
@@ -45,16 +45,13 @@ IN_SO = "InSO"
 IN_O_MINUS_SO = "InOMinusSO"
 
 
-def classify_element(m, n):
-    """Exact membership verdict for a 2n x 2n matrix.
-
-    m is orthogonal iff m^T J m = J, whose (i, j) entry is the form of
-    columns i and j: form(col_i, col_j) = J_ij for i <= j (both sides are
+def is_orthogonal(m, n):
+    """Whether the 2n x 2n matrix m preserves the form: m^T J m = J, whose
+    (i, j) entry is the form of columns i and j, for i <= j (both sides are
     symmetric).  That form is zero unless the support of col_i meets the
     reversed support of col_j, so only such pairs and J's antidiagonal are
     summed: over Q a Fraction product costs far more than a zero test, and
-    the group elements met there are sparse.  det decides SO only for an
-    orthogonal m."""
+    the group elements met there are sparse."""
     if m.nrows != 2 * n or m.ncols != 2 * n:
         raise ValueError("expected a %dx%d matrix" % (2 * n, 2 * n))
     q, width = m.q, 2 * n
@@ -66,8 +63,15 @@ def classify_element(m, n):
             want = 1 if i + j == width - 1 else 0
             if ((want or not supp[i].isdisjoint(rsupp[j]))
                     and form(q, n, u, cols[j]) != want):
-                return NOT_ORTHOGONAL
-    return IN_SO if det(m) == sc(q, 1) else IN_O_MINUS_SO
+                return False
+    return True
+
+
+def classify_element(m, n):
+    """The exact O/SO membership verdict for a 2n x 2n matrix."""
+    if not is_orthogonal(m, n):
+        return NOT_ORTHOGONAL
+    return IN_SO if det(m) == sc(m.q, 1) else IN_O_MINUS_SO
 
 
 def w_element(q, n, d):
@@ -190,7 +194,7 @@ def _generators(q, n, extra):
     for g in gens:
         if act_on_subspace(g, u0) != u0:
             raise AssertionError("parabolic generator does not fix U_0")
-        if classify_element(g, n) == NOT_ORTHOGONAL:
+        if not is_orthogonal(g, n):
             raise AssertionError("parabolic generator is not orthogonal")
     return tuple(gens + [w_element(q, n, d) for d in extra])
 

@@ -3,16 +3,16 @@
 theta = (a0, a+, a-, a1, a2, d, d') describes a pair of isotropic
 subspaces; b1..b15 describe a triple with V maximally isotropic.  Each is
 the dimension of a space read off the pair and V, and each space or rank
-costs one elimination:
+costs one elimination; a sum of spaces is its summands' rows, with none:
 
-  * W0 = U+ ∩ U- is one Zassenhaus meet.  For subspaces A and B,
+  * W0 = U+ ∩ U- is one Zassenhaus meet.  For A and B spanned by any rows,
     A ∩ B^perp is one Zassenhaus form too: in the RREF of the rows
     (form(a_i, b_1) .. form(a_i, b_m) | a_i), the right halves of the rows
     whose pivot lies past the Gram block are the RREF basis of A ∩ B^perp.
     W+ = U+ ∩ U-^perp and W- = U- ∩ U+^perp are such forms.
   * V is maximal isotropic, so V = V^perp and A ∩ V = A ∩ V^perp: the
     spaces X = (U+ + U-) ∩ V, (U+ + W-) ∩ V and (W+ + U-) ∩ V are such
-    forms, and so is X1 = {v in X : (v_+, X) = 0}.
+    forms, and so is X1 = {v in X : (v_+, X) = 0}.  Only X0 is a join.
   * A dimension dim(A ∩ V) that no later step needs as a space is
     dim A - rank Gram(A, V).  For the chains W0 ⊆ W+ ⊆ U+, W0 ⊆ W- ⊆ U-
     and W+ ⊆ W+ + W-, the ranks are read from one elimination of the
@@ -117,7 +117,7 @@ def _prefix_ranks(q, *blocks):
 def _zassenhaus_kernel(q, width, gram_rows, rows):
     """The span of the sums sum c_i rows[i] with sum c_i gram_rows[i] = 0,
     in RREF, from one elimination of the rows (gram_rows[i] | rows[i])."""
-    m = len(gram_rows[0])
+    m = len(gram_rows[0]) if gram_rows else 0
     red, pivots = _rref_rows([g + r for g, r in zip(gram_rows, rows)], q,
                              m + width)
     return Subspace(q, width, tuple(r[m:] for r, c in zip(red, pivots)
@@ -125,12 +125,9 @@ def _zassenhaus_kernel(q, width, gram_rows, rows):
                     tuple(c - m for c in pivots if c >= m))
 
 
-def _meet_perp(a, b):
-    """A ∩ B^perp: one Zassenhaus form on the Gram rows of A against B."""
-    if not a.dim or not b.dim:
-        return a
-    return _zassenhaus_kernel(a.q, a.ambient, _gram_rows(a.q, a.rows, b.rows),
-                              a.rows)
+def _meet_perp(q, width, a_rows, b_rows):
+    """A ∩ B^perp, A and B spanned by these rows: one Zassenhaus form."""
+    return _zassenhaus_kernel(q, width, _gram_rows(q, a_rows, b_rows), a_rows)
 
 
 @lru_cache(maxsize=8)
@@ -143,9 +140,10 @@ def theta_and_w(u_plus, u_minus, n):
     W-spaces once.  A refused pair raises on every call."""
     if not is_isotropic(u_plus, n) or not is_isotropic(u_minus, n):
         raise ValueError("U+ and U- must be isotropic")
+    q, width = u_plus.q, 2 * n
     w0 = meet(u_plus, u_minus)
-    wp = _meet_perp(u_plus, u_minus)
-    wm = _meet_perp(u_minus, u_plus)
+    wp = _meet_perp(q, width, u_plus.rows, u_minus.rows)
+    wm = _meet_perp(q, width, u_minus.rows, u_plus.rows)
     a0 = w0.dim
     a_plus = wp.dim - a0
     a_minus = wm.dim - a0
@@ -163,14 +161,13 @@ def theta(u_plus, u_minus, n):
 
 def _plus_part_map(left, right, x):
     """For each basis vector of X pick v+ in left = U+ + W- with v - v+ in
-    right = W+ + U-: one elimination of [M | x_1 .. x_k], M the matrix with
-    the columns of left and right, pivots only in M's columns, and each
-    particular solution read off as ``linalg.solve`` does."""
+    right = W+ + U- (spanning rows): one elimination of [M | x_1 .. x_k], M
+    with the rows of left and right as columns, pivots only in M's columns,
+    each particular solution read off as ``linalg.solve`` does."""
     q, width = x.q, x.ambient
-    cols = left.rows + right.rows
+    cols = left + right
     m = len(cols)
-    aug = [tuple(c[i] for c in cols) + tuple(v[i] for v in x.rows)
-           for i in range(width)]
+    aug = [c + v for c, v in zip(zip(*cols), zip(*x.rows))]
     red, pivots = _rref_rows(aug, q, m)
     plus_parts = []
     for k, v in enumerate(x.rows):
@@ -179,31 +176,32 @@ def _plus_part_map(left, right, x):
             coeffs[c] = r[m + k]
         if combination(q, coeffs, cols, width) != v:
             raise AssertionError("X-vector not decomposable; invariant bug")
-        plus_parts.append(combination(q, coeffs[:left.dim], left.rows, width))
+        plus_parts.append(combination(q, coeffs[:len(left)], left, width))
     return plus_parts
 
 
 def _x_filtration(u_plus, u_minus, v, wp, wm):
-    """(X, X0, X1, W, (U+ + W-) ∩ V, (W+ + U-) ∩ V), W = W+ + W-."""
-    q = v.q
-    w = join(wp, wm)
+    """(X, X0, X1, (U+ + W-) ∩ V, (W+ + U-) ∩ V), X = (U+ + U-) ∩ V."""
+    q, width = v.q, v.ambient
     # V = V^perp, so each meet with V is a meet with V^perp
-    x = _meet_perp(join(u_plus, u_minus), v)
-    left, right = join(u_plus, wm), join(wp, u_minus)   # U+ + W-, W+ + U-
-    left_v, right_v = _meet_perp(left, v), _meet_perp(right, v)
+    x = _meet_perp(q, width, u_plus.rows + u_minus.rows, v.rows)
+    # U+ + W- and W+ + U-, each as its summands' rows
+    left, right = u_plus.rows + wm.rows, wp.rows + u_minus.rows
+    left_v, right_v = (_meet_perp(q, width, rows, v.rows)
+                       for rows in (left, right))
     x0 = join(left_v, right_v)
     # (W, X) = 0 makes the v+ choice immaterial; assert it before using it
-    if any(any(g) for g in _gram_rows(q, w.rows, x.rows)):
+    if any(any(g) for g in _gram_rows(q, wp.rows + wm.rows, x.rows)):
         raise AssertionError("(W, X) != 0; X1 would be ill-defined")
     # X1 = {v in X : (v_+, X) = 0}; v -> v_+ is linear in v
     if x.dim:
         pair_rows = _gram_rows(q, _plus_part_map(left, right, x), x.rows)
-        x1 = _zassenhaus_kernel(q, x.ambient, pair_rows, x.rows)
+        x1 = _zassenhaus_kernel(q, width, pair_rows, x.rows)
     else:
         x1 = x
     if not x1.contains_space(x0) or not x.contains_space(x1):
         raise AssertionError("filtration X0 ⊆ X1 ⊆ X violated")
-    return x, x0, x1, w, left_v, right_v
+    return x, x0, x1, left_v, right_v
 
 
 def x_filtration(u_plus, u_minus, v, n):
@@ -219,8 +217,9 @@ def b_invariants(u_plus, u_minus, v, n):
     if v.dim != n or not is_isotropic(v, n):
         raise ValueError("V must be maximally isotropic")
     t, w0, wp, wm = theta_and_w(u_plus, u_minus, n)
-    x, x0, x1, w, left_v, right_v = _x_filtration(u_plus, u_minus, v, wp, wm)
-    # dim(A ∩ V) = dim A - rank Gram(A, V), V = V^perp; W = W+ + W-
+    x, x0, x1, left_v, right_v = _x_filtration(u_plus, u_minus, v, wp, wm)
+    # dim(A ∩ V) = dim A - rank Gram(A, V), V = V^perp; W = W+ + W-, and
+    # dim W = d as W+ ∩ W- = W0
     q = v.q
     g0, gp, gm, g_up, g_um = (_gram_rows(q, s.rows, v.rows)
                               for s in (w0, wp, wm, u_plus, u_minus))
@@ -233,7 +232,7 @@ def b_invariants(u_plus, u_minus, v, n):
     b4 = wm.dim - rm - b1
     b5 = u_plus.dim - r_up - b1 - b3
     b6 = u_minus.dim - r_um - b1 - b4
-    dim_wv = w.dim - r_w
+    dim_wv = t.d - r_w
     b7 = dim_wv - b1 - b3 - b4
     b8 = right_v.dim - dim_wv - b6
     b9 = left_v.dim - dim_wv - b5
@@ -248,8 +247,8 @@ def b_invariants(u_plus, u_minus, v, n):
     bb = BInvariants((b1, b2, b3, b4, b5, b6, b7, b8, b9, b10, b11, b12, b13, b14, b15))
     # independent recomputation of b14 = dim pi(Z ∩ V), Z = (U+ + U-)^perp:
     # Z ∩ V = V ∩ (U+ + U-)^perp, and dim(Z ∩ V ∩ W) from one join rank
-    zv = _meet_perp(v, join(u_plus, u_minus))
-    dim_zvw = zv.dim + w.dim - rank_rows(zv.rows + w.rows, v.q, 2 * n)
+    zv = _meet_perp(q, 2 * n, v.rows, u_plus.rows + u_minus.rows)
+    dim_zvw = zv.dim + t.d - rank_rows(zv.rows + wp.rows + wm.rows, q, 2 * n)
     if b14 != zv.dim - dim_zvw:
         raise AssertionError("b14 disagrees with dim pi(Z ∩ V)")
     viol = verify_relations(bb, t)

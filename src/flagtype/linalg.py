@@ -169,8 +169,8 @@ def _rational_row_times(ra, b_rows, width):
 def combination(q, coeffs, rows, ambient):
     """sum_j coeffs[j] * rows[j], a vector of F^ambient."""
     zero = sc(q, 0)
-    out = [sum((c * r[i] for c, r in zip(coeffs, rows)), zero)
-           for i in range(ambient)]
+    out = ([sum(map(mul, coeffs, col), zero) for col in zip(*rows)] if rows
+           else [zero] * ambient)
     return tuple(x % q for x in out) if q else tuple(out)
 
 
@@ -254,14 +254,8 @@ def det(m):
             rows[c], rows[pr] = rows[pr], rows[c]
             d = sc(q, -d)
         d = sc(q, d * rows[c][c])
-        inv = sc_inv(q, rows[c][c])
-        for i in range(c + 1, n):
-            if rows[i][c] != 0:
-                f = rows[i][c] * inv
-                if q:
-                    rows[i] = [(x - f * y) % q for x, y in zip(rows[i], rows[c])]
-                else:
-                    rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
+        pivot = _scaled(q, rows[c])     # rows[c] is 0 before column c
+        rows[c + 1:] = [_reduce(q, r, (pivot,)) for r in rows[c + 1:]]
     return d
 
 
@@ -343,15 +337,29 @@ def field_json(q, x):
 
 def in_span(rows, pivots, v, q):
     """Membership of v in the row space of an RREF basis."""
-    v = list(sc(q, x) for x in v)
-    for r, c in zip(rows, pivots):
-        if v[c] != 0:
-            f = v[c]
-            if q:
-                v = [(x - f * y) % q for x, y in zip(v, r)]
-            else:
-                v = [x - f * y for x, y in zip(v, r)]
-    return all(x == 0 for x in v)
+    return not any(_reduce(q, [sc(q, x) for x in v], zip(rows, pivots)))
+
+
+def _reduce(q, v, echelon):
+    """v less its multiples of the (row, pivot) pairs of `echelon` in order,
+    each row 1 at its pivot and 0 at the pivots before it: 0 at each pivot."""
+    for r, c in echelon:
+        f = v[c]
+        if f:
+            v = ([(x - f * y) % q for x, y in zip(v, r)] if q
+                 else [x - f * y for x, y in zip(v, r)])
+    return v
+
+
+def _scaled(q, v):
+    """(v scaled to 1 at its first nonzero entry, that column); None if 0."""
+    c = next((c for c, x in enumerate(v) if x), None)
+    if c is None:
+        return None
+    if v[c] != 1:
+        inv = sc_inv(q, v[c])
+        v = [x * inv % q for x in v] if q else [x * inv for x in v]
+    return v, c
 
 
 def canonicalize(q, ambient, vectors):
@@ -417,13 +425,9 @@ def meet(a, b):
     q, n = a.q, a.ambient
     stacked = []
     for r in b.rows:
-        left = r
-        for ar, c in zip(a.rows, a.pivots):
-            f = left[c]
-            if f:
-                left = [x - f * y for x, y in zip(left, ar)]
-        row = list(left) + [x - y for x, y in zip(left, r)]
-        stacked.append([x % q for x in row] if q else row)
+        left = _reduce(q, r, zip(a.rows, a.pivots))
+        right = [x - y for x, y in zip(left, r)]
+        stacked.append(list(left) + ([x % q for x in right] if q else right))
     rows, pivots = _rref_rows(stacked, q, 2 * n)
     return Subspace(q, n, tuple(r[n:] for r, c in zip(rows, pivots) if c >= n),
                     tuple(c - n for c in pivots if c >= n))
@@ -449,13 +453,16 @@ def image_from_rows(g, s, rows):
 
 def complement_basis(inner, outer):
     """Rows extending a basis of `inner` to one of `outer` (inner ⊆ outer):
-    the rows of `outer` that are not in the span of `inner` and the outer
-    rows before them, read from the pivot columns of one elimination of the
-    stack [inner; outer] transposed."""
+    the rows of `outer` outside the span of `inner` and the rows before
+    them, each outer row reduced against inner's RREF rows and the scaled
+    residuals of the rows taken."""
     _check_pair(inner, outer)
-    stack = inner.rows + outer.rows
-    pivots = _rref_rows(list(zip(*stack)), inner.q, len(stack))[1]
-    out = [stack[c] for c in pivots if c >= inner.dim]
+    q, kept, out = inner.q, list(zip(inner.rows, inner.pivots)), []
+    for row in outer.rows:
+        echelon_row = _scaled(q, _reduce(q, row, kept))
+        if echelon_row:
+            kept.append(echelon_row)
+            out.append(row)
     if len(out) != outer.dim - inner.dim:
         raise ValueError("inner is not contained in outer")
     return out

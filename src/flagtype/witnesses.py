@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .linalg import Mat, canonicalize, sc, sc_inv
 from .geometry import (group_generators, small_generators, ell,
-                       classify_element, NOT_ORTHOGONAL)
+                       is_orthogonal)
 from .flags import Composition, Infeasible, validate_tuple, act
 from .engine import INFEASIBLE, same_orbit, stabilizer_orbits
 
@@ -285,7 +285,7 @@ def equivariance_check(family_id, lam, c, q, n=None):
     a = Mat(q, [[entries[i] if i == j else 0 for j in range(n)]
                 for i in range(n)])
     g = ell(a, n)
-    if classify_element(g, n) == NOT_ORTHOGONAL or act(g, m_lam) != m_tgt:
+    if not is_orthogonal(g, n) or act(g, m_lam) != m_tgt:
         return {"ok": False, "reason": "the diagonal candidate fails",
                 "lam": lam, "target": target}
     return {"ok": True, "g": g, "lam": lam, "target": target}

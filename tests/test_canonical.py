@@ -109,6 +109,35 @@ def test_normalize_pair_rational():
     assert classify_element(g, n) != NOT_ORTHOGONAL
 
 
+def test_normalize_pair_checks_catch_a_wrong_frame(monkeypatch):
+    """Neither check of normalize_pair is vacuous.  U+^f and U-^f placed on
+    each other's positions make an orthogonal frame that misplaces the
+    pair; partners scaled by 2 make a frame that is not orthogonal."""
+    n, q = 2, 3
+    h = random_group_element(q, n, random.Random(7))
+    # theta (1, 0, 0, 1, 0): d = 1 places one partner, a1 = 1 one U^f pair
+    up, um = (act_on_subspace(h, canonicalize(q, 4, rows)) for rows in
+              ([[1, 0, 0, 0], [0, 1, 0, 0]], [[1, 0, 0, 0], [0, 0, 1, 0]]))
+    normalize_pair(up, um, n)
+    positions = canonical.theta_positions
+    isotropize = canonical._isotropize
+
+    def swapped(t):
+        pos = dict(positions(t))
+        pos["up"], pos["um"] = pos["um"], pos["up"]
+        return pos
+
+    with monkeypatch.context() as m:
+        m.setattr(canonical, "theta_positions", swapped)
+        with pytest.raises(AssertionError, match="postcondition failed"):
+            normalize_pair(up, um, n)
+    with monkeypatch.context() as m:
+        m.setattr(canonical, "_isotropize", lambda q, n, v, w: tuple(
+            2 * x % q for x in isotropize(q, n, v, w)))
+        with pytest.raises(AssertionError, match="non-orthogonal"):
+            normalize_pair(up, um, n)
+
+
 def test_rv_generator_identity_cases():
     q = 5
     lay = full_blocks_layout()

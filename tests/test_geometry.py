@@ -12,7 +12,7 @@ from flagtype.geometry import (form, perp, classify_element, IN_SO,
                                parabolic_generators, group_order, sp_order,
                                unipotent_radical_basis, random_isotropic,
                                random_group_element, coordinate_subspace,
-                               is_isotropic, gl_generators,
+                               is_isotropic, is_orthogonal, gl_generators,
                                small_generators)
 from flagtype.engine import action_points, close_group
 from flagtype.perm import StabChain
@@ -146,7 +146,7 @@ def test_classify_element_matches_matrix_route(q):
                      for _ in range(6)]
         for m in elements:
             verdict = classify_element(m, n)
-            assert verdict != NOT_ORTHOGONAL
+            assert verdict != NOT_ORTHOGONAL and is_orthogonal(m, n)
             assert verdict == _verdict_by_matrices(m, n)
             for _ in range(4):
                 rows = [list(r) for r in m.rows]
@@ -154,6 +154,7 @@ def test_classify_element_matches_matrix_route(q):
                 rows[a][b] += rng.randrange(1, q) if q else rng.choice((-1, 2))
                 bad = Mat(q, rows)
                 assert classify_element(bad, n) == NOT_ORTHOGONAL
+                assert not is_orthogonal(bad, n)
                 assert _verdict_by_matrices(bad, n) == NOT_ORTHOGONAL
         assert {classify_element(w_element(q, n, d), n)
                 for d in (0, 1)} == {IN_SO, IN_O_MINUS_SO}

@@ -113,25 +113,35 @@ def test_g_invariance_randomized():
 
 
 def test_induced_pairing_alternating():
-    # <u, u> = 0 for the plus-part pairing on X
+    """<u, u> = 0 for the plus-part pairing on X, with U+ + W- and W+ + U-
+    given as the row lists of their summands.  Every fifth pair has
+    U- = U+, so a0 = dim U+ and the lists are linearly dependent."""
     from flagtype.invariants import _plus_part_map
     rng = random.Random(4)
-    for _ in range(100):
-        n, q = 3, 3
+    n, q = 3, 3
+    dependent = 0
+    for k in range(100):
         up = random_isotropic(q, n, rng.randrange(n + 1), rng)
-        um = random_isotropic(q, n, rng.randrange(n + 1), rng)
+        um = up if k % 5 == 0 else \
+            random_isotropic(q, n, rng.randrange(n + 1), rng)
         v = random_isotropic(q, n, n, rng)
         wp = meet(up, perp(um, n))
         wm = meet(um, perp(up, n))
         x = meet(join(up, um), v)
-        plus = _plus_part_map(join(up, wm), join(wp, um), x)
+        left, right = up.rows + wm.rows, wp.rows + um.rows
+        dependent += rank_rows(left, q, 2 * n) < len(left)
+        plus = _plus_part_map(left, right, x)
+        lspan, rspan = join(up, wm), join(wp, um)
         for vp, xr in zip(plus, x.rows):
+            assert lspan.contains(vp)
+            assert rspan.contains([(a - b) % q for a, b in zip(xr, vp)])
             assert form(q, n, vp, xr) == 0
         for i in range(len(plus)):
             for j in range(len(plus)):
                 lhs = form(q, n, plus[i], x.rows[j])
                 rhs = form(q, n, plus[j], x.rows[i])
                 assert (lhs + rhs) % q == 0
+    assert dependent >= 10
 
 
 def test_theta_consistency_guard():
@@ -240,11 +250,12 @@ def _field_rows(q, count, width):
 @given(st.sampled_from((3, 5, RATIONAL)), st.integers(1, 3), st.data())
 def test_meet_perp_matches_meet_with_perp(q, n, data):
     """A ∩ B^perp from one Zassenhaus form equals the meet of A with the
-    perp of B, for any subspaces A and B of F^{2n}."""
-    a, b = (canonicalize(q, 2 * n, data.draw(
-        _field_rows(q, data.draw(st.integers(0, 2 * n)), 2 * n)))
-        for _ in range(2))
-    assert _meet_perp(a, b) == meet(a, perp(b, n))
+    perp of B, for any subspaces A and B of F^{2n} given by spanning rows,
+    dependent ones too."""
+    a_rows, b_rows = (data.draw(_field_rows(
+        q, data.draw(st.integers(0, 2 * n + 1)), 2 * n)) for _ in range(2))
+    a, b = (canonicalize(q, 2 * n, rows) for rows in (a_rows, b_rows))
+    assert _meet_perp(q, 2 * n, a_rows, b_rows) == meet(a, perp(b, n))
 
 
 @settings(max_examples=200, deadline=None)
