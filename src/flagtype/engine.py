@@ -37,10 +37,13 @@ projective points, never row-reduced or sorted; ``index`` is a lookup that
 finds a space's point through that key.  As the vector block keeps its
 numbering and comes first, every chain level opens at a vector point, and
 the breadth-first Schreier trees do not depend on how the subspace points
-are numbered.  ``stabilizer_orbits`` gives the orbits of the stabilizer of
-some subspaces on others, for the witness classes and the R-classes alike;
-its chain must reach that bound, which certifies the generating set it is
-given.
+are numbered.  The vector block, the point table and ``order_bound`` are
+built once per generator set (``flags.point_action``) and kept; the
+subspace blocks and the chains are built on every call, and the budget is
+read on every call.  ``stabilizer_orbits`` gives the orbits of the
+stabilizer of some subspaces on others, for the witness classes and the
+R-classes alike; its chain must reach that bound, which certifies the
+generating set it is given.
 """
 
 from bisect import bisect_left
@@ -343,49 +346,44 @@ def action_points(gens, spaces):
     """Integer points for the action of the matrix group <gens>.
 
     Points come in blocks.  The first holds the vectors reached from the
-    standard basis e_1..e_m, with e_i at point i-1; the action on it is
-    faithful, so a permutation of the points determines its matrix (see
-    ``point_matrix``).  Then comes the orbit of each of `spaces` not already
-    in a block, in discovery order, its members keyed by their sets of
-    projective points (``flags.key_orbit``): no block is row-reduced or
-    sorted.  Returns (vectors, index, images): vectors is the first block,
-    index the ``SpacePoints`` lookup of the later blocks (``index[s]`` is
-    the point of s, ``index.get(s)`` None for a space in no block), and
+    standard basis e_1..e_m, breadth-first, with e_i at point i-1; the
+    action on it is faithful, so a permutation of the points determines its
+    matrix (see ``point_matrix``).  Then comes the orbit of each of `spaces`
+    not already in a block, in discovery order, its members keyed by their
+    sets of projective points (``flags.key_orbit``): no block is
+    row-reduced or sorted.  Returns (vectors, index, images): vectors is the
+    first block (shared by every call on gens: not to be changed), index
+    the ``SpacePoints`` lookup of the later blocks (``index[s]`` is the
+    point of s, ``index.get(s)`` None for a space in no block), and
     images[gi] is generator gi as a permutation of all points.
 
     Over GF(q) only (q = 0 raises ValueError: the orbits are infinite), a
     generator moves each projective point of the first block by one
     ``mat_vec`` (c·v goes to c times the image of v), and the subspace
-    orbits reuse these images through one ``flags.PointTable``: under
-    O_2n's generators they do no matrix arithmetic, as isotropic vectors
-    lie in the orbit of e_1 (Witt).
+    orbits reuse these images through the ``flags.PointTable`` of gens:
+    under O_2n's generators they do no matrix arithmetic, as isotropic
+    vectors lie in the orbit of e_1 (Witt).  The first block and the table
+    are built once per generator set (``flags.point_action``); the subspace
+    orbits are walked on every call, and the budget is read on every call:
+    a first block past it raises as when it is built.
     """
-    m, q = gens[0].nrows, gens[0].q
-    check_prime(q)
+    check_prime(gens[0].q)
     budget = _flags.orbit_budget()
-    invs = inverse_table(q)
-    vectors = [tuple(int(i == j) for j in range(m)) for i in range(m)]
-    at = {v: i for i, v in enumerate(vectors)}
-    images = [[] for _ in gens]
-    point_images = {}  # projective point (leading entry 1) -> its images
-    for v in vectors:
-        lead = next(filter(None, v))
-        unit = v if lead == 1 else tuple([invs[lead] * x % q for x in v])
-        ws = point_images.get(unit)
-        if ws is None:
-            ws = point_images[unit] = [mat_vec(g, unit) for g in gens]
-        for g, img, w in zip(gens, images, ws):
-            if lead != 1:
-                w = tuple([lead * x % q for x in w])
-            p = at.get(w)
-            if p is None:
-                p = at[w] = len(vectors)
-                vectors.append(w)
-            img.append(p)
-        if len(vectors) > budget:
-            raise Infeasible.over_budget(len(vectors), budget)
-    table = _flags.PointTable(gens, point_images)
+    act = _flags.point_action(gens)
+    if act.block is None:
+        act.block = _vector_block(gens, act.table.known, budget)
+    vectors, moved = act.block
+    if len(vectors) > budget:
+        # the size at which the build stops: after the first vector whose
+        # images take the block past the budget
+        size = len(vectors[0])
+        for i in range(len(vectors)):
+            size = max(size, 1 + max(img[i] for img in moved))
+            if size > budget:
+                raise Infeasible.over_budget(size, budget)
+    table = act.table
     index = SpacePoints(table)
+    images = [[] for _ in gens]
     for s in spaces:
         key = table.key(s)
         if key not in index.point:
@@ -396,7 +394,36 @@ def action_points(gens, spaces):
             for img, mv in zip(images, moves):
                 img.extend([offset + x for x in mv])
         index.given[s] = index.point[key]
-    return vectors, index, [tuple(img) for img in images]
+    return vectors, index, [v + tuple(img) for v, img in zip(moved, images)]
+
+
+def _vector_block(gens, known, budget):
+    """The first block of ``action_points``: (vectors, images), images[gi]
+    the positions of g_gi·vectors as a tuple.  known gets the images of
+    each projective point moved, for the ``flags.PointTable`` of gens.
+    Raises Infeasible once the block passes the budget."""
+    m, q = gens[0].nrows, gens[0].q
+    invs = inverse_table(q)
+    vectors = [tuple(int(i == j) for j in range(m)) for i in range(m)]
+    at = {v: i for i, v in enumerate(vectors)}
+    images = [[] for _ in gens]
+    for v in vectors:
+        lead = next(filter(None, v))
+        unit = v if lead == 1 else tuple([invs[lead] * x % q for x in v])
+        ws = known.get(unit)
+        if ws is None:
+            ws = known[unit] = [mat_vec(g, unit) for g in gens]
+        for img, w in zip(images, ws):
+            if lead != 1:
+                w = tuple([lead * x % q for x in w])
+            p = at.get(w)
+            if p is None:
+                p = at[w] = len(vectors)
+                vectors.append(w)
+            img.append(p)
+        if len(vectors) > budget:
+            raise Infeasible.over_budget(len(vectors), budget)
+    return vectors, [tuple(img) for img in images]
 
 
 def point_matrix(perm, vectors, q):
@@ -410,11 +437,17 @@ def point_matrix(perm, vectors, q):
 def order_bound(gens, n):
     """An upper bound on the order of <gens> once each generator is checked
     to be orthogonal (ValueError otherwise): |SO_2n(q)| = |O_2n(q)|/2 if
-    every generator has determinant 1, else |O_2n(q)|."""
-    verdicts = {classify_element(g, n) for g in gens}
-    if NOT_ORTHOGONAL in verdicts:
-        raise ValueError("generator is not orthogonal")
-    return group_order(gens[0].q, n) // (2 if verdicts == {IN_SO} else 1)
+    every generator has determinant 1, else |O_2n(q)|.  A bound is kept
+    once per generator set (``flags.point_action``); a set that fails the
+    check is checked again, and raises, on every call."""
+    bounds = _flags.point_action(gens).bounds
+    if n not in bounds:
+        verdicts = {classify_element(g, n) for g in gens}
+        if NOT_ORTHOGONAL in verdicts:
+            raise ValueError("generator is not orthogonal")
+        bounds[n] = group_order(gens[0].q, n) // (
+            2 if verdicts == {IN_SO} else 1)
+    return bounds[n]
 
 
 def stabilizer_orbits(gens, n, fixed, spaces):

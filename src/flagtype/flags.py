@@ -14,10 +14,14 @@ over one table of projective points (``PointTable``), and returns the flags
 with the requested generators as permutations of them.  The orbit is
 walked on the sets of point numbers of its members (``key_orbit``, which
 ``engine.action_points`` uses alone), so a generator moves each point once,
-and each member then costs one RREF.  The one budget of the
-package (FLAGTYPE_BUDGET, ``orbit_budget``, read once per public call)
-counts orbit members: here flags, and the spaces of each dimension on the
-way.  Every overrun raises ``Infeasible``, on which the CLI exits 3.
+and each member then costs one RREF.  What depends on the generator set
+alone is built once per process (``point_action``, a memo of the last
+POINT_ACTIONS sets): the point table, ``engine.action_points``' vector
+block and ``engine.order_bound``; the subspace and flag orbits, which
+depend on the spaces asked for, are walked on every call.  The one budget
+of the package (FLAGTYPE_BUDGET, ``orbit_budget``, read once per public
+call) counts orbit members: here flags, and the spaces of each dimension on
+the way.  Every overrun raises ``Infeasible``, on which the CLI exits 3.
 """
 
 import os
@@ -193,14 +197,52 @@ class PointTable:
         return frozenset(map(self.at.get, _projective_points(s)))
 
     def extend(self, top):
-        """Find the images of the points numbered below top."""
+        """Find the images of the points numbered below top.  All images of
+        a point are found before any is stored, so an exception leaves every
+        images[gi] of one length, as a table kept by ``point_action`` must
+        be."""
         q, invs = self.gens[0].q, self.invs
         for v in self.points[len(self.images[0]):top]:
-            ws = self.known.get(v) or [mat_vec(g, v) for g in self.gens]
-            for w, img in zip(ws, self.images):
+            ps = []
+            for w in self.known.get(v) or [mat_vec(g, v) for g in self.gens]:
                 c = invs[next(filter(None, w))]
-                img.append(self.number(
+                ps.append(self.number(
                     w if c == 1 else tuple([x * c % q for x in w])))
+            for img, p in zip(self.images, ps):
+                img.append(p)
+
+
+# the point actions of the last POINT_ACTIONS generator sets, the oldest
+# dropped first: no workload or suite cell cycles through more than three
+POINT_ACTIONS = 4
+_ACTIONS = {}
+
+
+class PointAction:
+    """What a generator set builds once per process, shared by
+    ``flag_spaces`` and ``engine.action_points``: the ``PointTable`` of its
+    projective points (table), ``action_points``' vector block (block, set
+    by its first call) and ``engine.order_bound`` by n (bounds)."""
+
+    __slots__ = ("table", "block", "bounds")
+
+    def __init__(self, gens):
+        self.table, self.block, self.bounds = PointTable(gens), None, {}
+
+
+def point_action(gens):
+    """The ``PointAction`` of the generator sequence gens, from a memo keyed
+    by the generator tuple (a ``Mat`` compares by q and rows)."""
+    key = tuple(gens)
+    act = _ACTIONS.get(key)
+    if act is None:
+        if len(_ACTIONS) >= POINT_ACTIONS:
+            del _ACTIONS[next(iter(_ACTIONS))]
+        act = _ACTIONS[key] = PointAction(key)
+    return act
+
+
+point_action.cache_clear = _ACTIONS.clear
 
 
 def key_orbit(key, table):
@@ -269,8 +311,11 @@ def flag_spaces(q, ambient, comps, iso_n=None, gens=()):
     The flags are the orbit of the standard flag U_[d1] < ... < U_[dk]
     under O_2n (Witt; isotropic iff iso_n is set) or GL_ambient and gens,
     so a generator outside that group makes more flags than ``flag_count``.
-    It runs on the positions of the spaces in their orbits (all over one
-    ``PointTable``), whose tuple order is the rows order of the chains.
+    It runs on the positions of the spaces in their orbits, whose tuple
+    order is the rows order of the chains.  The orbits are walked on every
+    call, over the ``PointTable`` kept for the generator set (the group's
+    generators, then those of gens outside it: ``point_action``), so the
+    points met by earlier calls on the set are moved again by no generator.
     """
     check_prime(q)
     budget = orbit_budget()
@@ -281,7 +326,7 @@ def flag_spaces(q, ambient, comps, iso_n=None, gens=()):
         else gl_generators(q, ambient))}
     for g in gens:
         number.setdefault(g, len(number))
-    table, levels, out = PointTable(list(number)), {}, {}
+    table, levels, out = point_action(number).table, {}, {}
     for d in sorted({d for comp in comps for d in comp.dims}):
         std = coordinate_subspace(q, ambient, range(1, d + 1))
         spaces, perms = subspace_orbit(std, table)

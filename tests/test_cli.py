@@ -109,6 +109,18 @@ def test_witness_command(capsys):
     assert code == 2
 
 
+def test_witness_pair_connecting_element_is_pinned(capsys):
+    """The connecting element of ``witness --pair``, also pinned in CI."""
+    code, out, _ = run(capsys, "witness", "--family", "O6_L32p", "--q", "5",
+                       "--n", "3", "--pair", "2,4")
+    assert code == 0
+    assert out == (
+        '{"family": "O6_L32p", "q": 5, "n": 3, "lam": 2, "mu": 4, '
+        '"verdict": "Yes", "g": [[0, 2, 0, 0, 0, 0], [1, 0, 0, 0, 0, 0], '
+        '[0, 0, 0, 1, 0, 0], [0, 0, 1, 0, 0, 0], [0, 0, 0, 0, 0, 1], '
+        '[0, 0, 0, 0, 3, 0]]}\n')
+
+
 def test_verify_and_report(tmp_path, capsys):
     store = os.path.join(tmp_path, "store", "roundtrip.json")
     code, out, _ = run(capsys, "verify", "--suite", "roundtrip",

@@ -11,16 +11,18 @@ from flagtype.geometry import (standard_isotropic, group_generators,
                                group_order, random_group_element,
                                coordinate_subspace, w_element,
                                bar, classify_element, IN_O_MINUS_SO,
-                               is_isotropic, small_generators)
+                               is_isotropic, small_generators,
+                               gl_generators)
 from flagtype import flags
-from flagtype.flags import Composition, enumerate_chains, act
+from flagtype.flags import (Composition, enumerate_chains, act, flag_spaces,
+                            point_action)
 from flagtype.engine import (same_orbit, census_direct, census_space,
                              census_product, signature, close_group,
                              schreier_descend, StabLevel, Infeasible,
                              tuple_key, SAME, DIFFERENT, order_bound,
                              action_points, index_spaces, stabilizer_orbits)
 from flagtype.invariants import b_invariants
-from flagtype.witnesses import FAMILIES, build
+from flagtype.witnesses import FAMILIES, build, family_classes
 from flagtype.canonical import enumerate_thetas, enumerate_valid_b
 from flagtype import engine, suites
 from flagtype.suites import CENSUS_PLAN
@@ -160,22 +162,26 @@ SAME_ORBIT_GOLDEN = [
 ]
 
 
+def _translate(family, q, seed, kind):
+    """(x, y, gens, n): the witness flag m_lambda and a translate of it by
+    a 12-letter word in kind(q, n), drawn from seed."""
+    fam = FAMILIES[family]
+    n = fam.n_min
+    rng = random.Random(seed)
+    x = build(family, n, rng.choice(fam.lambda_domain(q, n)), q)
+    gens = kind(q, n)
+    g = identity(q, 2 * n)
+    for _ in range(12):
+        g = mat_mul(gens[rng.randrange(len(gens))], g)
+    return x, act(g, x), gens, n
+
+
 @pytest.mark.parametrize("family,kind,seed,rows", SAME_ORBIT_GOLDEN)
 def test_same_orbit_connecting_elements_are_pinned(family, kind, seed, rows):
     """The connecting element does not depend on how action_points numbers
     its subspace points: the Schreier trees are breadth-first in label
     order and every level opens at a point of the vector block."""
-    q = 3
-    fam = FAMILIES[family]
-    n = fam.n_min
-    rng = random.Random(seed)
-    lam = rng.choice(fam.lambda_domain(q, n))
-    gens = kind(q, n)
-    g = identity(q, 2 * n)
-    for _ in range(12):
-        g = mat_mul(gens[rng.randrange(len(gens))], g)
-    x = build(family, n, lam, q)
-    verdict, h = same_orbit(x, act(g, x), gens, n, q)
+    verdict, h = same_orbit(*_translate(family, 3, seed, kind), 3)
     assert verdict == SAME
     assert ["".join(map(str, r)) for r in h.rows] == rows
 
@@ -254,6 +260,134 @@ def test_order_bound_is_so_order_for_so_generators(n, q):
     assert classify_element(w, n) == IN_O_MINUS_SO
     assert order_bound(so + [w], n) == group_order(q, n)
     assert order_bound(group_generators(q, n), n) == group_order(q, n)
+
+
+def test_order_bound_checks_each_generator_set_once(monkeypatch):
+    """classify_element runs on each generator of a set once per process;
+    a set that fails the check raises ValueError on every call."""
+    n, q = 2, 3
+    point_action.cache_clear()
+    calls = []
+
+    def counted(g, n):
+        calls.append(g)
+        return classify_element(g, n)
+
+    monkeypatch.setattr(engine, "classify_element", counted)
+    gens = group_generators(q, n)
+    assert order_bound(gens, n) == order_bound(gens, n) == group_order(q, n)
+    assert len(calls) == len(gens)
+    scale = Mat(q, [[2 if i == j == 0 else int(i == j) for j in range(4)]
+                    for i in range(4)])
+    for _ in range(2):
+        with pytest.raises(ValueError, match="not orthogonal"):
+            order_bound(gens + [scale], n)
+
+
+def test_point_action_memo_keeps_every_output():
+    """Each output is the same from an empty point-action memo (cold) and
+    from one that earlier calls filled (warm), the generator sets
+    interleaved so that a call finds tables that other calls and other sets
+    extended: census JSON (under G, and under SO, whose flag spaces run on
+    G's generators and w_2), same_orbit's connecting elements, the
+    stabilizer classes of witness families on small_generators, and
+    enumerations of isotropic and of GL flags."""
+    gl_comp = Composition([1, 1, 1])
+    translates = [_translate("O6_L32p", 3, 1, group_generators),
+                  _translate("O6_L32p", 3, 4, so_generators)]
+    calls = {
+        "census G": lambda: census_space(
+            2, 3, [Composition([1]), Composition([1]), Composition([2])],
+            group_generators(3, 2)).to_json(2),
+        "census SO": lambda: census_space(
+            2, 3, [Composition([2]), Composition([1])],
+            so_generators(3, 2)).to_json(2),
+        "same_orbit G": lambda: same_orbit(*translates[0], 3),
+        "same_orbit SO": lambda: same_orbit(*translates[1], 3),
+        "classes O4": lambda: family_classes("O4_L31_0", 5),
+        "classes O6": lambda: family_classes("O6_L32p", 3),
+        "chains": lambda: enumerate_chains(3, 3, Composition([1, 2])),
+        "GL flags": lambda: flag_spaces(3, 3, [gl_comp], None,
+                                        gl_generators(3, 3)[::2])[gl_comp],
+    }
+    cold = {}
+    for name, call in calls.items():
+        point_action.cache_clear()
+        cold[name] = call()
+    assert cold["same_orbit G"][0] == cold["same_orbit SO"][0] == SAME
+    order = list(calls)
+    for name in order + order[::-1] + order[::2] + order[1::2]:
+        assert calls[name]() == cold[name], name
+        assert calls[name]() == cold[name], name
+
+
+@pytest.mark.parametrize("budget", [3, 10, 30])
+def test_warm_vector_block_keeps_the_budget(monkeypatch, budget):
+    """A vector block kept from a call under the default budget raises
+    under a lower one with the message of a cold call."""
+    gens = group_generators(3, 2)
+    messages = []
+    for warm in (False, True):
+        point_action.cache_clear()
+        if warm:
+            action_points(gens, [])
+        monkeypatch.setenv("FLAGTYPE_BUDGET", str(budget))
+        with pytest.raises(Infeasible) as err:
+            action_points(gens, [])
+        monkeypatch.delenv("FLAGTYPE_BUDGET")
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+    assert messages[0].startswith("orbit budget exceeded: ")
+    assert action_points(gens, [])[0] == point_action(gens).block[0]
+
+
+def test_point_action_memo_is_bounded(monkeypatch):
+    """The memo keeps the point actions of at most POINT_ACTIONS generator
+    sets, the oldest dropped first, whichever call made them."""
+    monkeypatch.setattr(flags, "POINT_ACTIONS", 2)
+    point_action.cache_clear()
+    n, q = 2, 3
+    sets = [group_generators(q, n), so_generators(q, n),
+            small_generators(q, n), parabolic_generators(q, n)]
+    for gens in sets:
+        order_bound(gens, n)
+        assert len(flags._ACTIONS) <= 2
+        action_points(gens, [standard_isotropic(q, n, 0)])
+        assert len(flags._ACTIONS) <= 2
+    enumerate_chains(q, n, Composition([1]))
+    assert list(flags._ACTIONS) == [tuple(sets[3]), tuple(sets[0])]
+    point_action.cache_clear()
+
+
+@pytest.mark.parametrize("fail", ["singular", "mat_vec"])
+def test_key_walk_exception_keeps_the_table_whole(monkeypatch, fail):
+    """An exception while the table finds a point's images (here a
+    singular generator sending a point to 0, or a failing mat_vec) leaves
+    every images[gi] of one length, so a later walk over the kept table
+    raises again and stores nothing half done."""
+    q = 3
+    singular = Mat(q, [[int(i == j < 3) for j in range(4)]
+                       for i in range(4)])
+    gens = [identity(q, 4), singular] if fail == "singular" \
+        else gl_generators(q, 4)
+    if fail == "mat_vec":
+        calls = []
+
+        def failing(g, v):
+            calls.append(v)
+            if len(calls) > len(gens) + 1:
+                raise RuntimeError("mat_vec failed")
+            return mat_vec(g, v)
+
+        monkeypatch.setattr(flags, "mat_vec", failing)
+    point_action.cache_clear()
+    table = point_action(gens).table
+    plane = coordinate_subspace(q, 4, [3, 4])
+    for _ in range(2):
+        with pytest.raises((StopIteration, RuntimeError)):
+            flags.key_orbit(table.key(plane), table)
+        assert len({len(img) for img in table.images}) == 1
+    point_action.cache_clear()
 
 
 def test_census_matches_per_orbit_bfs():
