@@ -37,8 +37,8 @@ projective points, never row-reduced or sorted; ``index`` is a lookup that
 finds a space's point through that key.  As the vector block keeps its
 numbering and comes first, every chain level opens at a vector point, and
 the breadth-first Schreier trees do not depend on how the subspace points
-are numbered.  The vector block, the point table and ``order_bound`` are
-built once per generator set (``flags.point_action``) and kept; the
+are numbered.  The vector block, the point table (``flags.point_table``)
+and ``order_bound`` are built once per generator set and kept; the
 subspace blocks and the chains are built on every call, and the budget is
 read on every call.  ``stabilizer_orbits`` gives the orbits of the
 stabilizer of some subspaces on others, for the witness classes and the
@@ -47,7 +47,7 @@ generating set it is given.
 """
 
 from bisect import bisect_left
-from functools import cache
+from functools import cache, lru_cache
 from itertools import accumulate
 from math import prod
 
@@ -363,25 +363,20 @@ def action_points(gens, spaces):
     orbits reuse these images through the ``flags.PointTable`` of gens:
     under O_2n's generators they do no matrix arithmetic, as isotropic
     vectors lie in the orbit of e_1 (Witt).  The first block and the table
-    are built once per generator set (``flags.point_action``); the subspace
-    orbits are walked on every call, and the budget is read on every call:
-    a first block past it raises as when it is built.
+    are built once per generator set and kept (``_kept_vector_block``,
+    ``flags.point_table``); the subspace orbits are walked on every call,
+    and the budget is read on every call: a first block past it raises as
+    when it is built.
     """
     check_prime(gens[0].q)
     budget = _flags.orbit_budget()
-    act = _flags.point_action(gens)
-    if act.block is None:
-        act.block = _vector_block(gens, act.table.known, budget)
-    vectors, moved = act.block
+    gens = tuple(gens)
+    table = _flags.point_table(gens)
+    vectors, moved = _kept_vector_block(gens)
     if len(vectors) > budget:
-        # the size at which the build stops: after the first vector whose
-        # images take the block past the budget
-        size = len(vectors[0])
-        for i in range(len(vectors)):
-            size = max(size, 1 + max(img[i] for img in moved))
-            if size > budget:
-                raise Infeasible.over_budget(size, budget)
-    table = act.table
+        # kept from a call under a larger budget: the build raises as a
+        # cold call does, and finds every image it needs in known
+        _vector_block(gens, table.known, budget)
     index = SpacePoints(table)
     images = [[] for _ in gens]
     for s in spaces:
@@ -426,6 +421,15 @@ def _vector_block(gens, known, budget):
     return vectors, [tuple(img) for img in images]
 
 
+@lru_cache(maxsize=_flags.POINT_TABLES)
+def _kept_vector_block(gens):
+    """``_vector_block`` of the generator tuple gens, under the budget of
+    its first call, kept for as many sets as ``flags.point_table`` keeps
+    tables; a build that raises is not kept."""
+    return _vector_block(gens, _flags.point_table(gens).known,
+                         _flags.orbit_budget())
+
+
 def point_matrix(perm, vectors, q):
     """The matrix acting on the points of ``action_points`` as `perm` does:
     its column i is the image of e_(i+1)."""
@@ -437,17 +441,19 @@ def point_matrix(perm, vectors, q):
 def order_bound(gens, n):
     """An upper bound on the order of <gens> once each generator is checked
     to be orthogonal (ValueError otherwise): |SO_2n(q)| = |O_2n(q)|/2 if
-    every generator has determinant 1, else |O_2n(q)|.  A bound is kept
-    once per generator set (``flags.point_action``); a set that fails the
-    check is checked again, and raises, on every call."""
-    bounds = _flags.point_action(gens).bounds
-    if n not in bounds:
-        verdicts = {classify_element(g, n) for g in gens}
-        if NOT_ORTHOGONAL in verdicts:
-            raise ValueError("generator is not orthogonal")
-        bounds[n] = group_order(gens[0].q, n) // (
-            2 if verdicts == {IN_SO} else 1)
-    return bounds[n]
+    every generator has determinant 1, else |O_2n(q)|.  The bound is kept
+    for as many (generator set, n) as ``flags.point_table`` keeps tables;
+    a set that fails the check is checked again, and raises, on every
+    call."""
+    return _order_bound(tuple(gens), n)
+
+
+@lru_cache(maxsize=_flags.POINT_TABLES)
+def _order_bound(gens, n):
+    verdicts = {classify_element(g, n) for g in gens}
+    if NOT_ORTHOGONAL in verdicts:
+        raise ValueError("generator is not orthogonal")
+    return group_order(gens[0].q, n) // (2 if verdicts == {IN_SO} else 1)
 
 
 def stabilizer_orbits(gens, n, fixed, spaces):

@@ -14,17 +14,19 @@ over one table of projective points (``PointTable``), and returns the flags
 with the requested generators as permutations of them.  The orbit is
 walked on the sets of point numbers of its members (``key_orbit``, which
 ``engine.action_points`` uses alone), so a generator moves each point once,
-and each member then costs one RREF.  What depends on the generator set
-alone is built once per process (``point_action``, a memo of the last
-POINT_ACTIONS sets): the point table, ``engine.action_points``' vector
-block and ``engine.order_bound``; the subspace and flag orbits, which
-depend on the spaces asked for, are walked on every call.  The one budget
-of the package (FLAGTYPE_BUDGET, ``orbit_budget``, read once per public
-call) counts orbit members: here flags, and the spaces of each dimension on
-the way.  Every overrun raises ``Infeasible``, on which the CLI exits 3.
+and each member then costs one RREF.  The point table depends on the
+generator set alone, so it is built once per set and kept for the process
+(``point_table``, for the last POINT_TABLES sets): points met by earlier
+calls are moved again by no generator.  The subspace and flag orbits,
+which depend on the spaces asked for, are walked on every call.  The one
+budget of the package (FLAGTYPE_BUDGET, ``orbit_budget``, read once per
+public call) counts orbit members: here flags, and the spaces of each
+dimension on the way.  Every overrun raises ``Infeasible``, on which the
+CLI exits 3.
 """
 
 import os
+from functools import lru_cache
 from operator import getitem
 
 from .linalg import (act_on_subspace, check_prime, image_from_rows,
@@ -173,8 +175,8 @@ class PointTable:
     entry 1.  Subspace orbits over one table move each point once; `known`
     maps a point to its images for a caller that has them already."""
 
-    def __init__(self, gens, known=None):
-        self.gens, self.known = gens, known or {}
+    def __init__(self, gens):
+        self.gens, self.known = gens, {}
         self.invs = inverse_table(gens[0].q)
         self.points, self.at = [], {}
         self.images = [[] for _ in gens]
@@ -199,7 +201,7 @@ class PointTable:
     def extend(self, top):
         """Find the images of the points numbered below top.  All images of
         a point are found before any is stored, so an exception leaves every
-        images[gi] of one length, as a table kept by ``point_action`` must
+        images[gi] of one length, as a table kept by ``point_table`` must
         be."""
         q, invs = self.gens[0].q, self.invs
         for v in self.points[len(self.images[0]):top]:
@@ -212,37 +214,18 @@ class PointTable:
                 img.append(p)
 
 
-# the point actions of the last POINT_ACTIONS generator sets, the oldest
-# dropped first: no workload or suite cell cycles through more than three
-POINT_ACTIONS = 4
-_ACTIONS = {}
+# A pass of a perfbench workload cycles through at most four generator
+# sets (bruhat: the group generators of each of its four cells; census and
+# witness: three), so eight keep the tables of a whole pass.
+POINT_TABLES = 8
 
 
-class PointAction:
-    """What a generator set builds once per process, shared by
-    ``flag_spaces`` and ``engine.action_points``: the ``PointTable`` of its
-    projective points (table), ``action_points``' vector block (block, set
-    by its first call) and ``engine.order_bound`` by n (bounds)."""
-
-    __slots__ = ("table", "block", "bounds")
-
-    def __init__(self, gens):
-        self.table, self.block, self.bounds = PointTable(gens), None, {}
-
-
-def point_action(gens):
-    """The ``PointAction`` of the generator sequence gens, from a memo keyed
-    by the generator tuple (a ``Mat`` compares by q and rows)."""
-    key = tuple(gens)
-    act = _ACTIONS.get(key)
-    if act is None:
-        if len(_ACTIONS) >= POINT_ACTIONS:
-            del _ACTIONS[next(iter(_ACTIONS))]
-        act = _ACTIONS[key] = PointAction(key)
-    return act
-
-
-point_action.cache_clear = _ACTIONS.clear
+@lru_cache(maxsize=POINT_TABLES)
+def point_table(gens):
+    """The ``PointTable`` of the generator tuple gens, shared by every call
+    on it: kept for the last POINT_TABLES sets used (a ``Mat`` compares by
+    q and rows)."""
+    return PointTable(gens)
 
 
 def key_orbit(key, table):
@@ -314,7 +297,7 @@ def flag_spaces(q, ambient, comps, iso_n=None, gens=()):
     It runs on the positions of the spaces in their orbits, whose tuple
     order is the rows order of the chains.  The orbits are walked on every
     call, over the ``PointTable`` kept for the generator set (the group's
-    generators, then those of gens outside it: ``point_action``), so the
+    generators, then those of gens outside it: ``point_table``), so the
     points met by earlier calls on the set are moved again by no generator.
     """
     check_prime(q)
@@ -326,7 +309,7 @@ def flag_spaces(q, ambient, comps, iso_n=None, gens=()):
         else gl_generators(q, ambient))}
     for g in gens:
         number.setdefault(g, len(number))
-    table, levels, out = point_action(number).table, {}, {}
+    table, levels, out = point_table(tuple(number)), {}, {}
     for d in sorted({d for comp in comps for d in comp.dims}):
         std = coordinate_subspace(q, ambient, range(1, d + 1))
         spaces, perms = subspace_orbit(std, table)

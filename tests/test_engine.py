@@ -15,7 +15,7 @@ from flagtype.geometry import (standard_isotropic, group_generators,
                                gl_generators)
 from flagtype import flags
 from flagtype.flags import (Composition, enumerate_chains, act, flag_spaces,
-                            point_action)
+                            point_table)
 from flagtype.engine import (same_orbit, census_direct, census_space,
                              census_product, signature, close_group,
                              schreier_descend, StabLevel, Infeasible,
@@ -262,11 +262,18 @@ def test_order_bound_is_so_order_for_so_generators(n, q):
     assert order_bound(group_generators(q, n), n) == group_order(q, n)
 
 
+def _clear_point_memos():
+    """Forget every point table, vector block and order bound kept."""
+    point_table.cache_clear()
+    engine._kept_vector_block.cache_clear()
+    engine._order_bound.cache_clear()
+
+
 def test_order_bound_checks_each_generator_set_once(monkeypatch):
     """classify_element runs on each generator of a set once per process;
     a set that fails the check raises ValueError on every call."""
     n, q = 2, 3
-    point_action.cache_clear()
+    _clear_point_memos()
     calls = []
 
     def counted(g, n):
@@ -284,9 +291,9 @@ def test_order_bound_checks_each_generator_set_once(monkeypatch):
             order_bound(gens + [scale], n)
 
 
-def test_point_action_memo_keeps_every_output():
-    """Each output is the same from an empty point-action memo (cold) and
-    from one that earlier calls filled (warm), the generator sets
+def test_point_memos_keep_every_output():
+    """Each output is the same from empty point memos (cold) and from
+    memos that earlier calls filled (warm), the generator sets
     interleaved so that a call finds tables that other calls and other sets
     extended: census JSON (under G, and under SO, whose flag spaces run on
     G's generators and w_2), same_orbit's connecting elements, the
@@ -312,7 +319,7 @@ def test_point_action_memo_keeps_every_output():
     }
     cold = {}
     for name, call in calls.items():
-        point_action.cache_clear()
+        _clear_point_memos()
         cold[name] = call()
     assert cold["same_orbit G"][0] == cold["same_orbit SO"][0] == SAME
     order = list(calls)
@@ -324,13 +331,16 @@ def test_point_action_memo_keeps_every_output():
 @pytest.mark.parametrize("budget", [3, 10, 30])
 def test_warm_vector_block_keeps_the_budget(monkeypatch, budget):
     """A vector block kept from a call under the default budget raises
-    under a lower one with the message of a cold call."""
+    under a lower one with the message of a cold call, moving no vector by
+    matrix arithmetic, and stays kept."""
     gens = group_generators(3, 2)
     messages = []
     for warm in (False, True):
-        point_action.cache_clear()
+        _clear_point_memos()
         if warm:
-            action_points(gens, [])
+            kept = action_points(gens, [])[0]
+            monkeypatch.setattr(engine, "mat_vec",
+                                lambda *a: pytest.fail("a vector was moved"))
         monkeypatch.setenv("FLAGTYPE_BUDGET", str(budget))
         with pytest.raises(Infeasible) as err:
             action_points(gens, [])
@@ -338,25 +348,35 @@ def test_warm_vector_block_keeps_the_budget(monkeypatch, budget):
         messages.append(str(err.value))
     assert messages[0] == messages[1]
     assert messages[0].startswith("orbit budget exceeded: ")
-    assert action_points(gens, [])[0] == point_action(gens).block[0]
+    assert action_points(gens, [])[0] is kept
 
 
-def test_point_action_memo_is_bounded(monkeypatch):
-    """The memo keeps the point actions of at most POINT_ACTIONS generator
-    sets, the oldest dropped first, whichever call made them."""
-    monkeypatch.setattr(flags, "POINT_ACTIONS", 2)
-    point_action.cache_clear()
-    n, q = 2, 3
-    sets = [group_generators(q, n), so_generators(q, n),
-            small_generators(q, n), parabolic_generators(q, n)]
-    for gens in sets:
+def test_point_memos_are_bounded():
+    """The point tables, vector blocks and order bounds are kept for the
+    last POINT_TABLES generator sets used, whichever call made them: a
+    pass over more sets than that keeps no more, and drops the set used
+    longest ago."""
+    _clear_point_memos()
+    memos = [point_table, engine._kept_vector_block, engine._order_bound]
+    sets = [(n, make(q, n)) for n, q in [(2, 3), (2, 5), (3, 3)]
+            for make in (group_generators, so_generators, small_generators,
+                         parabolic_generators)]
+    assert len(sets) > flags.POINT_TABLES
+    for n, gens in sets:
+        q = gens[0].q
         order_bound(gens, n)
-        assert len(flags._ACTIONS) <= 2
         action_points(gens, [standard_isotropic(q, n, 0)])
-        assert len(flags._ACTIONS) <= 2
-    enumerate_chains(q, n, Composition([1]))
-    assert list(flags._ACTIONS) == [tuple(sets[3]), tuple(sets[0])]
-    point_action.cache_clear()
+        enumerate_chains(q, n, Composition([1]))
+        for memo in memos:
+            info = memo.cache_info()
+            assert info.maxsize == flags.POINT_TABLES
+            assert info.currsize <= flags.POINT_TABLES
+    for n, gens in (sets[-1], sets[0]):
+        hits = engine._order_bound.cache_info().hits
+        order_bound(gens, n)
+        assert engine._order_bound.cache_info().hits == hits + (
+            gens is sets[-1][1])
+    _clear_point_memos()
 
 
 @pytest.mark.parametrize("fail", ["singular", "mat_vec"])
@@ -380,14 +400,14 @@ def test_key_walk_exception_keeps_the_table_whole(monkeypatch, fail):
             return mat_vec(g, v)
 
         monkeypatch.setattr(flags, "mat_vec", failing)
-    point_action.cache_clear()
-    table = point_action(gens).table
+    _clear_point_memos()
+    table = point_table(tuple(gens))
     plane = coordinate_subspace(q, 4, [3, 4])
     for _ in range(2):
         with pytest.raises((StopIteration, RuntimeError)):
             flags.key_orbit(table.key(plane), table)
         assert len({len(img) for img in table.images}) == 1
-    point_action.cache_clear()
+    _clear_point_memos()
 
 
 def test_census_matches_per_orbit_bfs():
