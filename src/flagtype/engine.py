@@ -15,7 +15,10 @@ points.
 Censuses run on whole flag spaces M_c as blocks of points, with the
 generator permutations that the enumeration found (``census_space``, from
 ``flags.flag_spaces``); explicit chain lists, each all of one M_c, are
-indexed by acting on their spaces (``index_spaces``).  One recursion
+indexed by the projective-point keys of their spaces in the kept point
+table of O_2n's generators and the given ones (``index_spaces``, through
+``flags.group_table``), and a generator moves a chain by table lookups,
+with no space row-reduced.  One recursion
 (``_census``) serves every census.  Each depth takes the orbits of the
 current group on its block and, for each orbit's representative, the
 stabilizer from a Schreier-Sims chain based at it, run on the blocks still
@@ -568,29 +571,50 @@ class OrbitCensus:
 def index_spaces(spaces, gens):
     """Index explicit chain lists as the blocks of one integer point set.
 
-    Each list must be all of one flag space M_c, each chain once
-    (ValueError otherwise).  Each distinct space is one block (offset,
-    chains) of consecutive points, its chains sorted by chain_key so that
-    point order is key order.  Returns (levels, images): levels[j] the
-    block of spaces[j] and images[gi] the permutation of all points by
-    generator gi, found through an action memo (``flags.memo_act``).
+    Each list must be all of one flag space M_c, each chain once, and every
+    space and generator over one field and ambient F_q^2n (ValueError
+    otherwise).  Each distinct list is one block (offset, chains) of
+    consecutive points, its chains sorted by chain_key so that point order
+    is key order.  Returns (levels, images): levels[j] the block of
+    spaces[j] and images[gi] the permutation of all points by generator gi.
+
+    A chain is the tuple of its spaces' projective-point keys in the kept
+    table of O_2n's generators and gens (``flags.group_table``), and a
+    generator moves it by lookups in that table: no space is acted on or
+    row-reduced.  An image that is no chain of its block raises
+    AssertionError.
     """
-    blocks, levels, memo, offset = {}, [], {}, 0
+    blocks, levels, offset = {}, [], 0
     for cs in spaces:
         chains = tuple(sorted(cs, key=chain_key))
         if chains not in blocks:
             blocks[chains] = (offset, chains)
             offset += len(chains)
         levels.append(blocks[chains])
-    images = [[] for _ in gens]
-    for offset, chains in blocks.values():
-        index = {ch: offset + i for i, ch in enumerate(chains)}
-        if not len(index) == len(chains) == _space_size(chains):
+    for chains in blocks:
+        if not len(set(chains)) == len(chains) == _space_size(chains):
             raise ValueError("census space is not a whole flag space of "
                              "distinct chains")
-        for g, img in zip(gens, images):
-            for ch in chains:
-                j = index.get(tuple(_flags.memo_act(memo, g, s) for s in ch))
+    if not gens:
+        return levels, []
+    subs = dict.fromkeys(s for chains in blocks for ch in chains for s in ch)
+    shapes = {(s.q, s.ambient, s.ambient) for s in subs}
+    shapes.update((g.q, g.nrows, g.ncols) for g in gens)
+    if len(shapes) != 1:
+        raise ValueError("field/ambient mismatch in action")
+    (q, ambient, _), = shapes
+    check_prime(q)
+    table, at = _flags.group_table(q, ambient, ambient // 2, gens)
+    subs = dict(zip(subs, map(table.key, subs)))
+    table.extend(max(map(max, subs.values())) + 1)
+    images = [[] for _ in gens]
+    for offset, chains in blocks.values():
+        keys = [tuple(map(subs.__getitem__, ch)) for ch in chains]
+        index = dict(zip(keys, range(offset, offset + len(keys))))
+        for gi, img in zip(at, images):
+            move = table.images[gi].__getitem__
+            for key in keys:
+                j = index.get(tuple([frozenset(map(move, k)) for k in key]))
                 if j is None:
                     raise AssertionError("census space not closed under the "
                                          "action")

@@ -17,12 +17,15 @@ walked on the sets of point numbers of its members (``key_orbit``, which
 and each member then costs one RREF.  The point table depends on the
 generator set alone, so it is built once per set and kept for the process
 (``point_table``, for the last POINT_TABLES sets): points met by earlier
-calls are moved again by no generator.  The subspace and flag orbits,
-which depend on the spaces asked for, are walked on every call.  The one
-budget of the package (FLAGTYPE_BUDGET, ``orbit_budget``, read once per
-public call) counts orbit members: here flags, and the spaces of each
-dimension on the way.  Every overrun raises ``Infeasible``, on which the
-CLI exits 3.
+calls are moved again by no generator.  ``group_table`` picks the set: the
+group's generators, then any others asked for, so the action of a subgroup
+(here, and on explicit chain lists in ``engine.index_spaces``) runs on the
+group's table.  ``act`` is the plain action, one RREF per space.  The
+subspace and flag orbits, which depend on the spaces asked for, are walked
+on every call.  The one budget of the package (FLAGTYPE_BUDGET,
+``orbit_budget``, read once per public call) counts orbit members: here
+flags, and the spaces of each dimension on the way.  Every overrun raises
+``Infeasible``, on which the CLI exits 3.
 """
 
 import os
@@ -133,25 +136,6 @@ def act(g, ft):
     return tuple(tuple(act_on_subspace(g, s) for s in ch) for ch in ft)
 
 
-def memo_act(memo, g, s):
-    """g·s through memo, equal to ``act_on_subspace(g, s)``.
-
-    memo maps (g, subspace) -> g·s and (g, vector tuple) -> g·v (a Subspace
-    never equals a tuple), so on a miss each row image costs at most one
-    ``mat_vec`` and only the RREF of the image rows is left to do.
-    """
-    t = memo.get((g, s))
-    if t is None:
-        rows = []
-        for r in s.rows:
-            w = memo.get((g, r))
-            if w is None:
-                w = memo[(g, r)] = mat_vec(g, r)
-            rows.append(w)
-        t = memo[(g, s)] = image_from_rows(g, s, rows)
-    return t
-
-
 def _projective_points(s):
     """The nonzero vectors of s with leading entry 1, over GF(q): for the
     RREF basis r_1..r_k, the combinations r_j + sum_(i>j) c_i r_i, by j and
@@ -200,23 +184,30 @@ class PointTable:
 
     def extend(self, top):
         """Find the images of the points numbered below top.  All images of
-        a point are found before any is stored, so an exception leaves every
+        a point are found before any is stored, so an exception (ValueError
+        for a singular generator, which sends a point to 0) leaves every
         images[gi] of one length, as a table kept by ``point_table`` must
         be."""
         q, invs = self.gens[0].q, self.invs
         for v in self.points[len(self.images[0]):top]:
             ps = []
             for w in self.known.get(v) or [mat_vec(g, v) for g in self.gens]:
-                c = invs[next(filter(None, w))]
+                try:
+                    c = invs[next(filter(None, w))]
+                except StopIteration:
+                    raise ValueError("singular generator %r sends %r to 0"
+                                     % (self.gens[len(ps)].rows, v)) from None
                 ps.append(self.number(
                     w if c == 1 else tuple([x * c % q for x in w])))
             for img, p in zip(self.images, ps):
                 img.append(p)
 
 
-# A pass of a perfbench workload cycles through at most four generator
-# sets (bruhat: the group generators of each of its four cells; census and
-# witness: three), so eight keep the tables of a whole pass.
+# A pass of a perfbench workload cycles through at most eight generator
+# sets (bruhat: for each of its four (n, q), O_2n's generators, which the
+# enumeration and the P and G censuses share through ``group_table``, and
+# those with w_2 for SO; census and witness: three), so eight keep the
+# tables of a whole pass.
 POINT_TABLES = 8
 
 
@@ -226,6 +217,20 @@ def point_table(gens):
     on it: kept for the last POINT_TABLES sets used (a ``Mat`` compares by
     q and rows)."""
     return PointTable(gens)
+
+
+def group_table(q, ambient, iso_n, gens):
+    """(table, at): the kept ``PointTable`` for gens acting on flags of
+    F_q^ambient, and at[i] the position of gens[i] among its generators.
+    These are O_2n's (iso_n = n) or GL_ambient's (iso_n None), then those
+    of gens outside them, so a subgroup of the group shares the group's
+    table, and a set with one generator more (SO: w_2) adds one table."""
+    number = {g: i for i, g in enumerate(
+        group_generators(q, iso_n) if iso_n is not None
+        else gl_generators(q, ambient))}
+    for g in gens:
+        number.setdefault(g, len(number))
+    return point_table(tuple(number)), [number[g] for g in gens]
 
 
 def key_orbit(key, table):
@@ -297,19 +302,14 @@ def flag_spaces(q, ambient, comps, iso_n=None, gens=()):
     It runs on the positions of the spaces in their orbits, whose tuple
     order is the rows order of the chains.  The orbits are walked on every
     call, over the ``PointTable`` kept for the generator set (the group's
-    generators, then those of gens outside it: ``point_table``), so the
+    generators, then those of gens outside it: ``group_table``), so the
     points met by earlier calls on the set are moved again by no generator.
     """
     check_prime(q)
     budget = orbit_budget()
     for comp in comps:
         comp.check(ambient if iso_n is None else iso_n)
-    number = {g: i for i, g in enumerate(
-        group_generators(q, iso_n) if iso_n is not None
-        else gl_generators(q, ambient))}
-    for g in gens:
-        number.setdefault(g, len(number))
-    table, levels, out = point_table(tuple(number)), {}, {}
+    (table, at), levels, out = group_table(q, ambient, iso_n, gens), {}, {}
     for d in sorted({d for comp in comps for d in comp.dims}):
         std = coordinate_subspace(q, ambient, range(1, d + 1))
         spaces, perms = subspace_orbit(std, table)
@@ -328,7 +328,7 @@ def flag_spaces(q, ambient, comps, iso_n=None, gens=()):
                 track.append(a)
             if len(order) > budget:
                 raise Infeasible.over_budget(len(order), budget)
-        srt, perms = _sort_orbit(len(order), [tracks[number[g]] for g in gens],
+        srt, perms = _sort_orbit(len(order), [tracks[i] for i in at],
                                  order.__getitem__)
         out[comp] = [tuple(map(getitem, spaces, order[a])) for a in srt], perms
     return out

@@ -445,7 +445,8 @@ def act_on_subspace(g, s):
 
 def image_from_rows(g, s, rows):
     """g·s from `rows`, the images g·r of the rows r of s in order, for a
-    caller that has them already (``flags.memo_act``)."""
+    caller that has them already (``flags.subspace_orbit``, from its point
+    table)."""
     if g.q != s.q or g.ncols != s.ambient:
         raise ValueError("field/ambient mismatch in action")
     return _span(s.q, s.ambient, rows)

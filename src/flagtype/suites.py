@@ -179,7 +179,8 @@ def suite_rv_generators():
 
 
 def suite_bruhat():
-    """Cell counts against exhaustive enumeration; w_d parity; cross-checks."""
+    """Cell counts and sizes against exhaustive enumeration; w_d parity;
+    cross-checks."""
     checks = []
     for n in (2, 3):
         for d in range(n + 1):
@@ -197,6 +198,16 @@ def suite_bruhat():
                            cp.orbit_count == n + 1,
                            "%d cells over %d spaces" % (cp.orbit_count,
                                                         len(maxiso))))
+            # cell d holds q^(d(d-1)/2) [n choose d]_q spaces
+            cells = sorted((bruhat_cell(rep[0][0], n), size)
+                           for rep, size in zip(cp.representatives,
+                                                cp.orbit_sizes))
+            sizes = [(d, q ** (d * (d - 1) // 2)
+                      * math.prod(q ** (n - i) - 1 for i in range(d))
+                      // math.prod(q ** (i + 1) - 1 for i in range(d)))
+                     for d in range(n + 1)]
+            checks.append(("P cell sizes n=%d q=%d" % (n, q), cells == sizes,
+                           "(d, size) %r, formula %r" % (cells, sizes)))
             checks.append(("SO orbits n=%d q=%d" % (n, q),
                            cs.orbit_count == 2, str(cs.orbit_count)))
             # the two SO-orbits are the cells of even and of odd d

@@ -15,6 +15,7 @@ from flagtype.geometry import (bar, form, perp, ell, unipotent_radical_basis,
                                w_element)
 from flagtype.invariants import ThetaInvariants, BInvariants
 from flagtype.engine import OrbitCensus, signature
+from flagtype.flags import act
 from flagtype.perm import orbits
 
 
@@ -62,6 +63,14 @@ def span_vectors(s):
     return {tuple(sum(c * r[i] for c, r in zip(coeffs, s.rows)) % q
                   for i in range(s.ambient))
             for coeffs in itertools.product(range(q), repeat=s.dim)}
+
+
+def gaussian(m, k, q):
+    """The Gaussian binomial [m choose k]_q: the k-spaces of F_q^m."""
+    out = 1
+    for i in range(k):
+        out = out * (q ** (m - i) - 1) // (q ** (i + 1) - 1)
+    return out
 
 
 def vectors_where(q, ambient, pred):
@@ -223,6 +232,15 @@ def b_invariants_by_meets(u_plus, u_minus, v, n):
                      b12, b13, zv.dim - meet(zv, w).dim, x.dim - x1.dim))
     return {"theta": t, "w0": w0, "wp": wp, "wm": wm, "x": x, "x0": x0,
             "x1": x1, "b": b}
+
+
+def act_positions(chains, gens):
+    """The action of gens on a list of distinct chains, the long way:
+    images[gi][j] is the position of g_gi·chains[j] (``flags.act``, each
+    space row-reduced by ``act_on_subspace``) in a dict of the chains, with
+    no point table.  An image outside the list raises KeyError."""
+    pos = {ch: j for j, ch in enumerate(chains)}
+    return [tuple(pos[act(g, (ch,))[0]] for ch in chains) for g in gens]
 
 
 def census_full_product(levels, images, n, q, descriptor=""):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +13,7 @@ from flagtype.geometry import (standard_isotropic, group_generators,
                                coordinate_subspace, w_element,
                                bar, classify_element, IN_O_MINUS_SO,
                                is_isotropic, small_generators,
-                               gl_generators)
+                               gl_generators, bruhat_cell, NOT_ORTHOGONAL)
 from flagtype import flags
 from flagtype.flags import (Composition, enumerate_chains, act, flag_spaces,
                             point_table)
@@ -27,9 +28,9 @@ from flagtype.canonical import enumerate_thetas, enumerate_valid_b
 from flagtype import engine, suites
 from flagtype.suites import CENSUS_PLAN
 
-from oracles import (census_full_product, orbit, path_element,
-                     rational_group_generators, signature_by_meets,
-                     transvection)
+from oracles import (act_positions, census_full_product, gaussian, orbit,
+                     path_element, rational_group_generators,
+                     signature_by_meets, transvection)
 
 
 def max_flags(q, n):
@@ -382,9 +383,9 @@ def test_point_memos_are_bounded():
 @pytest.mark.parametrize("fail", ["singular", "mat_vec"])
 def test_key_walk_exception_keeps_the_table_whole(monkeypatch, fail):
     """An exception while the table finds a point's images (here a
-    singular generator sending a point to 0, or a failing mat_vec) leaves
-    every images[gi] of one length, so a later walk over the kept table
-    raises again and stores nothing half done."""
+    singular generator sending a point to 0, which raises ValueError, or a
+    failing mat_vec) leaves every images[gi] of one length, so a later walk
+    over the kept table raises again and stores nothing half done."""
     q = 3
     singular = Mat(q, [[int(i == j < 3) for j in range(4)]
                        for i in range(4)])
@@ -403,9 +404,27 @@ def test_key_walk_exception_keeps_the_table_whole(monkeypatch, fail):
     _clear_point_memos()
     table = point_table(tuple(gens))
     plane = coordinate_subspace(q, 4, [3, 4])
+    error = ValueError if fail == "singular" else RuntimeError
     for _ in range(2):
-        with pytest.raises((StopIteration, RuntimeError)):
+        with pytest.raises(error, match="singular generator|mat_vec failed"):
             flags.key_orbit(table.key(plane), table)
+        assert len({len(img) for img in table.images}) == 1
+    _clear_point_memos()
+
+
+def test_census_direct_refuses_a_singular_generator():
+    """A singular generator raises ValueError naming it, from the kept table
+    of O_2n's generators and it, which stays whole for a later call."""
+    n, q = 2, 3
+    singular = Mat(q, [[int(i == j < 3) for j in range(4)]
+                       for i in range(4)])
+    tuples = [(ch,) for ch in enumerate_chains(q, n, Composition([1]))]
+    gens = group_generators(q, n) + [singular]
+    table, _ = flags.group_table(q, 2 * n, n, gens)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="singular generator %s"
+                           % re.escape(repr(singular.rows))):
+            census_direct(tuples, gens, n, q)
         assert len({len(img) for img in table.images}) == 1
     _clear_point_memos()
 
@@ -538,8 +557,9 @@ def test_census_determinism():
                                   group_generators])
 def test_census_space_matches_census_product(kind):
     """census_space, on the permutations of the enumeration, against
-    census_product on the enumerated lists (the memo_act path), for every
-    CENSUS_PLAN shape at q=3."""
+    census_product on the enumerated lists (``index_spaces``), for every
+    CENSUS_PLAN shape at q=3.  Both move points through one kept table;
+    ``act_positions`` checks the action of index_spaces without one."""
     q = 3
     for n, comps, _ in CENSUS_PLAN:
         cs = [Composition(c) for c in comps]
@@ -548,6 +568,96 @@ def test_census_space_matches_census_product(kind):
         want = census_product([enumerate_chains(q, n, c) for c in cs], gens,
                               n, q)
         assert got.to_json(n) == want.to_json(n)
+
+
+@pytest.mark.parametrize("n,q", [(2, 3), (2, 5), (3, 3)])
+@pytest.mark.parametrize("kind", [parabolic_generators, so_generators,
+                                  group_generators, small_generators])
+def test_index_spaces_matches_act_positions(kind, n, q):
+    """index_spaces moves chains by point keys in a kept table; its
+    permutations equal the positions of ``flags.act``'s images in a dict of
+    the chains (``act_positions``, no point table), on M_(1), M_(n), M_(1,1)
+    and a two-block list, its lists given unsorted."""
+    gens = kind(q, n)
+    spaces = {c: enumerate_chains(q, n, Composition(c))[::-1]
+              for c in [(1,), (n,), (1, 1)]}
+    for comps in [(1,)], [(n,)], [(1, 1)], [(n,), (1,), (n,)]:
+        levels, images = index_spaces([spaces[c] for c in comps], gens)
+        blocks = list(dict.fromkeys(levels))
+        assert levels[0] == levels[-1] and len(blocks) == len(set(comps))
+        assert [o for o, _ in blocks] == list(
+            itertools.accumulate([len(b) for _, b in blocks[:-1]], initial=0))
+        assert all(list(b) == sorted(b, key=engine.chain_key)
+                   for _, b in blocks)
+        chains = [ch for _, block in blocks for ch in block]
+        assert images == act_positions(chains, gens)
+
+
+@pytest.mark.parametrize("comp", [(1,), (2,)])
+def test_index_spaces_refuses_a_generator_outside_o2n(comp):
+    """A GL generator outside O_2n moves an isotropic flag off the list:
+    AssertionError, as census_space raises on the same generators."""
+    n, q = 2, 3
+    gl = [g for g in gl_generators(q, 2 * n)
+          if classify_element(g, n) == NOT_ORTHOGONAL][0]
+    gens = group_generators(q, n) + [gl]
+    chains = enumerate_chains(q, n, Composition(comp))
+    for call in (lambda: index_spaces([chains], gens),
+                 lambda: census_direct([(ch,) for ch in chains], gens, n, q),
+                 lambda: census_space(n, q, [Composition(comp)], gens)):
+        with pytest.raises(AssertionError, match="not closed under the "
+                                                 "action"):
+            call()
+
+
+def test_census_checks_field_and_ambient():
+    """census_direct and census_product on q=3 chains in F^4 refuse
+    generators over GF(5) or of size 6 with ValueError, before any point
+    table is made or used."""
+    n, q = 2, 3
+    spaces = [enumerate_chains(q, n, Composition([1]))]
+    tuples = [(ch,) for ch in spaces[0]]
+    _clear_point_memos()
+    for bad in identity(5, 4), identity(3, 6):
+        for gens in [bad], group_generators(q, n) + [bad]:
+            with pytest.raises(ValueError, match="field/ambient mismatch "
+                                                 "in action"):
+                census_direct(tuples, gens, n, q)
+            with pytest.raises(ValueError, match="field/ambient mismatch "
+                                                 "in action"):
+                census_product(spaces, gens, n, q)
+    info = point_table.cache_info()
+    assert info.hits == info.misses == 0
+
+
+@pytest.mark.parametrize("n,q", [(2, 3), (3, 3)])
+def test_census_direct_shares_the_group_table(n, q):
+    """After M_(n) is enumerated, census_direct under P and then G finds
+    the enumeration's point table (O_2n's generators hold P's), and SO
+    adds one table, O_2n's generators and w_2."""
+    _clear_point_memos()
+    tuples = max_flags(q, n)
+    misses = point_table.cache_info().misses
+    for kind, added in ((parabolic_generators, 0), (group_generators, 0),
+                        (so_generators, 1), (so_generators, 0)):
+        census_direct(tuples, kind(q, n), n, q)
+        misses += added
+        assert point_table.cache_info().misses == misses, kind
+    _clear_point_memos()
+
+
+@pytest.mark.parametrize("n,q", [(2, 3), (2, 5), (2, 7), (3, 3), (3, 5)])
+def test_p_cells_have_the_closed_form_sizes(n, q):
+    """Cell d of M_(n) under P, d = ``bruhat_cell``, has
+    q^(d(d-1)/2) [n choose d]_q spaces, by census_direct (index_spaces)
+    and by census_space alike."""
+    gens = parabolic_generators(q, n)
+    want = [(d, q ** (d * (d - 1) // 2) * gaussian(n, d, q))
+            for d in range(n + 1)]
+    for cen in (census_direct(max_flags(q, n), gens, n, q),
+                census_space(n, q, [Composition([n])], gens)):
+        assert sorted((bruhat_cell(rep[0][0], n), size) for rep, size
+                      in zip(cen.representatives, cen.orbit_sizes)) == want
 
 
 def test_census_descriptors_name_the_compositions():

@@ -1,6 +1,5 @@
 import functools
 import importlib.util
-import itertools
 import os
 import random
 
@@ -8,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from flagtype.linalg import (Mat, identity, inverse, det, canonicalize,
-                             act_on_subspace, mat_mul, mat_vec, _rref_rows)
+                             act_on_subspace, mat_mul, _rref_rows)
 from flagtype.geometry import (standard_isotropic, coordinate_subspace,
                                group_generators, gl_generators,
                                so_generators, parabolic_generators,
@@ -16,11 +15,10 @@ from flagtype.geometry import (standard_isotropic, coordinate_subspace,
                                w_element, bruhat_cell)
 from flagtype.flags import (Composition, validate, validate_tuple, act,
                             enumerate_chains,
-                            Infeasible, tuple_to_json, flag_count, memo_act,
+                            Infeasible, tuple_to_json, flag_count,
                             subspace_orbit, PointTable, flag_spaces)
-from flagtype.engine import action_points
 
-from oracles import isotropic_subspaces
+from oracles import gaussian, isotropic_subspaces
 
 
 def test_composition_validation():
@@ -76,13 +74,6 @@ def test_enumeration_counts_against_oracle():
     assert len(enumerate_chains(3, 3, Composition([3]))) == 80
 
 
-def _gaussian(m, k, q):
-    out = 1
-    for i in range(k):
-        out = out * (q ** (m - i) - 1) // (q ** (i + 1) - 1)
-    return out
-
-
 def _isotropic_count(q, n, k):
     """Isotropic k-spaces of the split form on F_q^{2n}."""
     out = 1
@@ -97,7 +88,7 @@ def _flag_count(m, dims, q):
     """Flags of subspaces of dims d1 < ... < dk inside F_q^m."""
     out = 1
     for lo, hi in zip((0,) + dims, dims):
-        out *= _gaussian(m - lo, hi - lo, q)
+        out *= gaussian(m - lo, hi - lo, q)
     return out
 
 
@@ -223,60 +214,6 @@ def test_act_is_an_action(seed, q, n, orthogonal):
     x = tuple(tuple(space() for _ in range(rng.randrange(1, 3)))
               for _ in range(rng.randrange(1, 4)))
     assert act(g, act(h, x)) == act(mat_mul(g, h), x)
-
-
-@functools.lru_cache(maxsize=None)
-def _seeded_memo(q, n):
-    """A row memo for O_2n's generators holding the image of every vector
-    of the first block of action_points."""
-    gens = group_generators(q, n)
-    vectors, _, _ = action_points(gens, [])
-    return {(g, v): mat_vec(g, v) for g in gens for v in vectors}
-
-
-@settings(max_examples=80, deadline=None)
-@given(st.integers(0, 10 ** 6), st.sampled_from([3, 5]), st.sampled_from([2, 3]),
-       st.integers(0, 6), st.booleans())
-def test_memo_act_matches_act_on_subspace(seed, q, n, dim, isotropic):
-    rng = random.Random(seed)
-    dim = min(dim, 2 * n)
-    isotropic = isotropic and dim <= n
-    s = _random_space(q, n, dim, isotropic, rng)
-    gens = group_generators(q, n)
-    mats = gens + [random_group_element(q, n, rng),
-                   _random_invertible(q, 2 * n, rng)]
-    # a fresh memo; a second call is a hit and returns the same image
-    fresh = {}
-    for g in mats:
-        assert memo_act(fresh, g, s) == act_on_subspace(g, s)
-        assert memo_act(fresh, g, s) == act_on_subspace(g, s)
-    # a memo already filled with the images of spaces sharing s's rows
-    filled = {}
-    for k in range(dim + 1):
-        for rows in itertools.combinations(s.rows, k):
-            sub = canonicalize(q, 2 * n, rows)
-            other = _random_space(q, n, rng.randrange(2 * n + 1), False, rng)
-            for g in mats:
-                memo_act(filled, g, sub)
-                memo_act(filled, g, other)
-    assert all((g, r) in filled for g in mats for r in s.rows)
-    for g in mats:
-        assert memo_act(filled, g, s) == act_on_subspace(g, s)
-    # a memo seeded with the first block of action_points: for an isotropic
-    # s every row image under O_2n's generators is already there
-    seeded = dict(_seeded_memo(q, n))
-    if isotropic:
-        assert all((g, r) in seeded for g in gens for r in s.rows)
-    for g in mats:
-        assert memo_act(seeded, g, s) == act_on_subspace(g, s)
-
-
-def test_memo_act_checks_field_and_ambient():
-    s = coordinate_subspace(3, 4, [1])
-    with pytest.raises(ValueError):
-        memo_act({}, identity(5, 4), s)
-    with pytest.raises(ValueError):
-        memo_act({}, identity(3, 6), s)
 
 
 @functools.lru_cache(maxsize=None)
