@@ -13,23 +13,21 @@ grows with the basic orbits, not with their product by the number of
 points.
 
 Censuses run on whole flag spaces M_c as blocks of points, with the
-generator permutations that the enumeration found (``census_space``, from
-``flags.flag_spaces``); explicit chain lists, each all of one M_c, are
-indexed by the projective-point keys of their spaces in the kept point
-table of O_2n's generators and the given ones (``index_spaces``, through
-``flags.group_table``), and a generator moves a chain by table lookups,
-with no space row-reduced.  One recursion
-(``_census``) serves every census.  Each depth takes the orbits of the
-current group on its block and, for each orbit's representative, the
-stabilizer from a Schreier-Sims chain based at it, run on the blocks still
-to search; then it goes one depth deeper or hands the blocks left to a code
-tail.  There a tuple of them is the mixed-radix integer of their positions,
-in tuple_key order; each generator is a permutation of those codes built
-from one weight list per block, and only the smallest code of each orbit of
-codes is decoded.  A small product is coded from depth 1 on, a larger one
-searched down to its last depth.  As every block is whole, the chains
-telescope their orders down every depth from a bound on the top one: no
-group order is assumed.
+generator permutations that the enumeration found (``flags.flag_spaces``).
+Explicit chain lists (``census_product``, ``census_direct``) are checked
+against that enumeration, each list all of one M_c and each chain once, and
+the census then runs on the enumeration's blocks, as ``census_space`` does.
+One recursion (``_census``) serves every census.  Each depth takes the
+orbits of the current group on its block and, for each orbit's
+representative, the stabilizer from a Schreier-Sims chain based at it, run
+on the blocks still to search; then it goes one depth deeper or hands the
+blocks left to a code tail.  There a tuple of them is the mixed-radix
+integer of their positions, in tuple_key order; each generator is a
+permutation of those codes built from one weight list per block, and only
+the smallest code of each orbit of codes is decoded.  A small product is
+coded from depth 1 on, a larger one searched down to its last depth.  As
+every block is whole, the chains telescope their orders down every depth
+from a bound on the top one: no group order is assumed.
 
 Same-orbit decisions and stabilizer orbits index vectors and subspaces
 (``action_points``): the vectors make the action faithful, so the chain's
@@ -399,7 +397,8 @@ def _vector_block(gens, known, budget):
     """The first block of ``action_points``: (vectors, images), images[gi]
     the positions of g_gi·vectors as a tuple.  known gets the images of
     each projective point moved, for the ``flags.PointTable`` of gens.
-    Raises Infeasible once the block passes the budget."""
+    Raises Infeasible once the block passes the budget, and ValueError for
+    a singular generator that sends a vector to 0."""
     m, q = gens[0].nrows, gens[0].q
     invs = inverse_table(q)
     vectors = [tuple(int(i == j) for j in range(m)) for i in range(m)]
@@ -410,7 +409,12 @@ def _vector_block(gens, known, budget):
         unit = v if lead == 1 else tuple([invs[lead] * x % q for x in v])
         ws = known.get(unit)
         if ws is None:
-            ws = known[unit] = [mat_vec(g, unit) for g in gens]
+            ws = [mat_vec(g, unit) for g in gens]
+            for g, w in zip(gens, ws):
+                if not any(w):
+                    raise ValueError("singular generator %r sends %r to 0"
+                                     % (g.rows, unit))
+            known[unit] = ws
         for img, w in zip(images, ws):
             if lead != 1:
                 w = tuple([lead * x % q for x in w])
@@ -568,66 +572,11 @@ class OrbitCensus:
         }
 
 
-def index_spaces(spaces, gens):
-    """Index explicit chain lists as the blocks of one integer point set.
-
-    Each list must be all of one flag space M_c, each chain once, and every
-    space and generator over one field and ambient F_q^2n (ValueError
-    otherwise).  Each distinct list is one block (offset, chains) of
-    consecutive points, its chains sorted by chain_key so that point order
-    is key order.  Returns (levels, images): levels[j] the block of
-    spaces[j] and images[gi] the permutation of all points by generator gi.
-
-    A chain is the tuple of its spaces' projective-point keys in the kept
-    table of O_2n's generators and gens (``flags.group_table``), and a
-    generator moves it by lookups in that table: no space is acted on or
-    row-reduced.  An image that is no chain of its block raises
-    AssertionError.
-    """
-    blocks, levels, offset = {}, [], 0
-    for cs in spaces:
-        chains = tuple(sorted(cs, key=chain_key))
-        if chains not in blocks:
-            blocks[chains] = (offset, chains)
-            offset += len(chains)
-        levels.append(blocks[chains])
-    for chains in blocks:
-        if not len(set(chains)) == len(chains) == _space_size(chains):
-            raise ValueError("census space is not a whole flag space of "
-                             "distinct chains")
-    if not gens:
-        return levels, []
-    subs = dict.fromkeys(s for chains in blocks for ch in chains for s in ch)
-    shapes = {(s.q, s.ambient, s.ambient) for s in subs}
-    shapes.update((g.q, g.nrows, g.ncols) for g in gens)
-    if len(shapes) != 1:
-        raise ValueError("field/ambient mismatch in action")
-    (q, ambient, _), = shapes
-    check_prime(q)
-    table, at = _flags.group_table(q, ambient, ambient // 2, gens)
-    subs = dict(zip(subs, map(table.key, subs)))
-    table.extend(max(map(max, subs.values())) + 1)
-    images = [[] for _ in gens]
-    for offset, chains in blocks.values():
-        keys = [tuple(map(subs.__getitem__, ch)) for ch in chains]
-        index = dict(zip(keys, range(offset, offset + len(keys))))
-        for gi, img in zip(at, images):
-            move = table.images[gi].__getitem__
-            for key in keys:
-                j = index.get(tuple([frozenset(map(move, k)) for k in key]))
-                if j is None:
-                    raise AssertionError("census space not closed under the "
-                                         "action")
-                img.append(j)
-    return levels, [tuple(img) for img in images]
-
-
 def census_direct(tuples, gens, n, q):
-    """Orbit census of an explicit FlagTuple list under the generators.
-
-    The list must be the full product of whole flag spaces, each tuple
-    once (ValueError otherwise); the census is that of the product,
-    whatever the order of the list.
+    """Orbit census of an explicit FlagTuple list under the generators:
+    ``census_product`` on its columns.  The list must be the full product
+    of whole flag spaces, each tuple once (ValueError otherwise); the
+    census is that of the product, whatever the order of the list.
     """
     columns = [set(c) for c in zip(*tuples, strict=True)]
     if not len(tuples) == len(set(tuples)) == prod(map(len, columns)):
@@ -637,24 +586,32 @@ def census_direct(tuples, gens, n, q):
 
 
 def census_product(component_spaces, gens, n, q):
-    """Census of a product of whole flag spaces, as chain lists, under
-    <gens>: ``_census`` on the blocks that ``index_spaces`` makes."""
-    return _census(*index_spaces(component_spaces, gens), gens, n, q)
+    """Census of a product of whole flag spaces, given as chain lists, under
+    <gens>: ``census_space`` of their compositions.  Every space and
+    generator must be over F_q^2n (ValueError before any point table is
+    made or used), and each list must equal, as a set and in length, the
+    M_c that ``flags.flag_spaces`` enumerates (ValueError otherwise), so a
+    list's order does not matter."""
+    shapes = {(q, 2 * n, 2 * n)}
+    shapes.update((s.q, s.ambient, s.ambient)
+                  for cs in component_spaces for ch in cs for s in ch)
+    shapes.update((g.q, g.nrows, g.ncols) for g in gens)
+    if len(shapes) != 1:
+        raise ValueError("field/ambient mismatch in action")
+    comps = [_flags.Composition(_parts(cs)) for cs in component_spaces]
+    levels, images = _flag_blocks(n, q, comps, gens)
+    for (_, chains), cs in zip(levels, component_spaces):
+        if len(cs) != len(chains) or set(cs) != set(chains):
+            raise ValueError("census space is not a whole flag space of "
+                             "distinct chains")
+    return _census(levels, images, gens, n, q)
 
 
 def _parts(chains):
-    """The parts of the composition of a nonempty chain list's flags."""
-    dims = [0] + [s.dim for s in chains[0]]
+    """The parts of the composition of the flags of a chain list (any
+    iterable); none for an empty list, which ``Composition`` refuses."""
+    dims = [0] + [s.dim for s in next(iter(chains), ())]
     return tuple(b - a for a, b in zip(dims, dims[1:]))
-
-
-def _space_size(chains):
-    """|M_c|, c the composition of the first chain (ValueError if there is
-    none or c exceeds n), n and q those of its spaces."""
-    comp = _flags.Composition(_parts(chains) if chains else ())
-    n = chains[0][-1].ambient // 2
-    comp.check(n)
-    return _flags.flag_count(chains[0][-1].q, n, comp)
 
 
 def _census(levels, images, gens, n, q):
@@ -781,8 +738,16 @@ def _census(levels, images, gens, n, q):
 
 def census_space(n, q, comps, gens):
     """Census of M_{c1} x ... x M_{ck} over GF(q) under <gens>, on the
-    permutations that ``flags.flag_spaces`` finds while enumerating; a space
-    larger than ``flags.flag_count`` means a generator outside O_2n."""
+    permutations that ``flags.flag_spaces`` finds while enumerating."""
+    return _census(*_flag_blocks(n, q, comps, gens), gens, n, q)
+
+
+def _flag_blocks(n, q, comps, gens):
+    """(levels, images) from ``flags.flag_spaces``: levels[j] the block
+    (offset, chains) of M_(comps[j]), one block of consecutive points per
+    distinct c, and images[gi] the permutation of all points by gens[gi].
+    A space larger than ``flags.flag_count`` means a generator outside O_2n
+    (AssertionError)."""
     blocks, images, offset = {}, [[] for _ in gens], 0
     for c, (chains, perms) in _flags.flag_spaces(q, 2 * n, comps, n,
                                                  gens).items():
@@ -792,5 +757,4 @@ def census_space(n, q, comps, gens):
         for img, p in zip(images, perms):
             img.extend([offset + x for x in p] if offset else p)
         offset += len(chains)
-    return _census([blocks[c] for c in comps], [tuple(i) for i in images],
-                   gens, n, q)
+    return [blocks[c] for c in comps], [tuple(i) for i in images]

@@ -19,12 +19,13 @@ generator set alone, so it is built once per set and kept for the process
 (``point_table``, for the last POINT_TABLES sets): points met by earlier
 calls are moved again by no generator.  ``group_table`` picks the set: the
 group's generators, then any others asked for, so the action of a subgroup
-(here, and on explicit chain lists in ``engine.index_spaces``) runs on the
-group's table.  ``act`` is the plain action, one RREF per space.  The
-subspace and flag orbits, which depend on the spaces asked for, are walked
-on every call.  The one budget of the package (FLAGTYPE_BUDGET,
-``orbit_budget``, read once per public call) counts orbit members: here
-flags, and the spaces of each dimension on the way.  Every overrun raises
+runs on the group's table, and every census, of an explicit chain list too
+(``engine.census_product``), runs on these permutations.  ``act`` is the
+plain action, one RREF per space.  The subspace and flag orbits, which
+depend on the spaces asked for, are walked on every call.  The one budget
+of the package (FLAGTYPE_BUDGET, ``orbit_budget``, read once per public
+call) counts orbit members: here flags, and the spaces of each dimension
+on the way.  Every overrun raises
 ``Infeasible``, on which the CLI exits 3.
 """
 

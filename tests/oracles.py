@@ -243,6 +243,27 @@ def act_positions(chains, gens):
     return [tuple(pos[act(g, (ch,))[0]] for ch in chains) for g in gens]
 
 
+def act_blocks(spaces, gens):
+    """The blocks of a census of explicit chain lists, the long way:
+    (levels, images), each distinct list one block (offset, chains) of
+    consecutive points, its chains sorted by rows, levels[j] the block of
+    spaces[j], and images[gi] the permutation of all points by generator gi
+    from ``act_positions``, with no point table."""
+    blocks, levels, offset = {}, [], 0
+    for cs in spaces:
+        chains = tuple(sorted(cs, key=lambda ch: [s.rows for s in ch]))
+        if chains not in blocks:
+            blocks[chains] = (offset, chains)
+            offset += len(chains)
+        levels.append(blocks[chains])
+    images = [() for _ in gens]
+    for offset, chains in blocks.values():
+        moved = act_positions(chains, gens)
+        images = [img + tuple(offset + j for j in mv)
+                  for img, mv in zip(images, moved)]
+    return levels, images
+
+
 def census_full_product(levels, images, n, q, descriptor=""):
     """The engine's census without any stabilizer: one BFS over the codes
     of the whole product.

@@ -21,14 +21,14 @@ from flagtype.engine import (same_orbit, census_direct, census_space,
                              census_product, signature, close_group,
                              schreier_descend, StabLevel, Infeasible,
                              tuple_key, SAME, DIFFERENT, order_bound,
-                             action_points, index_spaces, stabilizer_orbits)
+                             action_points, stabilizer_orbits)
 from flagtype.invariants import b_invariants
 from flagtype.witnesses import FAMILIES, build, family_classes
 from flagtype.canonical import enumerate_thetas, enumerate_valid_b
 from flagtype import engine, suites
 from flagtype.suites import CENSUS_PLAN
 
-from oracles import (act_positions, census_full_product, gaussian, orbit,
+from oracles import (act_blocks, census_full_product, gaussian, orbit,
                      path_element, rational_group_generators,
                      signature_by_meets, transvection)
 
@@ -429,6 +429,29 @@ def test_census_direct_refuses_a_singular_generator():
     _clear_point_memos()
 
 
+def test_vector_block_refuses_a_singular_generator():
+    """diag(1, 1, 1, 0) sends e_4 to 0: ValueError naming it from
+    action_points, same_orbit and stabilizer_orbits, on every call, as a
+    failed vector block is not kept."""
+    n, q = 2, 3
+    singular = Mat(q, [[int(i == j < 3) for j in range(4)]
+                       for i in range(4)])
+    gens = [identity(q, 4), singular]
+    lines = [coordinate_subspace(q, 4, [i]) for i in (1, 2)]
+    message = "singular generator %s sends %s to 0" % (
+        re.escape(repr(singular.rows)), re.escape(repr((0, 0, 0, 1))))
+    _clear_point_memos()
+    for call in (lambda: action_points(gens, lines[:1]),
+                 lambda: same_orbit(((lines[0],),), ((lines[1],),), gens,
+                                    n, q),
+                 lambda: stabilizer_orbits(gens, n, lines[:1], lines)):
+        for _ in range(2):
+            with pytest.raises(ValueError, match=message):
+                call()
+    assert engine._kept_vector_block.cache_info().currsize == 0
+    _clear_point_memos()
+
+
 def test_census_matches_per_orbit_bfs():
     n, q = 2, 3
     tuples = max_flags(q, n)
@@ -556,58 +579,52 @@ def test_census_determinism():
 @pytest.mark.parametrize("kind", [parabolic_generators, so_generators,
                                   group_generators])
 def test_census_space_matches_census_product(kind):
-    """census_space, on the permutations of the enumeration, against
-    census_product on the enumerated lists (``index_spaces``), for every
-    CENSUS_PLAN shape at q=3.  Both move points through one kept table;
-    ``act_positions`` checks the action of index_spaces without one."""
+    """census_space against census_product on the enumerated lists, each
+    reversed, for every CENSUS_PLAN shape at q=3: a list's order does not
+    change the census."""
     q = 3
     for n, comps, _ in CENSUS_PLAN:
         cs = [Composition(c) for c in comps]
         gens = kind(q, n)
         got = census_space(n, q, cs, gens)
-        want = census_product([enumerate_chains(q, n, c) for c in cs], gens,
-                              n, q)
+        want = census_product([enumerate_chains(q, n, c)[::-1] for c in cs],
+                              gens, n, q)
         assert got.to_json(n) == want.to_json(n)
 
 
-@pytest.mark.parametrize("n,q", [(2, 3), (2, 5), (3, 3)])
-@pytest.mark.parametrize("kind", [parabolic_generators, so_generators,
-                                  group_generators, small_generators])
-def test_index_spaces_matches_act_positions(kind, n, q):
-    """index_spaces moves chains by point keys in a kept table; its
-    permutations equal the positions of ``flags.act``'s images in a dict of
-    the chains (``act_positions``, no point table), on M_(1), M_(n), M_(1,1)
-    and a two-block list, its lists given unsorted."""
-    gens = kind(q, n)
-    spaces = {c: enumerate_chains(q, n, Composition(c))[::-1]
-              for c in [(1,), (n,), (1, 1)]}
-    for comps in [(1,)], [(n,)], [(1, 1)], [(n,), (1,), (n,)]:
-        levels, images = index_spaces([spaces[c] for c in comps], gens)
-        blocks = list(dict.fromkeys(levels))
-        assert levels[0] == levels[-1] and len(blocks) == len(set(comps))
-        assert [o for o, _ in blocks] == list(
-            itertools.accumulate([len(b) for _, b in blocks[:-1]], initial=0))
-        assert all(list(b) == sorted(b, key=engine.chain_key)
-                   for _, b in blocks)
-        chains = [ch for _, block in blocks for ch in block]
-        assert images == act_positions(chains, gens)
-
-
 @pytest.mark.parametrize("comp", [(1,), (2,)])
-def test_index_spaces_refuses_a_generator_outside_o2n(comp):
-    """A GL generator outside O_2n moves an isotropic flag off the list:
-    AssertionError, as census_space raises on the same generators."""
+def test_census_refuses_a_generator_outside_o2n(comp):
+    """A GL generator outside O_2n moves an isotropic flag off M_c, so the
+    enumeration outgrows flag_count: AssertionError from census_space, and
+    from census_direct and census_product on the whole list."""
     n, q = 2, 3
     gl = [g for g in gl_generators(q, 2 * n)
           if classify_element(g, n) == NOT_ORTHOGONAL][0]
     gens = group_generators(q, n) + [gl]
     chains = enumerate_chains(q, n, Composition(comp))
-    for call in (lambda: index_spaces([chains], gens),
+    for call in (lambda: census_product([chains], gens, n, q),
                  lambda: census_direct([(ch,) for ch in chains], gens, n, q),
                  lambda: census_space(n, q, [Composition(comp)], gens)):
         with pytest.raises(AssertionError, match="not closed under the "
                                                  "action"):
             call()
+
+
+def test_census_refuses_a_foreign_chain():
+    """A list of |M_(1)| chains with one isotropic line swapped for the
+    non-isotropic <e_1 + e_4> is no flag space: ValueError from
+    census_product and census_direct, under O_2n's generators and under
+    none (which would census the list as it is)."""
+    n, q = 2, 3
+    lines = enumerate_chains(q, n, Composition([1]))
+    foreign = (canonicalize(q, 2 * n, [[1, 0, 0, 1]]),)
+    assert not is_isotropic(foreign[0], n)
+    chains = lines[:-1] + [foreign]
+    for gens in group_generators(q, n), []:
+        with pytest.raises(ValueError, match="not a whole flag space"):
+            census_product([chains], gens, n, q)
+        with pytest.raises(ValueError, match="not a whole flag space"):
+            census_direct([(ch,) for ch in chains], gens, n, q)
 
 
 def test_census_checks_field_and_ambient():
@@ -649,8 +666,8 @@ def test_census_direct_shares_the_group_table(n, q):
 @pytest.mark.parametrize("n,q", [(2, 3), (2, 5), (2, 7), (3, 3), (3, 5)])
 def test_p_cells_have_the_closed_form_sizes(n, q):
     """Cell d of M_(n) under P, d = ``bruhat_cell``, has
-    q^(d(d-1)/2) [n choose d]_q spaces, by census_direct (index_spaces)
-    and by census_space alike."""
+    q^(d(d-1)/2) [n choose d]_q spaces, by census_direct and by
+    census_space alike."""
     gens = parabolic_generators(q, n)
     want = [(d, q ** (d * (d - 1) // 2) * gaussian(n, d, q))
             for d in range(n + 1)]
@@ -699,7 +716,7 @@ def test_code_census_on_the_first_stabilizer_matches_full_product(kind, q):
         cs = [Composition(c) for c in comps]
         spaces = [enumerate_chains(q, n, c) for c in cs]
         got = census_space(n, q, cs, gens)
-        want = census_full_product(*index_spaces(spaces, gens), n, q,
+        want = census_full_product(*act_blocks(spaces, gens), n, q,
                                    got.descriptor)
         assert got.to_json(n) == want.to_json(n)
         assert census_product(spaces, gens, n, q).to_json(n) == \

@@ -12,7 +12,7 @@ from flagtype.geometry import (standard_isotropic, coordinate_subspace,
                                group_generators, gl_generators,
                                so_generators, parabolic_generators,
                                random_group_element, random_isotropic,
-                               w_element, bruhat_cell)
+                               w_element, bruhat_cell, small_generators)
 from flagtype.flags import (Composition, validate, validate_tuple, act,
                             enumerate_chains,
                             Infeasible, tuple_to_json, flag_count,
@@ -270,7 +270,7 @@ def test_subspace_orbit_matches_plain_bfs(case, seed):
 
 
 @pytest.mark.parametrize("kind", [group_generators, so_generators,
-                                  parabolic_generators])
+                                  parabolic_generators, small_generators])
 @pytest.mark.parametrize("n,q", [(2, 3), (2, 5), (3, 3), (3, 5)])
 def test_flag_spaces_permutations(kind, n, q):
     """Each permutation that flag_spaces returns maps flag i to the position

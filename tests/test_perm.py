@@ -6,13 +6,13 @@ import random
 import pytest
 from sympy.combinatorics import Permutation, PermutationGroup
 
-from flagtype.engine import action_points, index_spaces, order_bound
+from flagtype.engine import action_points, order_bound
 from flagtype.geometry import (coordinate_subspace, group_generators,
                                group_order, parabolic_generators,
                                so_generators)
 from flagtype.perm import StabChain, inv, mul, orbits
 
-from oracles import orbit
+from oracles import act_blocks, orbit
 
 
 def sympy_group(images):
@@ -188,7 +188,7 @@ def test_chain_order_matches_sympy(n, q):
         members, _ = orbit(start, gens, q)
         chains = [m[0] for m in members]
         for name, kind in GROUPS.items():
-            _, images = index_spaces([chains], kind(q, n))
+            _, images = act_blocks([chains], kind(q, n))
             order = StabChain(images, len(chains)).order()
             assert order == sympy_group(images).order(), (name, d)
             if name == "G" and d == 1:
