@@ -16,6 +16,7 @@ group and to stabilize what it must stabilize.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 import itertools
 from math import isqrt
 
@@ -134,12 +135,11 @@ class IndexLayout:
             raise AssertionError("tilde index sets do not partition 1..2n")
 
     def representative(self, q):
-        """V(b) over GF(q) (q=0: Q), through the memo of ``representative``:
-        a miss builds it from this layout and checks it."""
-        key = (self.n, self.b, q)
-        v = _REPRESENTATIVES.get(key)
-        if v is not None:
-            return v
+        """V(b) over GF(q) (q=0: Q), through the memo of ``representative``."""
+        return representative(self.b, self.n, q)
+
+    def _build_representative(self, q):
+        """V(b) over GF(q) from this layout, checked maximally isotropic."""
         n, rows = self.n, []
 
         def add(*terms):
@@ -170,9 +170,6 @@ class IndexLayout:
         v = canonicalize(q, 2 * n, rows)
         if v.dim != n or not is_isotropic(v, n):
             raise AssertionError("representative is not maximally isotropic")
-        if len(_REPRESENTATIVES) >= REPRESENTATIVE_CACHE:
-            del _REPRESENTATIVES[next(iter(_REPRESENTATIVES))]
-        _REPRESENTATIVES[key] = v
         return v
 
     def tilde(self, j):
@@ -200,23 +197,13 @@ def standard_pair(t, q):
             coordinate_subspace(q, 2 * t.n, pos["minus"]))
 
 
-# V(b) by (n, b, q), the oldest entry dropped first past the bound: every
-# V(b) built, by a layout or by ``representative``, goes through this one
-# memo, and only a checked V(b) enters it
-REPRESENTATIVE_CACHE = 256
-_REPRESENTATIVES = {}
-
-
+@lru_cache(maxsize=256)
 def representative(b, n, q):
-    """The maximally isotropic V(b_1..b_15) of the standard pair's ambient.
-    A memo hit builds no layout; a miss builds one, with all its checks."""
-    if not isinstance(b, BInvariants):
-        b = BInvariants(b)
-    v = _REPRESENTATIVES.get((n, b, q))
-    return v if v is not None else IndexLayout(n, b).representative(q)
-
-
-representative.cache_clear = _REPRESENTATIVES.clear
+    """The maximally isotropic V(b_1..b_15) of the standard pair's ambient,
+    kept for the last 256 (b, n, q) used: every V(b), of a layout's too,
+    comes through this memo, and a miss builds a layout, with all its
+    checks, so only a checked V(b) is kept."""
+    return IndexLayout(n, b)._build_representative(q)
 
 
 def enumerate_valid_b(t):

@@ -2,8 +2,9 @@
 with connecting elements, and orbit censuses.
 
 Everything here is exact; large jobs either finish or raise Infeasible
-(``flags.Infeasible``, re-exported here), whose budget each public call
-reads once from ``flags.orbit_budget``.
+(``flags.Infeasible``, re-exported here) past the budget, which each walk
+reads from ``flags.orbit_budget`` at its start (here ``action_points`` and
+``_census``).
 Orbit and stabilizer work runs on integers: the spaces involved are indexed
 once, every generator becomes a permutation of the points, and stabilizers
 come from a Schreier-Sims chain (``perm.StabChain``) whose base begins at
@@ -17,14 +18,14 @@ generator permutations that the enumeration found (``flags.flag_spaces``).
 Explicit chain lists (``census_product``, ``census_direct``) are checked
 against that enumeration, each list all of one M_c and each chain once, and
 the census then runs on the enumeration's blocks, as ``census_space`` does.
-One recursion (``_census``) serves every census.  Each depth takes the
-orbits of the current group on its block and, for each orbit's
-representative, the stabilizer from a Schreier-Sims chain based at it, run
-on the blocks still to search; then it goes one depth deeper or hands the
-blocks left to a code tail.  There a tuple of them is the mixed-radix
-integer of their positions, in tuple_key order; each generator is a
-permutation of those codes built from one weight list per block, and only
-the smallest code of each orbit of codes is decoded.  A small product is
+One recursion (``_census``) serves every census, on the enumeration's
+numbering of the points at every depth.  Each depth takes the orbits of
+the current group on its block and, for each orbit's representative, the
+stabilizer from a Schreier-Sims chain based at it; then it goes one depth
+deeper or hands the blocks left to a code tail.  There a tuple of them is
+the mixed-radix integer of their positions, in tuple_key order; each
+generator is a permutation of those codes built from one weight list per
+block, and only the smallest code of each orbit of codes is decoded.  A small product is
 coded from depth 1 on, a larger one searched down to its last depth.  As
 every block is whole, the chains telescope their orders down every depth
 from a bound on the top one: no group order is assumed.
@@ -38,13 +39,13 @@ projective points, never row-reduced or sorted; ``index`` is a lookup that
 finds a space's point through that key.  As the vector block keeps its
 numbering and comes first, every chain level opens at a vector point, and
 the breadth-first Schreier trees do not depend on how the subspace points
-are numbered.  The vector block, the point table (``flags.point_table``)
-and ``order_bound`` are built once per generator set and kept; the
-subspace blocks and the chains are built on every call, and the budget is
-read on every call.  ``stabilizer_orbits`` gives the orbits of the
-stabilizer of some subspaces on others, for the witness classes and the
-R-classes alike; its chain must reach that bound, which certifies the
-generating set it is given.
+are numbered.  The vector block reads its images off the point table
+(``flags.point_table``), which keeps the scalar of each image; block,
+table and ``order_bound`` are built once per generator set and kept, the
+subspace blocks and the chains on every call.  ``stabilizer_orbits``
+gives the orbits of the stabilizer of some subspaces on others, for the
+witness classes and the R-classes alike; its chain must reach that bound,
+which certifies the generating set it is given.
 """
 
 from bisect import bisect_left
@@ -52,8 +53,8 @@ from functools import cache, lru_cache
 from itertools import accumulate
 from math import prod
 
-from .linalg import (Mat, identity, inverse, inverse_table, mat_mul,
-                     mat_vec, act_on_subspace, rank_rows, check_prime)
+from .linalg import (Mat, identity, inverse, mat_mul, act_on_subspace,
+                     rank_rows, check_prime)
 from .geometry import (group_order, coordinate_subspace, is_isotropic,
                        classify_element, NOT_ORTHOGONAL, IN_SO)
 from . import flags as _flags
@@ -358,16 +359,17 @@ def action_points(gens, spaces):
     point of s, ``index.get(s)`` None for a space in no block), and
     images[gi] is generator gi as a permutation of all points.
 
-    Over GF(q) only (q = 0 raises ValueError: the orbits are infinite), a
-    generator moves each projective point of the first block by one
-    ``mat_vec`` (c·v goes to c times the image of v), and the subspace
-    orbits reuse these images through the ``flags.PointTable`` of gens:
-    under O_2n's generators they do no matrix arithmetic, as isotropic
+    Over GF(q) only (q = 0 raises ValueError: the orbits are infinite),
+    every block moves through the ``flags.PointTable`` of gens, which moves
+    each projective point by one ``mat_vec`` and keeps its image and scale:
+    c·u goes to c times the scale times the image of u, and a subspace
+    orbit maps point sets by lookups.  Under O_2n's generators the subspace
+    orbits move no point the first block has not moved, as isotropic
     vectors lie in the orbit of e_1 (Witt).  The first block and the table
     are built once per generator set and kept (``_kept_vector_block``,
     ``flags.point_table``); the subspace orbits are walked on every call,
-    and the budget is read on every call: a first block past it raises as
-    when it is built.
+    and the budget is read at the start of every call: a first block past
+    it raises as when it is built.
     """
     check_prime(gens[0].q)
     budget = _flags.orbit_budget()
@@ -376,8 +378,8 @@ def action_points(gens, spaces):
     vectors, moved = _kept_vector_block(gens)
     if len(vectors) > budget:
         # kept from a call under a larger budget: the build raises as a
-        # cold call does, and finds every image it needs in known
-        _vector_block(gens, table.known, budget)
+        # cold call does, and finds every image it needs in the table
+        _vector_block(table, budget)
     index = SpacePoints(table)
     images = [[] for _ in gens]
     for s in spaces:
@@ -393,31 +395,26 @@ def action_points(gens, spaces):
     return vectors, index, [v + tuple(img) for v, img in zip(moved, images)]
 
 
-def _vector_block(gens, known, budget):
-    """The first block of ``action_points``: (vectors, images), images[gi]
-    the positions of g_gi·vectors as a tuple.  known gets the images of
-    each projective point moved, for the ``flags.PointTable`` of gens.
-    Raises Infeasible once the block passes the budget, and ValueError for
-    a singular generator that sends a vector to 0."""
-    m, q = gens[0].nrows, gens[0].q
-    invs = inverse_table(q)
+def _vector_block(table, budget):
+    """The first block of ``action_points`` for the generators of a
+    ``flags.PointTable``: (vectors, images), images[gi] the positions of
+    g_gi·vectors as a tuple.  A vector v = lead·u, u of leading entry 1, is
+    moved by lookups in the table: g_gi·v = lead·c·points[images[gi][u]],
+    c = scales[gi][u].  Raises Infeasible once the block passes the budget,
+    and the table's ValueError for a singular generator."""
+    m, q = table.gens[0].nrows, table.gens[0].q
     vectors = [tuple(int(i == j) for j in range(m)) for i in range(m)]
     at = {v: i for i, v in enumerate(vectors)}
-    images = [[] for _ in gens]
+    images = [[] for _ in table.gens]
     for v in vectors:
         lead = next(filter(None, v))
-        unit = v if lead == 1 else tuple([invs[lead] * x % q for x in v])
-        ws = known.get(unit)
-        if ws is None:
-            ws = [mat_vec(g, unit) for g in gens]
-            for g, w in zip(gens, ws):
-                if not any(w):
-                    raise ValueError("singular generator %r sends %r to 0"
-                                     % (g.rows, unit))
-            known[unit] = ws
-        for img, w in zip(images, ws):
-            if lead != 1:
-                w = tuple([lead * x % q for x in w])
+        u = table.number(v if lead == 1 else
+                         tuple([table.invs[lead] * x % q for x in v]))
+        table.extend(u + 1)
+        for img, ims, scl in zip(images, table.images, table.scales):
+            w, c = table.points[ims[u]], lead * scl[u] % q
+            if c != 1:
+                w = tuple([c * x % q for x in w])
             p = at.get(w)
             if p is None:
                 p = at[w] = len(vectors)
@@ -430,11 +427,11 @@ def _vector_block(gens, known, budget):
 
 @lru_cache(maxsize=_flags.POINT_TABLES)
 def _kept_vector_block(gens):
-    """``_vector_block`` of the generator tuple gens, under the budget of
-    its first call, kept for as many sets as ``flags.point_table`` keeps
-    tables; a build that raises is not kept."""
-    return _vector_block(gens, _flags.point_table(gens).known,
-                         _flags.orbit_budget())
+    """``_vector_block`` of the generator tuple gens, on its
+    ``flags.point_table``, under the budget of its first call, kept for as
+    many sets as ``flags.point_table`` keeps tables; a build that raises is
+    not kept."""
+    return _vector_block(_flags.point_table(gens), _flags.orbit_budget())
 
 
 def point_matrix(perm, vectors, q):
@@ -635,13 +632,12 @@ def _census(levels, images, gens, n, q):
     Orbits come in the order of the tuple_key of their representatives,
     each the depth-by-depth minimum of its orbit, `std` aside.
 
-    Depth d searches the blocks of levels[d:] only: a block no later level
-    uses is dropped and the rest renumbered.  The group acts on spaces
-    through <gens>/(<gens> ∩ {±I}), of order at most ``order_bound`` / 2
-    (-I lies in O_2n and SO_2n, so a subgroup without it has index at least
-    2); the first chain of a depth finds the order, which telescopes down
-    every depth, as dropping a block keeps it: O_2n's kernel on each M_c
-    is {±I}, which fixes every point.
+    Every depth, chain and code reads a block at its offset: the points
+    keep the numbering of `levels` all the way down.  The group acts on
+    spaces through <gens>/(<gens> ∩ {±I}), of order at most
+    ``order_bound`` / 2 (-I lies in O_2n and SO_2n, so a subgroup without
+    it has index at least 2); the first chain of a depth finds the order,
+    which telescopes down every depth.
     """
     total = prod(len(chains) for _, chains in levels)
     descriptor = "n=%d %s" % (n, "|".join(str(_parts(chains))
@@ -659,17 +655,6 @@ def _census(levels, images, gens, n, q):
                     for s in chains0[0])
         std = offset0 + bisect_left(chains0, chain_key(std), key=chain_key)
     levels = [levels[i] for i in perm]
-    # places[d][offset]: where a block of levels[d:] starts at depth d;
-    # renums[d] maps the points kept from depth d - 1, if any moved
-    places, renums = [], []
-    for d in range(len(levels) + 1):
-        lengths = dict(sorted((o, len(c)) for o, c in levels[d:]))
-        place = dict(zip(lengths, accumulate(lengths.values(), initial=0)))
-        old = places[-1] if d else place
-        renums.append(place != old and {old[o] + x: place[o] + x
-                                        for o in lengths
-                                        for x in range(lengths[o])})
-        places.append(place)
     top = cache(lambda: order_bound(gens, n) // 2)
     strides, sub_total = [], 1
     for _, chains in reversed(levels[tail:]):
@@ -679,14 +664,12 @@ def _census(levels, images, gens, n, q):
 
     def search(perms, order, depth, prefix, size):
         """The orbits of <perms> on levels[depth:], whose order on the
-        points of that depth is `order` (None when not known)."""
-        place = places[depth]
+        points is `order` (None when not known)."""
         if depth == tail:
             moves = []
             for img in perms:
                 acc = [0]
-                for (offset, chains), stride in zip(levels[tail:], strides):
-                    start = place[offset]
+                for (start, chains), stride in zip(levels[tail:], strides):
                     w = [(y - start) * stride
                          for y in img[start:start + len(chains)]]
                     acc = [a + b for a in acc for b in w]
@@ -699,8 +682,7 @@ def _census(levels, images, gens, n, q):
                 leaves.append((prefix + tuple(reversed(rep)),
                                size * len(members)))
             return
-        offset, chains = levels[depth]
-        start = place[offset]
+        start, chains = levels[depth]
         for members in orbits(perms, range(start, start + len(chains))):
             if len(members) > budget:
                 raise Infeasible.over_budget(len(members), budget)
@@ -717,11 +699,6 @@ def _census(levels, images, gens, n, q):
                 order = chain.order()
                 sub, sub_order = chain.stabilizer(), order // len(members)
                 del chain  # free its levels before the depths below
-            renum = renums[depth + 1]
-            if renum:
-                keep = tuple(renum)
-                sub = [tuple(map(renum.__getitem__, mul(keep, p)))
-                       for p in sub]
             search(sub, sub_order, depth + 1, prefix + (chains[rep - start],),
                    size * len(members))
 

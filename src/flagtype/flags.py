@@ -14,18 +14,20 @@ over one table of projective points (``PointTable``), and returns the flags
 with the requested generators as permutations of them.  The orbit is
 walked on the sets of point numbers of its members (``key_orbit``, which
 ``engine.action_points`` uses alone), so a generator moves each point once,
-and each member then costs one RREF.  The point table depends on the
-generator set alone, so it is built once per set and kept for the process
-(``point_table``, for the last POINT_TABLES sets): points met by earlier
-calls are moved again by no generator.  ``group_table`` picks the set: the
-group's generators, then any others asked for, so the action of a subgroup
-runs on the group's table, and every census, of an explicit chain list too
-(``engine.census_product``), runs on these permutations.  ``act`` is the
-plain action, one RREF per space.  The subspace and flag orbits, which
+and each member then costs one RREF.  The table keeps the scalar of each
+image too, so ``engine.action_points`` moves vectors by lookups in it.  It
+depends on the generator set alone, so it is built once per set and kept
+for the process (``point_table``, for the last POINT_TABLES sets): points
+met by earlier calls are moved again by no generator.  ``group_table``
+picks the set: the group's generators, then any others asked for, so the
+action of a subgroup runs on the group's table, and every census, of an
+explicit chain list too (``engine.census_product``), runs on these
+permutations.  ``act`` is the plain action, one RREF per space.  The subspace and flag orbits, which
 depend on the spaces asked for, are walked on every call.  The one budget
-of the package (FLAGTYPE_BUDGET, ``orbit_budget``, read once per public
-call) counts orbit members: here flags, and the spaces of each dimension
-on the way.  Every overrun raises
+of the package (FLAGTYPE_BUDGET, ``orbit_budget``) counts orbit members:
+here flags, and the spaces of each dimension on the way.  It is read at the
+start of each walk, by ``key_orbit`` and ``flag_spaces`` here and by
+``engine.action_points`` and ``engine._census``.  Every overrun raises
 ``Infeasible``, on which the CLI exits 3.
 """
 
@@ -157,14 +159,17 @@ def _projective_points(s):
 class PointTable:
     """Projective points over GF(q) (leading entry 1), numbered as they are
     met, with images[gi][p] the number of g_gi·points[p] scaled to leading
-    entry 1.  Subspace orbits over one table move each point once; `known`
-    maps a point to its images for a caller that has them already."""
+    entry 1 and scales[gi][p] the scalar c with
+    g_gi·points[p] = c·points[images[gi][p]].  Subspace orbits and the
+    vector block of ``engine.action_points`` over one table move each point
+    once."""
 
     def __init__(self, gens):
-        self.gens, self.known = gens, {}
+        self.gens = gens
         self.invs = inverse_table(gens[0].q)
         self.points, self.at = [], {}
         self.images = [[] for _ in gens]
+        self.scales = [[] for _ in gens]
 
     def number(self, v):
         p = self.at.get(v)
@@ -184,24 +189,26 @@ class PointTable:
         return frozenset(map(self.at.get, _projective_points(s)))
 
     def extend(self, top):
-        """Find the images of the points numbered below top.  All images of
-        a point are found before any is stored, so an exception (ValueError
-        for a singular generator, which sends a point to 0) leaves every
-        images[gi] of one length, as a table kept by ``point_table`` must
-        be."""
+        """Find the images and scales of the points numbered below top.  All
+        images of a point are found before any is stored, so an exception
+        (ValueError for a singular generator, which sends a point to 0)
+        leaves every images[gi] and scales[gi] of one length, as a table
+        kept by ``point_table`` must be."""
         q, invs = self.gens[0].q, self.invs
         for v in self.points[len(self.images[0]):top]:
-            ps = []
-            for w in self.known.get(v) or [mat_vec(g, v) for g in self.gens]:
-                try:
-                    c = invs[next(filter(None, w))]
-                except StopIteration:
+            ps, cs = [], []
+            for g in self.gens:
+                w = mat_vec(g, v)
+                c = next(filter(None, w), 0)
+                if not c:
                     raise ValueError("singular generator %r sends %r to 0"
-                                     % (self.gens[len(ps)].rows, v)) from None
+                                     % (g.rows, v))
                 ps.append(self.number(
-                    w if c == 1 else tuple([x * c % q for x in w])))
-            for img, p in zip(self.images, ps):
+                    w if c == 1 else tuple([x * invs[c] % q for x in w])))
+                cs.append(c)
+            for img, scl, p, c in zip(self.images, self.scales, ps, cs):
                 img.append(p)
+                scl.append(c)
 
 
 # A pass of a perfbench workload cycles through at most eight generator

@@ -240,8 +240,7 @@ def build(family_id, n, lam, q):
             if pad < 0:
                 raise AssertionError("family %s chain exceeds composition"
                                      % family_id)
-            max_pad = n - fam.h if fam.phi != "o5" else n - 3
-            if pad > max_pad:
+            if pad > n - fam.h:
                 raise ValueError("n too small to pad family %s" % family_id)
             for i in range(1, pad + 1):
                 e = [0] * (2 * n)

@@ -285,15 +285,17 @@ def test_pairing_system_matches_one_solve_per_target(q, n, data):
             assert system.solve(p) == want
 
 
-def test_representative_memo_is_bounded(monkeypatch):
-    """V(b) is kept for at most REPRESENTATIVE_CACHE (n, b, q), the oldest
+def test_representative_memo_is_bounded():
+    """V(b) is kept for at most 256 (b, n, q), the one used longest ago
     dropped first, and a layout's V(b) is the memo's."""
-    monkeypatch.setattr(canonical, "REPRESENTATIVE_CACHE", 2)
     representative.cache_clear()
-    t = ThetaInvariants(3, 0, 0, 0, 2)
-    bs = enumerate_valid_b(t)[:4]
-    reps = [representative(b, 3, 5) for b in bs]
-    assert list(canonical._REPRESENTATIVES) == [(3, b, 5) for b in bs[2:]]
-    assert IndexLayout(3, bs[3]).representative(5) is reps[3]
-    assert representative(bs[0], 3, 5) == reps[0]
+    bs = [b for t in enumerate_thetas(3) for b in enumerate_valid_b(t)]
+    reps = [representative(b, 3, q) for q in (3, 5) for b in bs]
+    assert len(reps) > 256
+    info = representative.cache_info()
+    assert (info.maxsize, info.currsize, info.hits) == (256, 256, 0)
+    assert IndexLayout(3, bs[-1]).representative(5) is reps[-1]
+    assert representative.cache_info().hits == 1
+    assert representative(bs[0], 3, 3) == reps[0]
+    assert representative.cache_info().misses == info.misses + 1
     representative.cache_clear()

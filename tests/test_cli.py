@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 from fractions import Fraction
@@ -97,6 +98,23 @@ def test_census_command(capsys):
     code, out, _ = run(capsys, "census", "--n", "2", "--q", "3",
                        "--space", "(2)", "--group", "P", "--csv")
     assert code == 0 and "orbit_count" in out.splitlines()[0]
+
+
+@pytest.mark.parametrize("group,q,space,sha", [
+    ("G", 3, "(1)|(1)|(3)", "879274077a799dfe0bec270fef34ccaad111dcc7"),
+    ("P", 3, "(1)|(1)|(3)", "614c7fbaa0214cb6d18e5b760f2b2abff5a12379"),
+    ("G", 5, "(1)|(1,1)|(3)", "e756d697dcdf2eff432be538428ce7bb6006bb85"),
+])
+def test_census_out_is_pinned_where_the_descent_drops_a_block(
+        tmp_path, capsys, group, q, space, sha):
+    """The ``census --out`` JSON of spaces past DIRECT_LIMIT whose first
+    depth, the (3) block, is no block of a later depth; the G (1)|(1)|(3)
+    pin is also in CI."""
+    out = tmp_path / "c.json"
+    code, _, _ = run(capsys, "census", "--group", group, "--n", "3",
+                     "--q", str(q), "--space", space, "--out", str(out))
+    assert code == 0
+    assert hashlib.sha1(out.read_bytes()).hexdigest() == sha
 
 
 def test_witness_command(capsys):

@@ -246,7 +246,7 @@ def test_action_points_refuses_the_rationals(monkeypatch):
     ValueError before it moves any vector, where a search would run until
     the budget is spent."""
     monkeypatch.setenv("FLAGTYPE_BUDGET", "2000")
-    monkeypatch.setattr(engine, "mat_vec",
+    monkeypatch.setattr(flags, "mat_vec",
                         lambda *a: pytest.fail("a vector was moved"))
     with pytest.raises(ValueError,
                        match="needs an odd prime q, not the rationals"):
@@ -340,7 +340,7 @@ def test_warm_vector_block_keeps_the_budget(monkeypatch, budget):
         _clear_point_memos()
         if warm:
             kept = action_points(gens, [])[0]
-            monkeypatch.setattr(engine, "mat_vec",
+            monkeypatch.setattr(flags, "mat_vec",
                                 lambda *a: pytest.fail("a vector was moved"))
         monkeypatch.setenv("FLAGTYPE_BUDGET", str(budget))
         with pytest.raises(Infeasible) as err:
@@ -350,6 +350,45 @@ def test_warm_vector_block_keeps_the_budget(monkeypatch, budget):
     assert messages[0] == messages[1]
     assert messages[0].startswith("orbit budget exceeded: ")
     assert action_points(gens, [])[0] is kept
+
+
+@pytest.mark.parametrize("make,n,q", [(group_generators, 2, 3),
+                                      (so_generators, 3, 3),
+                                      (small_generators, 2, 5)])
+def test_point_table_scales(make, n, q):
+    """After a census and an action_points call, every kept table moves
+    each point it has moved as its images and scales say:
+    g_gi·points[p] = scales[gi][p]·points[images[gi][p]]."""
+    _clear_point_memos()
+    gens = make(q, n)
+    census_space(n, q, [Composition([1]), Composition([n])], gens)
+    action_points(gens, [standard_isotropic(q, n, 1)])
+    tables = [flags.group_table(q, 2 * n, n, gens)[0],
+              point_table(tuple(gens))]
+    for table in tables:
+        assert len({len(x) for x in table.images + table.scales}) == 1
+        assert table.images[0]
+        for g, img, scl in zip(table.gens, table.images, table.scales):
+            for p, (i, c) in enumerate(zip(img, scl)):
+                assert mat_vec(g, table.points[p]) == tuple(
+                    c * x % q for x in table.points[i])
+    _clear_point_memos()
+
+
+@pytest.mark.parametrize("make,n,q", [(group_generators, 2, 3),
+                                      (group_generators, 3, 3),
+                                      (parabolic_generators, 2, 5)])
+def test_vector_block_on_a_warm_table(make, n, q):
+    """The vector block built on a table that flag_spaces has filled has
+    the vectors and images of a build on an empty table."""
+    _clear_point_memos()
+    gens = make(q, n)
+    flag_spaces(q, 2 * n, [Composition([1, 1]), Composition([n])], n, gens)
+    table, _ = flags.group_table(q, 2 * n, n, gens)
+    assert table.images[0]
+    cold = engine._vector_block(flags.PointTable(table.gens), 10 ** 6)
+    assert engine._vector_block(table, 10 ** 6) == cold
+    _clear_point_memos()
 
 
 def test_point_memos_are_bounded():
