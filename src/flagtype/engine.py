@@ -41,8 +41,10 @@ numbering and comes first, every chain level opens at a vector point, and
 the breadth-first Schreier trees do not depend on how the subspace points
 are numbered.  The vector block reads its images off the point table
 (``flags.point_table``), which keeps the scalar of each image; block,
-table and ``order_bound`` are built once per generator set and kept, the
-subspace blocks and the chains on every call.  ``stabilizer_orbits``
+table and ``order_bound`` are built once per generator set and kept.  Each
+subspace orbit is walked once per set and kept on the table
+(``flags.kept_orbit``), re-rooted on its integers for a call that starts
+at another member; the chains are built on every call.  ``stabilizer_orbits``
 gives the orbits of the stabilizer of some subspaces on others, for the
 witness classes and the R-classes alike; its chain must reach that bound,
 which certifies the generating set it is given.
@@ -365,10 +367,12 @@ def action_points(gens, spaces):
     c·u goes to c times the scale times the image of u, and a subspace
     orbit maps point sets by lookups.  Under O_2n's generators the subspace
     orbits move no point the first block has not moved, as isotropic
-    vectors lie in the orbit of e_1 (Witt).  The first block and the table
-    are built once per generator set and kept (``_kept_vector_block``,
-    ``flags.point_table``); the subspace orbits are walked on every call,
-    and the budget is read at the start of every call: a first block past
+    vectors lie in the orbit of e_1 (Witt).  The first block, the table and
+    each subspace orbit are built once per generator set and kept
+    (``_kept_vector_block``, ``flags.point_table``, ``flags.kept_orbit``):
+    an orbit met again from another member is re-rooted on its integers, so
+    its block keeps the discovery order from the space that starts it.  The
+    budget is read at the start of every call: a kept block or orbit past
     it raises as when it is built.
     """
     check_prime(gens[0].q)
@@ -385,7 +389,7 @@ def action_points(gens, spaces):
     for s in spaces:
         key = table.key(s)
         if key not in index.point:
-            keys, moves = _flags.key_orbit(key, table)
+            keys, moves = _flags.kept_orbit(key, table)
             offset = len(vectors) + len(index)
             index.point.update(zip(keys, range(offset, offset + len(keys))))
             index.lengths.append(len(keys))

@@ -12,21 +12,24 @@ coordinate spaces.  ``flag_spaces``
 replaces each space of the standard flags by its orbit (``subspace_orbit``)
 over one table of projective points (``PointTable``), and returns the flags
 with the requested generators as permutations of them.  The orbit is
-walked on the sets of point numbers of its members (``key_orbit``, which
-``engine.action_points`` uses alone), so a generator moves each point once,
-and each member then costs one RREF.  The table keeps the scalar of each
-image too, so ``engine.action_points`` moves vectors by lookups in it.  It
-depends on the generator set alone, so it is built once per set and kept
-for the process (``point_table``, for the last POINT_TABLES sets): points
-met by earlier calls are moved again by no generator.  ``group_table``
-picks the set: the group's generators, then any others asked for, so the
-action of a subgroup runs on the group's table, and every census, of an
-explicit chain list too (``engine.census_product``), runs on these
-permutations.  ``act`` is the plain action, one RREF per space.  The subspace and flag orbits, which
-depend on the spaces asked for, are walked on every call.  The one budget
-of the package (FLAGTYPE_BUDGET, ``orbit_budget``) counts orbit members:
-here flags, and the spaces of each dimension on the way.  It is read at the
-start of each walk, by ``key_orbit`` and ``flag_spaces`` here and by
+walked on the sets of point numbers of its members (``key_orbit``), so a
+generator moves each point once, and each member then costs one RREF.  The
+table keeps the scalar of each image too, so ``engine.action_points`` moves
+vectors by lookups in it.  It depends on the generator set alone, so it is
+built once per set and kept for the process (``point_table``, for the last
+POINT_TABLES sets): points met by earlier calls are moved again by no
+generator.  ``group_table`` picks the set: the group's generators, then any
+others asked for, so the action of a subgroup runs on the group's table,
+and every census, of an explicit chain list too
+(``engine.census_product``), runs on these permutations.  ``act`` is the
+plain action, one RREF per space.  The subspace orbits of
+``engine.action_points`` are kept on the table too (``kept_orbit``), each
+walked once and re-rooted on its integers for a call that starts at
+another member; those of ``subspace_orbit`` and the flag orbits of
+``flag_spaces`` are walked on every call.  The one budget of the package
+(FLAGTYPE_BUDGET, ``orbit_budget``) counts orbit members: here flags, and
+the spaces of each dimension on the way.  It is read at the start of each
+walk, by ``key_orbit``, ``kept_orbit`` and ``flag_spaces`` here and by
 ``engine.action_points`` and ``engine._census``.  Every overrun raises
 ``Infeasible``, on which the CLI exits 3.
 """
@@ -162,7 +165,8 @@ class PointTable:
     entry 1 and scales[gi][p] the scalar c with
     g_gi·points[p] = c·points[images[gi][p]].  Subspace orbits and the
     vector block of ``engine.action_points`` over one table move each point
-    once."""
+    once; orbits maps the key of each member of an orbit kept by
+    ``kept_orbit`` to (keys, moves, its index)."""
 
     def __init__(self, gens):
         self.gens = gens
@@ -170,6 +174,7 @@ class PointTable:
         self.points, self.at = [], {}
         self.images = [[] for _ in gens]
         self.scales = [[] for _ in gens]
+        self.orbits = {}
 
     def number(self, v):
         p = self.at.get(v)
@@ -266,6 +271,35 @@ def key_orbit(key, table):
         if len(keys) > budget:
             raise Infeasible.over_budget(len(keys), budget)
     return keys, moves
+
+
+def kept_orbit(key, table):
+    """``key_orbit`` of key, kept on the table: each orbit is walked once
+    per table and kept once, every member's key mapped to (keys, moves, its
+    index).  A call from the orbit's root returns the kept lists (not to be
+    changed); a call from another member re-roots them by a breadth-first
+    walk of the integer moves from it, which meets the members in the order
+    ``key_orbit`` would, so the result is the same.  The budget is read on
+    every call: a kept orbit past it is walked again, which raises as a cold
+    walk does, and a walk that raises keeps nothing."""
+    kept = table.orbits.get(key)
+    if kept is None or len(kept[0]) > orbit_budget():
+        keys, moves = key_orbit(key, table)
+        table.orbits.update((k, (keys, moves, a)) for a, k in enumerate(keys))
+        return keys, moves
+    keys, moves, root = kept
+    if not root:
+        return keys, moves
+    rank = [None] * len(keys)
+    rank[root], order = 0, [root]
+    for a in order:
+        for mv in moves:
+            b = mv[a]
+            if rank[b] is None:
+                rank[b] = len(order)
+                order.append(b)
+    return ([keys[a] for a in order],
+            [[rank[mv[a]] for a in order] for mv in moves])
 
 
 def _sort_orbit(size, moves, key):

@@ -24,7 +24,8 @@ from flagtype.engine import (same_orbit, census_direct, census_space,
                              action_points, stabilizer_orbits)
 from flagtype.invariants import b_invariants
 from flagtype.witnesses import FAMILIES, build, family_classes
-from flagtype.canonical import enumerate_thetas, enumerate_valid_b
+from flagtype.canonical import (enumerate_thetas, enumerate_valid_b,
+                                standard_pair)
 from flagtype import engine, suites
 from flagtype.suites import CENSUS_PLAN
 
@@ -298,11 +299,14 @@ def test_point_memos_keep_every_output():
     interleaved so that a call finds tables that other calls and other sets
     extended: census JSON (under G, and under SO, whose flag spaces run on
     G's generators and w_2), same_orbit's connecting elements, the
-    stabilizer classes of witness families on small_generators, and
+    stabilizer classes of witness families and the R-classes at n=2, q=3
+    on small_generators (whose later thetas start orbits that earlier ones
+    kept at another member, so action_points re-roots them), and
     enumerations of isotropic and of GL flags."""
     gl_comp = Composition([1, 1, 1])
     translates = [_translate("O6_L32p", 3, 1, group_generators),
                   _translate("O6_L32p", 3, 4, so_generators)]
+    maxiso = [ch[0] for ch in enumerate_chains(3, 2, Composition([2]))]
     calls = {
         "census G": lambda: census_space(
             2, 3, [Composition([1]), Composition([1]), Composition([2])],
@@ -314,6 +318,9 @@ def test_point_memos_keep_every_output():
         "same_orbit SO": lambda: same_orbit(*translates[1], 3),
         "classes O4": lambda: family_classes("O4_L31_0", 5),
         "classes O6": lambda: family_classes("O6_L32p", 3),
+        "R-classes": lambda: [stabilizer_orbits(
+            small_generators(3, 2), 2, list(standard_pair(t, 3)), maxiso)
+            for t in enumerate_thetas(2)],
         "chains": lambda: enumerate_chains(3, 3, Composition([1, 2])),
         "GL flags": lambda: flag_spaces(3, 3, [gl_comp], None,
                                         gl_generators(3, 3)[::2])[gl_comp],
@@ -350,6 +357,104 @@ def test_warm_vector_block_keeps_the_budget(monkeypatch, budget):
     assert messages[0] == messages[1]
     assert messages[0].startswith("orbit budget exceeded: ")
     assert action_points(gens, [])[0] is kept
+
+
+@pytest.mark.parametrize("make,q", [(group_generators, 3),
+                                    (small_generators, 5)])
+def test_warm_action_points_walks_nothing(monkeypatch, make, q):
+    """Once action_points has walked the orbits of M_(1) and M_(2) at n=2,
+    a call from their roots and a call from other members (the kept orbits
+    re-rooted) walk no orbit, and give the vectors, block lengths, the
+    point of every space and the images of a cold call."""
+    n = 2
+    gens = make(q, n)
+    lines, planes = [[ch[0] for ch in enumerate_chains(q, n, Composition([d]))]
+                     for d in (1, 2)]
+    first = [lines[0], planes[0]]
+
+    def outputs(spaces):
+        vectors, index, images = action_points(gens, spaces)
+        return (vectors, index.lengths,
+                [index.get(s) for s in lines + planes], images)
+
+    for spaces in (first, [planes[-1], lines[-1]]):
+        _clear_point_memos()
+        cold = outputs(spaces)
+        _clear_point_memos()
+        action_points(gens, first)
+        table = point_table(tuple(gens))
+        at_root = [not table.orbits[table.known_key(s)][2] for s in spaces]
+        assert at_root == [spaces is first] * 2
+        with monkeypatch.context() as m:
+            m.setattr(flags, "key_orbit",
+                      lambda *a: pytest.fail("an orbit was walked"))
+            assert outputs(spaces) == cold
+    _clear_point_memos()
+
+
+@pytest.mark.parametrize("make", [group_generators, so_generators])
+def test_kept_orbit_re_roots_exactly(monkeypatch, make):
+    """From every member of M_(1) and of M_(2) at n=2, q=3, the kept orbit
+    equals a walk from that member on the same table; each orbit is walked
+    once (under SO_4, M_(2) is two orbits) and kept once."""
+    n, q = 2, 3
+    spaces = [ch[0] for d in (1, 2)
+              for ch in enumerate_chains(q, n, Composition([d]))]
+    _clear_point_memos()
+    table = point_table(tuple(make(q, n)))
+    walk, walks = flags.key_orbit, []
+    monkeypatch.setattr(flags, "key_orbit",
+                        lambda key, t: walks.append(key) or walk(key, t))
+    for s in spaces:
+        key = table.key(s)
+        assert flags.kept_orbit(key, table) == walk(key, table)
+    assert len(walks) == len({id(v[0]) for v in table.orbits.values()}) \
+        == (2 if make is group_generators else 3)
+    assert len(table.orbits) == len(spaces)
+    _clear_point_memos()
+
+
+def test_kept_orbit_keeps_the_budget(monkeypatch):
+    """Under a lower FLAGTYPE_BUDGET a kept orbit raises, from its root and
+    from another member, with the message of a cold walk, and stays kept; a
+    walk that raises (past the budget, or on a singular generator) keeps
+    nothing."""
+    n, q = 2, 3
+    gens = tuple(group_generators(q, n))
+    planes = [ch[0] for ch in enumerate_chains(q, n, Composition([2]))]
+    messages = []
+    for warm in (False, True):
+        _clear_point_memos()
+        table = point_table(gens)
+        keys = [table.key(s) for s in planes]
+        if warm:
+            flags.kept_orbit(keys[0], table)
+            kept = table.orbits[keys[0]]
+        monkeypatch.setenv("FLAGTYPE_BUDGET", "5")
+        for key in (keys[0], keys[-1]):
+            with pytest.raises(Infeasible) as err:
+                flags.kept_orbit(key, table)
+            messages.append((key, str(err.value)))
+        monkeypatch.delenv("FLAGTYPE_BUDGET")
+        if warm:
+            assert table.orbits[keys[0]] is kept
+            with monkeypatch.context() as m:
+                m.setattr(flags, "key_orbit",
+                          lambda *a: pytest.fail("an orbit was walked"))
+                assert flags.kept_orbit(keys[0], table) == kept[:2]
+        else:
+            assert table.orbits == {}
+    assert messages[:2] == messages[2:]
+    assert messages[0][1].startswith("orbit budget exceeded: ")
+    singular = Mat(q, [[int(i == j < 3) for j in range(4)]
+                       for i in range(4)])
+    table = point_table((identity(q, 4), singular))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="singular generator"):
+            flags.kept_orbit(table.key(coordinate_subspace(q, 4, [3, 4])),
+                             table)
+        assert table.orbits == {}
+    _clear_point_memos()
 
 
 @pytest.mark.parametrize("make,n,q", [(group_generators, 2, 3),
