@@ -19,16 +19,18 @@ Explicit chain lists (``census_product``, ``census_direct``) are checked
 against that enumeration, each list all of one M_c and each chain once, and
 the census then runs on the enumeration's blocks, as ``census_space`` does.
 One recursion (``_census``) serves every census, on the enumeration's
-numbering of the points at every depth.  Each depth takes the orbits of
-the current group on its block and, for each orbit's representative, the
+numbering of the points at every depth.  Each depth takes the orbits of the
+current group on its block and, for each orbit's representative, the
 stabilizer from a Schreier-Sims chain based at it; then it goes one depth
 deeper or hands the blocks left to a code tail.  There a tuple of them is
 the mixed-radix integer of their positions, in tuple_key order; each
 generator is a permutation of those codes built from one weight list per
-block, and only the smallest code of each orbit of codes is decoded.  A small product is
-coded from depth 1 on, a larger one searched down to its last depth.  As
-every block is whole, the chains telescope their orders down every depth
-from a bound on the top one: no group order is assumed.
+block, and only the smallest code of each orbit of codes is decoded.  A
+small product is coded from depth 1 on, a larger one searched down to its
+last depth.  As every block is whole, the chains telescope their orders down
+every depth from a bound on the top one: no group order is assumed.  One
+``signatures`` call ranks each distinct pair of spaces among all the
+representatives once.
 
 Same-orbit decisions and stabilizer orbits index vectors and subspaces
 (``action_points``): the vectors make the action faithful, so the chain's
@@ -52,12 +54,11 @@ which certifies the generating set it is given.
 
 from bisect import bisect_left
 from functools import cache, lru_cache
-from itertools import accumulate
 from math import prod
 
 from .linalg import (Mat, identity, inverse, mat_mul, act_on_subspace,
                      rank_rows, check_prime)
-from .geometry import (group_order, coordinate_subspace, is_isotropic,
+from .geometry import (form, group_order, coordinate_subspace, is_isotropic,
                        classify_element, NOT_ORTHOGONAL, IN_SO)
 from . import flags as _flags
 from .flags import Infeasible
@@ -89,12 +90,6 @@ class ActionCache:
             out = act_on_subspace(self.gens[gi], s)
             self.cache[key] = out
         return out
-
-    def chain(self, gi, ch):
-        return tuple(self.sub(gi, s) for s in ch)
-
-    def tuple(self, gi, ft):
-        return tuple(self.chain(gi, ch) for ch in ft)
 
 
 def tuple_key(ft):
@@ -276,49 +271,50 @@ def schreier_descend(level, point, q, dim, budget=None,
 
 
 def signature(ft, n):
-    """G-invariant vector of dimensions, from ranks.
+    """``signatures`` of the one flag tuple ft."""
+    return signatures([ft], n)[0]
 
-    The pool is the components S_1..S_m of ft in order, then their perps.
-    The entries are dim S_i, then dim S_i^perp = 2n - d_i, then
+
+def signatures(fts, n):
+    """Each flag tuple's G-invariant vector of dimensions, from ranks.
+
+    The pool of a tuple is its components S_1..S_m in order, then their
+    perps.  The entries are dim S_i, then dim S_i^perp = 2n - d_i, then
     dim(P ∩ P') for each pair P before P' in the pool.  As the split form is
     nondegenerate, each meet's dim is a rank:
     dim(S_i ∩ S_j) = d_i + d_j - rank[S_i; S_j],
     dim(S_i^perp ∩ S_j^perp) = 2n - rank[S_i; S_j], and
     dim(S_i ∩ S_j^perp) = d_i - rank Gram(S_i, S_j), with Gram(S_i, S_j)
     the d_i x d_j matrix of the form on their bases (i = j included); the
-    Gram matrices of (i, j) and (j, i) are transposes, so of one rank.
+    Gram matrices of (i, j) and (j, i) are transposes, so of one rank.  A
+    call ranks each distinct pair of spaces once, (S, S) included; a tuple
+    not all in F^2n over one field raises ValueError.
     """
-    subs = [s for ch in ft for s in ch]
-    if not subs:
-        return ()
-    q, width = subs[0].q, 2 * n
-    for s in subs:
-        if s.ambient != width:
+    w, ranks, out = 2 * n, {}, []
+    for ft in fts:
+        subs = [s for ch in ft for s in ch]
+        if any(s.ambient != w for s in subs):
             raise ValueError("ambient mismatch in signature")
-        if s.q != q:
+        if len({s.q for s in subs}) > 1:
             raise ValueError("subspace field/ambient mismatch")
-    m = len(subs)
-    dims = [s.dim for s in subs]
-    offsets = [0, *accumulate(dims)]
-    rows = tuple(r for s in subs for r in s.rows)
-    # the form on all basis rows at once: (u, v) = u . reversed(v)
-    pairing = mat_mul(Mat.raw(q, rows),
-                      Mat.raw(q, tuple(zip(*[r[::-1] for r in rows])))).rows
-    gram = {}
-    for i in range(m):
-        for j in range(i, m):
-            block = [r[offsets[j]:offsets[j + 1]]
-                     for r in pairing[offsets[i]:offsets[i + 1]]]
-            gram[i, j] = gram[j, i] = rank_rows(block, q, dims[j])
-    joins = {(i, j): rank_rows(subs[i].rows + subs[j].rows, q, width)
-             for i in range(m) for j in range(i + 1, m)}
-    sig = dims + [width - d for d in dims]
-    for i in range(m):
-        sig += [dims[i] + dims[j] - joins[i, j] for j in range(i + 1, m)]
-        sig += [dims[i] - gram[i, j] for j in range(m)]
-    for i in range(m):
-        sig += [width - joins[i, j] for j in range(i + 1, m)]
-    return tuple(sig)
+        for i, s in enumerate(subs):
+            for t in subs[i:]:
+                if (s, t) not in ranks:
+                    q = s.q
+                    ranks[s, t] = ranks[t, s] = (
+                        s.dim if s == t else rank_rows(s.rows + t.rows, q, w),
+                        rank_rows([[form(q, n, u, v) for v in t.rows]
+                                   for u in s.rows], q, t.dim))
+        m, dims = len(subs), [s.dim for s in subs]
+        r = [[ranks[s, t] for t in subs] for s in subs]
+        sig = dims + [w - d for d in dims]
+        for i in range(m):
+            sig += [dims[i] + dims[j] - r[i][j][0] for j in range(i + 1, m)]
+            sig += [dims[i] - r[i][j][1] for j in range(m)]
+        for i in range(m):
+            sig += [w - r[i][j][0] for j in range(i + 1, m)]
+        out.append(tuple(sig))
+    return out
 
 
 class SpacePoints:
@@ -708,13 +704,10 @@ def _census(levels, images, gens, n, q):
 
     search(images, None, 0, (), 1)
     back = [perm.index(i) for i in range(len(perm))]
-    reps, sizes, sigs = [], [], []
-    for rep, size in sorted(leaves, key=lambda t: tuple_key(t[0])):
-        rep = tuple(rep[i] for i in back)
-        reps.append(rep)
-        sizes.append(size)
-        sigs.append(signature(rep, n))
-    return OrbitCensus(descriptor, q, len(reps), sizes, reps, sigs, total)
+    leaves.sort(key=lambda t: tuple_key(t[0]))
+    reps = [tuple(rep[i] for i in back) for rep, _ in leaves]
+    return OrbitCensus(descriptor, q, len(reps), [s for _, s in leaves],
+                       reps, signatures(reps, n), total)
 
 
 def census_space(n, q, comps, gens):

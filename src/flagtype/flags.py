@@ -8,28 +8,28 @@ Enumeration works over GF(q) as an orbit: by Witt's theorem O_2n is
 transitive on the isotropic flags of one type, and GL_m on the flags of one
 type in F_q^m (without ``iso_n``, as the GL-flag spot checks of the appendix
 formula use it), so M_comp is the orbit of the standard flag of initial
-coordinate spaces.  ``flag_spaces``
-replaces each space of the standard flags by its orbit (``subspace_orbit``)
-over one table of projective points (``PointTable``), and returns the flags
-with the requested generators as permutations of them.  The orbit is
-walked on the sets of point numbers of its members (``key_orbit``), so a
-generator moves each point once, and each member then costs one RREF.  The
-table keeps the scalar of each image too, so ``engine.action_points`` moves
-vectors by lookups in it.  It depends on the generator set alone, so it is
-built once per set and kept for the process (``point_table``, for the last
-POINT_TABLES sets): points met by earlier calls are moved again by no
-generator.  ``group_table`` picks the set: the group's generators, then any
-others asked for, so the action of a subgroup runs on the group's table,
-and every census, of an explicit chain list too
+coordinate spaces.  ``flag_spaces`` replaces each space of the standard
+flags by its orbit (``subspace_orbit``) over one table of projective points
+(``PointTable``), and returns the flags with the requested generators as
+permutations of them; only a composition of two or more parts walks a flag
+orbit.  The orbit is walked on the sets of point numbers of its members
+(``key_orbit``), so a generator moves each point once, and each member then
+costs one RREF.  The table keeps the scalar of each image too, so
+``engine.action_points`` moves vectors by lookups in it.  It depends on the
+generator set alone, so it is built once per set and kept for the process
+(``point_table``, for the last POINT_TABLES sets): points met by earlier
+calls are moved again by no generator.  ``group_table`` picks the set: the
+group's generators, then any others asked for, so the action of a subgroup
+runs on the group's table, and every census, of an explicit chain list too
 (``engine.census_product``), runs on these permutations.  ``act`` is the
 plain action, one RREF per space.  The subspace orbits of
 ``engine.action_points`` are kept on the table too (``kept_orbit``), each
-walked once and re-rooted on its integers for a call that starts at
-another member; those of ``subspace_orbit`` and the flag orbits of
-``flag_spaces`` are walked on every call.  The one budget of the package
-(FLAGTYPE_BUDGET, ``orbit_budget``) counts orbit members: here flags, and
-the spaces of each dimension on the way.  It is read at the start of each
-walk, by ``key_orbit``, ``kept_orbit`` and ``flag_spaces`` here and by
+walked once and re-rooted on its integers for a call that starts at another
+member; those of ``subspace_orbit`` and the flag orbits of ``flag_spaces``
+are walked on every call.  The one budget of the package (FLAGTYPE_BUDGET,
+``orbit_budget``) counts orbit members: here flags, and the spaces of each
+dimension on the way.  It is read at the start of each walk, by
+``key_orbit``, ``kept_orbit`` and ``flag_spaces`` here and by
 ``engine.action_points`` and ``engine._census``.  Every overrun raises
 ``Infeasible``, on which the CLI exits 3.
 """
@@ -341,11 +341,13 @@ def flag_spaces(q, ambient, comps, iso_n=None, gens=()):
     The flags are the orbit of the standard flag U_[d1] < ... < U_[dk]
     under O_2n (Witt; isotropic iff iso_n is set) or GL_ambient and gens,
     so a generator outside that group makes more flags than ``flag_count``.
-    It runs on the positions of the spaces in their orbits, whose tuple
-    order is the rows order of the chains.  The orbits are walked on every
-    call, over the ``PointTable`` kept for the generator set (the group's
-    generators, then those of gens outside it: ``group_table``), so the
-    points met by earlier calls on the set are moved again by no generator.
+    A composition of one part is its subspace orbit; only one of two or
+    more parts walks the flag orbit, on the positions of the spaces in
+    their orbits, whose tuple order is the rows order of the chains.  The
+    orbits are walked on every call, over the ``PointTable`` kept for the
+    generator set (the group's generators, then those of gens outside it:
+    ``group_table``), so the points met by earlier calls on the set are
+    moved again by no generator.
     """
     check_prime(q)
     budget = orbit_budget()
@@ -358,6 +360,9 @@ def flag_spaces(q, ambient, comps, iso_n=None, gens=()):
         levels[d] = spaces, perms, spaces.index(std)
     for comp in dict.fromkeys(comps):
         spaces, perms, start = zip(*[levels[d] for d in comp.dims])
+        if len(spaces) == 1:  # the flags are the subspace orbit
+            out[comp] = [(s,) for s in spaces[0]], [perms[0][i] for i in at]
+            continue
         moves = list(zip(*perms))
         found, order, tracks = {start: 0}, [start], [[] for _ in moves]
         for ch in order:

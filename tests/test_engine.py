@@ -18,10 +18,10 @@ from flagtype import flags
 from flagtype.flags import (Composition, enumerate_chains, act, flag_spaces,
                             point_table)
 from flagtype.engine import (same_orbit, census_direct, census_space,
-                             census_product, signature, close_group,
-                             schreier_descend, StabLevel, Infeasible,
-                             tuple_key, SAME, DIFFERENT, order_bound,
-                             action_points, stabilizer_orbits)
+                             census_product, signature, signatures,
+                             close_group, schreier_descend, StabLevel,
+                             Infeasible, tuple_key, SAME, DIFFERENT,
+                             order_bound, action_points, stabilizer_orbits)
 from flagtype.invariants import b_invariants
 from flagtype.witnesses import FAMILIES, build, family_classes
 from flagtype.canonical import (enumerate_thetas, enumerate_valid_b,
@@ -944,34 +944,50 @@ def test_signature_invariance_and_refinement():
             assert s1 == s2
 
 
+def _chain(draw, q, n):
+    """A nested chain in F^2n of 1-3 dims in 0..2n, either spanned by
+    prefixes of random rows or isotropic (prefixes of a basis of g.U_0, g a
+    random word of transvections)."""
+    entries = st.integers(0, q - 1) if q else st.integers(-2, 2)
+    if draw(st.booleans()):
+        g = identity(q, 2 * n)
+        for _ in range(draw(st.integers(0, 6))):
+            r = draw(st.integers(1, 2 * n))
+            c = draw(st.integers(1, 2 * n).filter(
+                lambda c, r=r: c not in (r, bar(r, n))))
+            g = mat_mul(g, transvection(q, n, r, c, draw(entries)))
+        rows = [mat_vec(g, e) for e in standard_isotropic(q, n, 0).rows]
+        top = n
+    else:
+        rows = draw(st.lists(st.lists(entries, min_size=2 * n,
+                                      max_size=2 * n),
+                             min_size=2 * n, max_size=2 * n))
+        top = 2 * n
+    dims = sorted(draw(st.sets(st.integers(0, top), min_size=1, max_size=3)))
+    return tuple(canonicalize(q, 2 * n, rows[:d]) for d in dims)
+
+
 @st.composite
 def chain_tuples(draw, fields=(3, 5, RATIONAL)):
-    """(q, n, ft): 1-3 nested chains in F^2n, 2 <= n <= 4, of dims in
-    0..2n, each either spanned by prefixes of random rows or isotropic
-    (prefixes of a basis of g.U_0, g a random word of transvections)."""
+    """(q, n, ft): 1-3 chains (``_chain``) in F^2n, 2 <= n <= 4."""
     q = draw(st.sampled_from(fields))
     n = draw(st.integers(2, 4))
-    entries = st.integers(0, q - 1) if q else st.integers(-2, 2)
-    ft = []
-    for _ in range(draw(st.integers(1, 3))):
-        if draw(st.booleans()):
-            g = identity(q, 2 * n)
-            for _ in range(draw(st.integers(0, 6))):
-                r = draw(st.integers(1, 2 * n))
-                c = draw(st.integers(1, 2 * n).filter(
-                    lambda c, r=r: c not in (r, bar(r, n))))
-                g = mat_mul(g, transvection(q, n, r, c, draw(entries)))
-            rows = [mat_vec(g, e) for e in standard_isotropic(q, n, 0).rows]
-            top = n
-        else:
-            rows = draw(st.lists(st.lists(entries, min_size=2 * n,
-                                          max_size=2 * n),
-                                 min_size=2 * n, max_size=2 * n))
-            top = 2 * n
-        dims = sorted(draw(st.sets(st.integers(0, top), min_size=1,
-                                   max_size=3)))
-        ft.append(tuple(canonicalize(q, 2 * n, rows[:d]) for d in dims))
-    return q, n, tuple(ft)
+    return q, n, tuple(_chain(draw, q, n)
+                       for _ in range(draw(st.integers(1, 3))))
+
+
+@st.composite
+def tuple_lists(draw):
+    """(n, fts): 1-6 flag tuples in F^2n, 2 <= n <= 3, over one field, of
+    0-4 chains each, drawn from a pool of 1-4 chains (``_chain``) and of
+    the one-space chains of their spaces, so that spaces recur across the
+    tuples and within them."""
+    q = draw(st.sampled_from((3, 5, RATIONAL)))
+    n = draw(st.integers(2, 3))
+    pool = [_chain(draw, q, n) for _ in range(draw(st.integers(1, 4)))]
+    pool += [(s,) for ch in pool for s in ch]
+    fts = st.lists(st.sampled_from(pool), max_size=4).map(tuple)
+    return n, draw(st.lists(fts, min_size=1, max_size=6))
 
 
 @settings(max_examples=150, deadline=None)
@@ -992,6 +1008,29 @@ def test_signature_g_invariant(case, data):
     assert signature(act(g, ft), n) == signature(ft, n)
 
 
+@settings(max_examples=100, deadline=None)
+@given(tuple_lists())
+def test_signatures_share_ranks(case):
+    n, fts = case
+    assert signatures(fts, n) == [signature_by_meets(ft, n) for ft in fts]
+
+
+def test_signatures_never_share_ranks_across_fields():
+    """Equal rows over GF(3) and GF(5) are different spaces: <(1,2,0,0)>
+    lies in the plane P over GF(3) alone, and the line L is isotropic over
+    GF(3) alone, so the join and Gram ranks differ between the fields."""
+    n = 2
+    rows = {"P": [(1, 0, 1, 0), (0, 1, 1, 0)], "T": [(1, 2, 0, 0)],
+            "L": [(1, 1, 1, 2)]}
+    fts = {q: tuple((canonicalize(q, 2 * n, r),) for r in rows.values())
+           for q in (3, 5)}
+    assert all(ch[0].rows == tuple(r) for q in (3, 5)
+               for ch, r in zip(fts[q], rows.values()))
+    assert signature_by_meets(fts[3], n) != signature_by_meets(fts[5], n)
+    mixed = [fts[3], fts[5], fts[3], fts[5]]
+    assert signatures(mixed, n) == [signature_by_meets(ft, n) for ft in mixed]
+
+
 def test_signature_edge_cases():
     n, q = 2, 3
     assert signature((), n) == ()
@@ -1003,6 +1042,11 @@ def test_signature_edge_cases():
         signature(((coordinate_subspace(q, 2 * n + 2, [1]),),), n)
     with pytest.raises(ValueError):
         signature(((zero,), (canonicalize(5, 2 * n, []),)), n)
+    # each tuple is checked alone: a list may mix fields, not a tuple
+    assert signatures([((zero,),), ((canonicalize(5, 2 * n, []),),)], n) \
+        == [signature_by_meets(((zero,),), n)] * 2
+    with pytest.raises(ValueError):
+        signatures([((full,),), ((zero,), (canonicalize(5, 2 * n, []),))], n)
 
 
 def test_schreier_descend_exact():

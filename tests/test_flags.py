@@ -269,20 +269,13 @@ def test_subspace_orbit_matches_plain_bfs(case, seed):
     assert subspace_orbit(start, table) == want
 
 
-@pytest.mark.parametrize("kind", [group_generators, so_generators,
-                                  parabolic_generators, small_generators])
-@pytest.mark.parametrize("n,q", [(2, 3), (2, 5), (3, 3), (3, 5)])
-def test_flag_spaces_permutations(kind, n, q):
-    """Each permutation that flag_spaces returns maps flag i to the position
-    of g·flag_i (``act``, through act_on_subspace); on a space of more than
-    3000 flags, a seeded sample of 300 flags is checked."""
-    gens = kind(q, n)
-    comps = [Composition([1]), Composition([1, 1]), Composition([n])]
-    spaces = flag_spaces(q, 2 * n, comps + comps[:1], n, gens)
-    assert list(spaces) == comps
-    rng = random.Random(10 * n + q)
+def _check_flag_spaces(spaces, gens, count, rng):
+    """Each space of flag_spaces has count(comp) flags, sorted by rows, and
+    each permutation maps flag i to the position of g·flag_i (``act``,
+    through act_on_subspace); on a space of more than 3000 flags, a seeded
+    sample of 300 flags is checked."""
     for comp, (chains, perms) in spaces.items():
-        assert len(chains) == flag_count(q, n, comp)
+        assert len(chains) == count(comp)
         keys = [tuple(s.rows for s in ch) for ch in chains]
         assert all(a < b for a, b in zip(keys, keys[1:]))
         assert len(perms) == len(gens)
@@ -296,6 +289,32 @@ def test_flag_spaces_permutations(kind, n, q):
             wrong = [i for i in sample
                      if perm[i] != pos[act(g, (chains[i],))[0]]]
             assert not wrong, wrong[:5]
+
+
+@pytest.mark.parametrize("kind", [group_generators, so_generators,
+                                  parabolic_generators, small_generators])
+@pytest.mark.parametrize("n,q", [(2, 3), (2, 5), (3, 3), (3, 5)])
+def test_flag_spaces_permutations(kind, n, q):
+    """The isotropic flag spaces of O_2n under generators of O_2n and its
+    subgroups (``_check_flag_spaces``)."""
+    gens = kind(q, n)
+    comps = [Composition([1]), Composition([1, 1]), Composition([n])]
+    spaces = flag_spaces(q, 2 * n, comps + comps[:1], n, gens)
+    assert list(spaces) == comps
+    _check_flag_spaces(spaces, gens, lambda c: flag_count(q, n, c),
+                       random.Random(10 * n + q))
+
+
+@pytest.mark.parametrize("m,q", [(3, 3), (3, 5), (4, 3), (4, 5)])
+def test_gl_flag_spaces_permutations(m, q):
+    """The plain flag spaces of F_q^m under GL_m's generators (iso_n None),
+    one-part compositions included (``_check_flag_spaces``)."""
+    gens = gl_generators(q, m)
+    comps = [Composition(c) for c in [(1,), (2,), (1, 1), (1, 2)]]
+    spaces = flag_spaces(q, m, comps + comps[1:2], None, gens)
+    assert list(spaces) == comps
+    _check_flag_spaces(spaces, gens, lambda c: _flag_count(m, c.dims, q),
+                       random.Random(10 * m + q))
 
 
 def test_subspace_orbit_rejects_rationals():
